@@ -16,17 +16,13 @@
 //	fssimd -warm-dir warm -transfer
 //	                               # serve "transfer":"store" requests from the
 //	                               # nearest eligible donor snapshot
-//	fssimd -warm-dir warm -peers http://n2:8080,http://n3:8080
-//	                               # anti-entropy: pull peers' verified PLTs
 //
 // Endpoints:
 //
 //	POST /v1/runs            submit a run; body {"benchmark": "ab-rand", ...}
 //	GET  /v1/runs/{id}       a completed run's (byte-identical) result
 //	GET  /v1/runs/{id}/trace the run's Chrome trace-event JSON (with -trace)
-//	GET  /v1/plt             index of persisted PLT snapshots (with -warm-dir)
 //	GET  /v1/plt/{benchmark} the newest persisted PLT snapshot (with -warm-dir)
-//	GET  /v1/plt/{benchmark}/{hash}  one exact snapshot (the gossip fetch path)
 //	GET  /healthz            liveness
 //	GET  /readyz             readiness (503 while draining)
 //	GET  /metrics            serving-path and scheduler counters
@@ -47,11 +43,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"fssim/internal/fleet"
 	"fssim/internal/server"
 )
 
@@ -70,8 +64,6 @@ func main() {
 	doTrace := flag.Bool("record", false, "record simulations (enables GET /v1/runs/{id}/trace) even without -trace/-metrics")
 	warmDir := flag.String("warm-dir", "", "persist learned PLT snapshots here and replay identical accelerated requests across restarts (empty = off)")
 	transferOn := flag.Bool("transfer", false, "serve \"transfer\":\"store\" requests by importing the nearest eligible donor PLT from -warm-dir (cross-config transfer; requires -warm-dir)")
-	peers := flag.String("peers", "", "comma-separated peer base URLs for PLT anti-entropy gossip (requires -warm-dir)")
-	gossipEvery := flag.Duration("gossip-interval", 5*time.Second, "anti-entropy period")
 	flag.Parse()
 
 	cfg := server.Config{
@@ -121,30 +113,6 @@ func main() {
 	}()
 
 	s := server.New(cfg)
-
-	if *peers != "" {
-		var list []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				list = append(list, p)
-			}
-		}
-		store := s.Scheduler().WarmStore()
-		if store == nil {
-			fmt.Fprintln(os.Stderr, "fssimd: -peers requires -warm-dir (gossip spreads persisted PLT snapshots)")
-			os.Exit(2)
-		}
-		g, err := fleet.NewGossiper(fleet.GossipConfig{
-			Peers:    list,
-			Interval: *gossipEvery,
-			Retry:    server.DefaultRetryPolicy(),
-		}, store, s.Registry())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fssimd: %v\n", err)
-			os.Exit(2)
-		}
-		go g.Run(ctx)
-	}
 
 	go func() {
 		fmt.Fprintf(os.Stderr, "fssimd: serving on %s (queue %d, deadline %v, drain %v)\n",

@@ -1,7 +1,7 @@
 // Package durable is the repo's single blessed path for crash-consistent
-// writes. Every durable artifact — PLT snapshots, the store index, trace and
-// metrics exports — goes through AtomicWrite/AtomicWriteFile, which implement
-// the full discipline:
+// writes. Every durable artifact — PLT snapshots, trace and metrics
+// exports — goes through AtomicWrite/AtomicWriteFile, which implement the
+// full discipline:
 //
 //	write temp → fsync(temp) → rename(temp, final) → fsync(dir)
 //

@@ -1066,11 +1066,6 @@ func (s *Scheduler) WarmDir() string {
 	return s.warm.Dir()
 }
 
-// WarmStore exposes the scheduler's PLT snapshot store (nil when persistence
-// is disabled) — serving front-ends index it for peers and gossip verified
-// snapshots into it.
-func (s *Scheduler) WarmStore() *pltstore.Store { return s.warm }
-
 // WarmSnapshotPath returns the newest on-disk snapshot for bench, for
 // serving front-ends that export learned state (GET /v1/plt/{benchmark}).
 // ok is false when no store is configured or no snapshot exists.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fssim/internal/core"
+	"fssim/internal/pltstore"
 )
 
 // TestSweepTransferCutsDetailedWork is the tentpole acceptance check: every
@@ -190,7 +191,7 @@ func TestWarmSnapshotPathTieBreak(t *testing.T) {
 	if _, err := s.Get(cfg.accelKey("ab-rand", core.Statistical, 512<<10)); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := s.WarmStore().List("ab-rand")
+	paths, err := pltstore.Open(dir).List("ab-rand")
 	if err != nil || len(paths) != 2 {
 		t.Fatalf("List = (%v, %v), want two snapshots", paths, err)
 	}

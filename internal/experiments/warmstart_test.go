@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -69,6 +71,41 @@ func TestWarmReplayByteIdentity(t *testing.T) {
 	}
 	if warm.Stats != ref.Stats {
 		t.Error("replayed stats differ from a cold scheduler's: replay is not result-preserving")
+	}
+}
+
+// TestWarmLegacyIndexIsInert: a warm dir written by an older build may hold
+// an INDEX file next to its snapshots. Startup recovery leaves it alone —
+// untouched, not quarantined — and the accelerated run still replays warm.
+func TestWarmLegacyIndexIsInert(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long: simulates an accelerated run")
+	}
+	dir := t.TempDir()
+	cfg := warmTestConfig(dir)
+	key := cfg.accelKey("ab-rand", core.Statistical, 0)
+	if _, err := NewScheduler(cfg).Get(key); err != nil {
+		t.Fatal(err)
+	}
+	index := filepath.Join(dir, "INDEX")
+	legacy := []byte(`{"version":1,"snapshots":[]}`)
+	if err := os.WriteFile(index, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewScheduler(cfg)
+	if _, err := s.Get(key); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.WarmRecoveredQuarantined != 0 || st.WarmHits != 1 || st.PLTLearned != 0 {
+		t.Errorf("quarantined %d, warm hits %d, learned %d; want 0, 1, 0",
+			st.WarmRecoveredQuarantined, st.WarmHits, st.PLTLearned)
+	}
+	if got, err := os.ReadFile(index); err != nil || !bytes.Equal(got, legacy) {
+		t.Errorf("INDEX after recovery = %q, %v; want it untouched", got, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, pltstore.QuarantineDir)); !os.IsNotExist(err) {
+		t.Errorf("quarantine dir exists (%v); nothing should have been quarantined", err)
 	}
 }
 

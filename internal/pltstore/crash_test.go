@@ -39,7 +39,7 @@ type allowedContent struct {
 // checkRecovered opens a materialized crash state with the real filesystem,
 // runs the recovery sweep, and asserts the invariant: every address holds
 // one of its allowed contents bit-exact (or is absent where allowed), no
-// temp files survive, and the index advertises exactly the valid residents.
+// temp files survive, and List returns exactly the valid residents.
 func checkRecovered(p durable.CrashPoint, dir string, allowed []allowedContent) error {
 	rs := Open(dir)
 	if _, err := rs.Recover(); err != nil {
@@ -86,19 +86,20 @@ func checkRecovered(p durable.CrashPoint, dir string, allowed []allowedContent) 
 	if plt != valid {
 		return fmt.Errorf("%d .plt files on disk but %d allowed addresses valid", plt, valid)
 	}
-	idx, err := rs.Index()
+	paths, err := rs.List("")
 	if err != nil {
-		return fmt.Errorf("index: %w", err)
+		return fmt.Errorf("list: %w", err)
 	}
-	if len(idx) != valid {
-		return fmt.Errorf("index advertises %d snapshots, %d are valid", len(idx), valid)
+	if len(paths) != valid {
+		return fmt.Errorf("List returns %d snapshots, %d are valid", len(paths), valid)
 	}
 	return nil
 }
 
 // TestCrashExplorerSave enumerates every crash point while a snapshot is
-// overwritten in place and proves the address always recovers to the old or
-// the new bytes, never anything else.
+// first published and then overwritten in place, and proves the address
+// always recovers to a snapshot that was written, bit-exact: absent or old
+// during the first save, old or new (never absent) during the overwrite.
 func TestCrashExplorerSave(t *testing.T) {
 	cfs := durable.NewCrashFS()
 	s := OpenFS("warm", cfs)
@@ -111,16 +112,16 @@ func TestCrashExplorerSave(t *testing.T) {
 	if err := s.Save(newSnap); err != nil {
 		t.Fatal(err)
 	}
-	allowed := []allowedContent{{
-		bench:    oldSnap.Benchmark,
-		hash:     oldSnap.LearnHash,
-		variants: [][]byte{Encode(oldSnap), Encode(newSnap)},
-		// The old snapshot was durably published; no crash during the
-		// overwrite may lose the address entirely.
-		absentOK: false,
-	}}
-	n, err := cfs.Explore(mark, "warm", t.TempDir(), func(p durable.CrashPoint, dir string) error {
-		return checkRecovered(p, dir, allowed)
+	n, err := cfs.Explore(0, "warm", t.TempDir(), func(p durable.CrashPoint, dir string) error {
+		a := allowedContent{bench: oldSnap.Benchmark, hash: oldSnap.LearnHash, absentOK: true,
+			variants: [][]byte{Encode(oldSnap)}}
+		if p.N >= mark {
+			// The old snapshot was durably published; no crash during the
+			// overwrite may lose the address entirely.
+			a.absentOK = false
+			a.variants = append(a.variants, Encode(newSnap))
+		}
+		return checkRecovered(p, dir, []allowedContent{a})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,11 +132,10 @@ func TestCrashExplorerSave(t *testing.T) {
 	}
 }
 
-// TestCrashExplorerIndexRewrite crashes at every point across a second
-// save — snapshot publication plus the INDEX read-modify-write — and proves
-// the first snapshot stays intact, the second is absent-or-exact, and the
-// index never advertises anything invalid, no matter which half of the
-// (snapshot, index) pair the crash fell between.
+// TestCrashExplorerIndexRewrite crashes at every point across two saves to
+// different addresses and proves each snapshot is absent-or-exact, and the
+// first stays intact once its save has returned, whatever the second save
+// was doing.
 func TestCrashExplorerIndexRewrite(t *testing.T) {
 	cfs := durable.NewCrashFS()
 	s := OpenFS("warm", cfs)
@@ -148,18 +148,35 @@ func TestCrashExplorerIndexRewrite(t *testing.T) {
 	if err := s.Save(snapB); err != nil {
 		t.Fatal(err)
 	}
-	allowed := []allowedContent{
-		{bench: snapA.Benchmark, hash: snapA.LearnHash, variants: [][]byte{Encode(snapA)}},
-		{bench: snapB.Benchmark, hash: snapB.LearnHash, variants: [][]byte{Encode(snapB)}, absentOK: true},
-	}
-	n, err := cfs.Explore(mark, "warm", t.TempDir(), func(p durable.CrashPoint, dir string) error {
-		return checkRecovered(p, dir, allowed)
+	n, err := cfs.Explore(0, "warm", t.TempDir(), func(p durable.CrashPoint, dir string) error {
+		return checkRecovered(p, dir, []allowedContent{
+			{bench: snapA.Benchmark, hash: snapA.LearnHash, variants: [][]byte{Encode(snapA)}, absentOK: p.N < mark},
+			{bench: snapB.Benchmark, hash: snapB.LearnHash, variants: [][]byte{Encode(snapB)}, absentOK: true},
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n < 20 {
 		t.Fatalf("only %d crash states explored", n)
+	}
+}
+
+// TestSaveIsOneAtomicWrite pins Save's durable cost: it performs exactly the
+// operations of one bare durable.AtomicWrite of the encoded snapshot, and
+// nothing else reaches the disk.
+func TestSaveIsOneAtomicWrite(t *testing.T) {
+	snap := snapFor("one-write", 0)
+	cfs := durable.NewCrashFS()
+	if err := OpenFS("warm", cfs).Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	bare := durable.NewCrashFS()
+	if err := durable.AtomicWrite(bare, "warm", "x.plt", Encode(snap)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cfs.OpsLen(), bare.OpsLen(); got != want || want != 7 {
+		t.Fatalf("Save made %d durable ops, one AtomicWrite makes %d (want 7)", got, want)
 	}
 }
 

@@ -68,6 +68,21 @@ var ErrNotFound = errors.New("pltstore: no snapshot for this configuration")
 // file). Callers treat it like corruption: cold start.
 var ErrMismatch = errors.New("pltstore: snapshot does not match requested configuration")
 
+// MaxSnapshotBytes caps how large a snapshot may be to load or travel
+// between processes (client fetches). It is derived from the decoder's own
+// structural caps: a snapshot near the learner/cluster/EPO limits is a few
+// MB, so anything beyond this bound cannot be a snapshot the decoder would
+// accept — it is rejected before buffering, not after.
+const MaxSnapshotBytes = 16 << 20
+
+// ErrOversize reports snapshot bytes beyond MaxSnapshotBytes: rejected
+// before decoding.
+var ErrOversize = errors.New("pltstore: snapshot exceeds size cap")
+
+// FormatHash renders a hash the way snapshot filenames and provenance
+// records carry it: 16 lowercase hex digits.
+func FormatHash(h uint64) string { return fmt.Sprintf("%016x", h) }
+
 // Snapshot is one persisted run: identity hashes, the run's deterministic
 // aggregate statistics (for exact replay), and the full learner state (for
 // warm-starting).
@@ -190,11 +205,6 @@ type Store struct {
 	mu    sync.Mutex
 	live  map[string]bool
 	swept atomic.Bool // first-save orphan sweep has run (or Recover did)
-
-	// idxMu serializes read-modify-write cycles on the cached INDEX file.
-	// Separate from mu: the index rewrite goes through the durable write
-	// path, which takes mu to track its temp file.
-	idxMu sync.Mutex
 }
 
 // Open returns a store rooted at dir, backed by the real filesystem. The
@@ -320,16 +330,9 @@ func (s *Store) Save(snap *Snapshot) error {
 		s.sweepOrphans()
 	}
 	path := s.Path(snap.Benchmark, snap.LearnHash)
-	data := Encode(snap)
-	if err := durable.AtomicWrite(s.writeFS(), s.dir, filepath.Base(path), data); err != nil {
+	if err := durable.AtomicWrite(s.writeFS(), s.dir, filepath.Base(path), Encode(snap)); err != nil {
 		return fmt.Errorf("pltstore: %w", err)
 	}
-	s.updateIndex(IndexEntry{
-		Benchmark: snap.Benchmark,
-		LearnHash: FormatHash(snap.LearnHash),
-		Family:    FormatHash(snap.Family),
-		Size:      int64(len(data)),
-	})
 	return nil
 }
 
@@ -407,33 +410,43 @@ func (s *Store) Nearest(family uint64, recip transfer.Coords) (*Snapshot, float6
 // check that the filename agrees with the self-described identity. Only a
 // nil error means the snapshot is safe to import.
 func (s *Store) LoadPath(path string) (*Snapshot, error) {
+	_, snap, err := s.ReadPath(path)
+	return snap, err
+}
+
+// ReadPath is LoadPath that also returns the file's bytes, for callers that
+// ship a snapshot verbatim: the bytes returned are exactly the bytes
+// verified. Recover quarantines every snapshot file it rejects.
+func (s *Store) ReadPath(path string) ([]byte, *Snapshot, error) {
 	data, err := s.fsys.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, iofs.ErrNotExist) {
-			return nil, ErrNotFound
+			return nil, nil, ErrNotFound
 		}
-		return nil, fmt.Errorf("pltstore: %w", err)
+		return nil, nil, fmt.Errorf("pltstore: %w", err)
 	}
 	if int64(len(data)) > MaxSnapshotBytes {
-		return nil, fmt.Errorf("%w: %d bytes > %d", ErrOversize, len(data), MaxSnapshotBytes)
+		return nil, nil, fmt.Errorf("%w: %d bytes > %d", ErrOversize, len(data), MaxSnapshotBytes)
 	}
 	snap, err := Decode(data)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if s.Path(snap.Benchmark, snap.LearnHash) != path {
-		return nil, fmt.Errorf("%w: file %s describes %s/%016x",
+		return nil, nil, fmt.Errorf("%w: file %s describes %s/%016x",
 			ErrMismatch, filepath.Base(path), snap.Benchmark, snap.LearnHash)
 	}
 	if err := snap.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return snap, nil
+	return data, snap, nil
 }
 
 // List returns the snapshot file paths currently stored for bench (every
-// benchmark when bench is empty), sorted by name for determinism. A missing
-// store directory is an empty store, not an error.
+// benchmark when bench is empty), sorted by name for determinism. Only names
+// of the exact form Path produces, <sanitized bench>-<16 hex>.plt, count: a
+// benchmark whose name extends bench ("ab-rand" for "ab") is not bench's. A
+// missing store directory is an empty store, not an error.
 func (s *Store) List(bench string) ([]string, error) {
 	entries, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
@@ -442,21 +455,32 @@ func (s *Store) List(bench string) ([]string, error) {
 		}
 		return nil, fmt.Errorf("pltstore: %w", err)
 	}
-	prefix := ""
-	if bench != "" {
-		prefix = sanitize(bench) + "-"
-	}
 	var out []string
 	for _, e := range entries {
-		name := e.Name
-		if e.Dir || !strings.HasSuffix(name, ".plt") {
+		if e.Dir {
 			continue
 		}
-		if prefix != "" && !strings.HasPrefix(name, prefix) {
-			continue
+		if b, ok := snapshotBench(e.Name); ok && (bench == "" || b == sanitize(bench)) {
+			out = append(out, filepath.Join(s.dir, e.Name))
 		}
-		out = append(out, filepath.Join(s.dir, name))
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// snapshotBench splits a snapshot filename of the form Path produces into
+// its sanitized benchmark part; ok is false for any other name.
+func snapshotBench(name string) (bench string, ok bool) {
+	const hashLen = 16
+	stem, isPLT := strings.CutSuffix(name, ".plt")
+	i := len(stem) - hashLen - 1
+	if !isPLT || i < 1 || stem[i] != '-' {
+		return "", false
+	}
+	for _, c := range stem[i+1:] {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return "", false
+		}
+	}
+	return stem[:i], true
 }

@@ -121,9 +121,9 @@ func TestStoreSaveIsAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		// The cached INDEX and the quarantine dir are the only non-snapshot
-		// residents the store is allowed to maintain.
-		if e.Name() == IndexFileName || e.Name() == QuarantineDir {
+		// The quarantine dir is the only non-snapshot resident the store is
+		// allowed to maintain.
+		if e.Name() == QuarantineDir {
 			continue
 		}
 		if !strings.HasSuffix(e.Name(), ".plt") {
@@ -314,7 +314,8 @@ func TestLearnHash(t *testing.T) {
 }
 
 // TestList covers benchmark filtering, deterministic order, and the
-// missing-directory case.
+// missing-directory case. Filtering is by exact benchmark: "ab" must not
+// match "ab-rand", and files not named like snapshots are not listed.
 func TestList(t *testing.T) {
 	s := Open(filepath.Join(t.TempDir(), "never-created"))
 	if paths, err := s.List(""); err != nil || paths != nil {
@@ -337,6 +338,27 @@ func TestList(t *testing.T) {
 	only, err := s.List("zz-other")
 	if err != nil || len(only) != 1 || !strings.Contains(only[0], "zz-other") {
 		t.Errorf("List(zz-other) = (%v, %v), want the one matching path", only, err)
+	}
+
+	s = Open(t.TempDir())
+	ab := richSnapshot()
+	ab.Benchmark = "ab-rand"
+	if err := s.Save(ab); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	for _, name := range []string{"ab-junk.plt", "ab-0123456789ABCDEF.plt", "-0123456789abcdef.plt"} {
+		if err := os.WriteFile(filepath.Join(s.Dir(), name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if paths, err := s.List("ab"); err != nil || len(paths) != 0 {
+		t.Errorf("List(ab) = (%v, %v), want nothing: ab-rand is another benchmark", paths, err)
+	}
+	if paths, err := s.List("ab-rand"); err != nil || len(paths) != 1 || paths[0] != s.Path(ab.Benchmark, ab.LearnHash) {
+		t.Errorf("List(ab-rand) = (%v, %v), want the one ab-rand snapshot", paths, err)
+	}
+	if paths, err := s.List(""); err != nil || len(paths) != 1 {
+		t.Errorf("List(\"\") = (%v, %v), want only the well-named snapshot", paths, err)
 	}
 }
 

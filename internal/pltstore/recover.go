@@ -11,7 +11,7 @@ import (
 
 // QuarantineDir is the subdirectory (under the store root) that Recover
 // moves corrupt, torn, or transplanted snapshot files into. Quarantined
-// files are out of every load/advertise path but preserved for forensics;
+// files are out of every load path but preserved for forensics;
 // nothing in the store ever reads them back.
 const QuarantineDir = "quarantine"
 
@@ -31,11 +31,12 @@ func isSnapshotName(name string) bool { return strings.HasSuffix(name, ".plt") }
 
 // Recover sweeps the store directory after a potential crash: orphan temp
 // files are deleted, and every snapshot file is re-verified with the same
-// oracle Load uses — the trailing checksum (verified before any field is
-// parsed), the structural decode, the filename-vs-header identity check, and
-// core's semantic validator. Files that fail are moved into QuarantineDir,
-// never deleted and never importable; files that pass are untouched,
-// bit-exact. The cached INDEX is rebuilt from the verified scan.
+// oracle LoadPath uses — the size cap, the trailing checksum (verified
+// before any field is parsed), the structural decode, the filename-vs-header
+// identity check, and core's semantic validator. Files that fail are moved
+// into QuarantineDir, never deleted and never importable; files that pass
+// are untouched, bit-exact. Files that are neither temps nor snapshots are
+// left alone.
 //
 // Recover is idempotent and safe to call on a store that was shut down
 // cleanly (it finds nothing to do). Callers that skip it still get the
@@ -51,7 +52,6 @@ func (s *Store) Recover() (RecoveryReport, error) {
 		}
 		return rep, err
 	}
-	var valid []IndexEntry
 	for _, e := range entries {
 		if e.Dir {
 			continue
@@ -67,31 +67,12 @@ func (s *Store) Recover() (RecoveryReport, error) {
 			continue
 		}
 		if !isSnapshotName(e.Name) {
-			continue // INDEX (rebuilt below) and foreign files are left alone
+			continue // foreign files are left alone
 		}
-		data, rerr := s.fsys.ReadFile(p)
-		ok := rerr == nil && int64(len(data)) <= MaxSnapshotBytes
-		var snap *Snapshot
-		if ok {
-			var derr error
-			snap, derr = Decode(data)
-			ok = derr == nil && snap.Validate() == nil && s.Path(snap.Benchmark, snap.LearnHash) == p
-		}
-		if ok {
-			valid = append(valid, IndexEntry{
-				Benchmark: snap.Benchmark,
-				LearnHash: FormatHash(snap.LearnHash),
-				Size:      int64(len(data)),
-			})
-			continue
-		}
-		if s.quarantine(e.Name) {
+		if _, _, err := s.ReadPath(p); err != nil && s.quarantine(e.Name) {
 			rep.Quarantined++
 		}
 	}
-	s.idxMu.Lock()
-	s.maybeWriteIndexCache(valid)
-	s.idxMu.Unlock()
 	return rep, nil
 }
 

@@ -13,7 +13,7 @@ import (
 
 // TestRecoverSweepsOrphansAndQuarantines covers the startup sweep end to
 // end: orphan temps deleted, torn and transplanted snapshots quarantined
-// (moved, not deleted), valid snapshots untouched bit-exact, INDEX rebuilt.
+// (moved, not deleted), valid snapshots untouched bit-exact.
 func TestRecoverSweepsOrphansAndQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	s := Open(dir)
@@ -67,9 +67,8 @@ func TestRecoverSweepsOrphansAndQuarantines(t *testing.T) {
 			t.Fatalf("orphan temp %s survived recover", e.Name())
 		}
 	}
-	idx, err := s2.Index()
-	if err != nil || len(idx) != 1 || idx[0].Benchmark != snap.Benchmark {
-		t.Fatalf("index after recover = %v, %v; want exactly the valid snapshot", idx, err)
+	if paths, err := s2.List(""); err != nil || len(paths) != 1 || paths[0] != goodPath {
+		t.Fatalf("List after recover = %v, %v; want exactly the valid snapshot", paths, err)
 	}
 
 	// Idempotent: a second sweep finds nothing.

@@ -7,12 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"fssim/internal/pltstore"
@@ -57,193 +55,59 @@ type RunResult struct {
 	Cache    string // X-Fssim-Cache: "miss", "coalesced" or "hit"
 }
 
-// RetryPolicy bounds a Client's retries. Backoff is full-jitter exponential:
-// each sleep is uniform in (0, min(Cap, Base·2^attempt)], and a server
-// Retry-After acts as a floor — the client never comes back sooner than the
-// server asked. The zero policy is single-shot (no retries), preserving the
-// pre-retry Client behavior.
-type RetryPolicy struct {
-	// Max is how many extra attempts follow a retryable failure (0 = none).
-	Max int
-	// Base scales the exponential backoff (default 100ms when Max > 0).
-	Base time.Duration
-	// Cap bounds any single sleep (default 5s).
-	Cap time.Duration
-
-	// rnd and sleep are test seams; nil means math/rand and a ctx-aware
-	// time.Sleep.
-	rnd   func() float64
-	sleep func(context.Context, time.Duration) error
-}
-
-// DefaultRetryPolicy is the policy fleet components use: a few attempts,
-// sub-second backoff, bounded sleeps.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Max: 3, Base: 100 * time.Millisecond, Cap: 5 * time.Second}
-}
-
-// backoff returns the jittered sleep before retry number attempt (1-based),
-// honoring retryAfter as a floor.
-func (p RetryPolicy) backoff(attempt int, retryAfter time.Duration) time.Duration {
-	base, cap := p.Base, p.Cap
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = 5 * time.Second
-	}
-	max := base << uint(attempt-1)
-	if max > cap || max <= 0 {
-		max = cap
-	}
-	r := rand.Float64
-	if p.rnd != nil {
-		r = p.rnd
-	}
-	d := time.Duration(r() * float64(max))
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	if retryAfter > d {
-		d = retryAfter
-	}
-	return d
-}
-
-func (p RetryPolicy) pause(ctx context.Context, d time.Duration) error {
-	if p.sleep != nil {
-		return p.sleep(ctx, d)
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // Client talks to a running fssimd.
 type Client struct {
-	base  string
-	hc    *http.Client
-	retry RetryPolicy
+	base string
+	hc   *http.Client
 }
 
 // NewClient builds a client for the server at base (e.g.
 // "http://localhost:8080"). The client applies no timeout of its own —
 // deadlines belong to the request context and the server's admission layer —
-// and performs no retries; see WithRetry.
+// and performs no retries: every failure, including a 429 or 503 shed, is
+// returned to the caller as is.
 func NewClient(base string) *Client {
 	return &Client{base: strings.TrimRight(base, "/"), hc: &http.Client{}}
 }
 
-// WithRetry returns a copy of the client that retries per the given policy.
-// Retry safety is method-aware:
-//
-//   - Idempotent GETs (Get, Snapshot, PLTIndex, Readyz) retry on transport
-//     errors and on 429/502/503/504 responses.
-//   - Run (a POST) retries only when the server provably did not execute the
-//     submission: a refused connection (nothing reached the server) or a
-//     429/503 shed (the server rejected it before admission). Once any other
-//     response body has been read, the submit is never replayed.
-//
-// 429/503 responses carry Retry-After, which the backoff honors as a floor.
-func (c *Client) WithRetry(p RetryPolicy) *Client {
-	cc := *c
-	cc.retry = p
-	return &cc
-}
-
-// retryable classifies one attempt's failure. resp is nil on transport
-// errors. idempotent marks requests that are safe to replay unconditionally.
-func retryable(resp *http.Response, err error, idempotent bool) bool {
+// do issues one request (a JSON POST when payload is non-nil, else a GET),
+// reads at most limit body bytes, and hands the response to handle.
+func (c *Client) do(ctx context.Context, path string, payload []byte, limit int64, handle func(*http.Response, []byte) error) error {
+	method, body := http.MethodGet, io.Reader(nil)
+	if payload != nil {
+		method, body = http.MethodPost, bytes.NewReader(payload)
+	}
+	hreq, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		if idempotent {
-			return true
-		}
-		// A refused connection means the request never reached a server, so
-		// even a non-idempotent submit is safe to retry.
-		return errors.Is(err, syscall.ECONNREFUSED)
+		return err
 	}
-	switch resp.StatusCode {
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		// The server sheds 429/503 before running anything; safe for all.
-		return true
-	case http.StatusBadGateway, http.StatusGatewayTimeout:
-		return idempotent
+	if payload != nil {
+		hreq.Header.Set("Content-Type", "application/json")
 	}
-	return false
+	resp, err := c.hc.Do(hreq)
+	if err != nil {
+		return err
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	return handle(resp, data)
 }
 
-// do issues one request (rebuilt per attempt via build) with the client's
-// retry policy, reading at most limit body bytes. handle consumes a response
-// and reports the terminal result; it is only called for attempts that will
-// not be retried.
-func (c *Client) do(ctx context.Context, idempotent bool, limit int64, build func() (*http.Request, error), handle func(*http.Response, []byte) error) error {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		hreq, err := build()
-		if err != nil {
-			return err
-		}
-		resp, err := c.hc.Do(hreq.WithContext(ctx))
-		final := attempt >= c.retry.Max || !retryable(resp, err, idempotent)
-		if err != nil {
-			lastErr = err
-			if final {
-				return lastErr
-			}
-		} else {
-			body, rerr := io.ReadAll(io.LimitReader(resp.Body, limit))
-			resp.Body.Close()
-			if rerr != nil {
-				// The body read failed mid-stream: terminal for submits (the
-				// run may have executed), retryable for idempotent requests.
-				lastErr = rerr
-				if !idempotent || attempt >= c.retry.Max {
-					return lastErr
-				}
-			} else if final {
-				return handle(resp, body)
-			} else {
-				lastErr = apiError(resp, body)
-			}
-		}
-		var ra time.Duration
-		var ae *APIError
-		if errors.As(lastErr, &ae) {
-			ra = ae.RetryAfter
-		}
-		if err := c.retry.pause(ctx, c.retry.backoff(attempt+1, ra)); err != nil {
-			return errors.Join(err, lastErr)
-		}
-	}
-}
-
-// maxResponseBody bounds run/readyz/index response reads; these bodies are
-// small JSON, so anything beyond this is garbage.
+// maxResponseBody bounds run/readyz response reads; these bodies are small
+// JSON, so anything beyond this is garbage.
 const maxResponseBody = 4 << 20
 
-// Run submits one run request and waits for its result. With a retry policy,
-// shed submissions (429/503) and refused connections are retried with
-// full-jitter backoff honoring Retry-After; a submission whose response body
-// was (even partially) read is never replayed.
+// Run submits one run request and waits for its result.
 func (c *Client) Run(ctx context.Context, req RunRequest) (*RunResult, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
 	var out *RunResult
-	err = c.do(ctx, false, maxResponseBody, func() (*http.Request, error) {
-		hreq, err := http.NewRequest(http.MethodPost, c.base+"/v1/runs", bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		return hreq, nil
-	}, func(resp *http.Response, body []byte) error {
+	err = c.do(ctx, "/v1/runs", payload, maxResponseBody, func(resp *http.Response, body []byte) error {
 		if resp.StatusCode != http.StatusOK {
 			return apiError(resp, body)
 		}
@@ -260,13 +124,10 @@ func (c *Client) Run(ctx context.Context, req RunRequest) (*RunResult, error) {
 }
 
 // Get fetches a previously submitted run by id. A run still executing
-// returns (nil, nil): not failed, not finished. Idempotent, so transport
-// errors and transient (429/5xx) responses are retried under the policy.
+// returns (nil, nil): not failed, not finished.
 func (c *Client) Get(ctx context.Context, id string) (*RunResult, error) {
 	var out *RunResult
-	err := c.do(ctx, true, maxResponseBody, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, c.base+"/v1/runs/"+id, nil)
-	}, func(resp *http.Response, body []byte) error {
+	err := c.do(ctx, "/v1/runs/"+id, nil, maxResponseBody, func(resp *http.Response, body []byte) error {
 		switch resp.StatusCode {
 		case http.StatusOK:
 			out = &RunResult{Body: body, Cache: resp.Header.Get("X-Fssim-Cache")}
@@ -293,22 +154,8 @@ func (c *Client) Get(ctx context.Context, id string) (*RunResult, error) {
 // read through a limit sized from pltstore's decode caps; an oversize
 // response is rejected with ErrSnapshotOversize without buffering it.
 func (c *Client) Snapshot(ctx context.Context, benchmark string) ([]byte, error) {
-	return c.fetchSnapshot(ctx, "/v1/plt/"+url.PathEscape(benchmark))
-}
-
-// SnapshotAt fetches the exact snapshot a peer's index advertises
-// (GET /v1/plt/{benchmark}/{learn-hash}) — the anti-entropy fetch path. The
-// same size cap as Snapshot applies; the caller must still verify the bytes
-// (pltstore.Store.PutVerified) before trusting them.
-func (c *Client) SnapshotAt(ctx context.Context, benchmark, learnHash string) ([]byte, error) {
-	return c.fetchSnapshot(ctx, "/v1/plt/"+url.PathEscape(benchmark)+"/"+url.PathEscape(learnHash))
-}
-
-func (c *Client) fetchSnapshot(ctx context.Context, path string) ([]byte, error) {
 	var out []byte
-	err := c.do(ctx, true, pltstore.MaxSnapshotBytes+1, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, c.base+path, nil)
-	}, func(resp *http.Response, body []byte) error {
+	err := c.do(ctx, "/v1/plt/"+url.PathEscape(benchmark), nil, pltstore.MaxSnapshotBytes+1, func(resp *http.Response, body []byte) error {
 		if resp.StatusCode != http.StatusOK {
 			return apiError(resp, body)
 		}
@@ -324,31 +171,8 @@ func (c *Client) fetchSnapshot(ctx context.Context, path string) ([]byte, error)
 	return out, nil
 }
 
-// PLTIndex lists the snapshots a peer's store currently advertises
-// (GET /v1/plt) — what an anti-entropy round diffs against the local store.
-func (c *Client) PLTIndex(ctx context.Context) ([]pltstore.IndexEntry, error) {
-	var out []pltstore.IndexEntry
-	err := c.do(ctx, true, maxResponseBody, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, c.base+"/v1/plt", nil)
-	}, func(resp *http.Response, body []byte) error {
-		if resp.StatusCode != http.StatusOK {
-			return apiError(resp, body)
-		}
-		var idx pltIndexBody
-		if err := json.Unmarshal(body, &idx); err != nil {
-			return fmt.Errorf("server: undecodable PLT index: %w", err)
-		}
-		out = idx.Snapshots
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ReadyState is the decoded GET /readyz body: whether the server is
-// admitting work, and the load signals a router's ejection logic weighs.
+// admitting work, and its current load.
 type ReadyState struct {
 	Status       string `json:"status"` // "ready" or "draining"
 	Draining     bool   `json:"draining"`
@@ -362,9 +186,7 @@ type ReadyState struct {
 // responds 503 but still describes itself.
 func (c *Client) Readyz(ctx context.Context) (ReadyState, error) {
 	var st ReadyState
-	err := c.do(ctx, true, maxResponseBody, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, c.base+"/readyz", nil)
-	}, func(resp *http.Response, body []byte) error {
+	err := c.do(ctx, "/readyz", nil, maxResponseBody, func(resp *http.Response, body []byte) error {
 		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
 			return apiError(resp, body)
 		}

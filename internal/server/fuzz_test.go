@@ -30,7 +30,7 @@ func FuzzRunRequestDecode(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		req, err := DecodeRunRequest(strings.NewReader(body))
+		req, err := decodeRunRequest(strings.NewReader(body))
 		if err != nil {
 			return
 		}

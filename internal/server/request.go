@@ -61,10 +61,10 @@ type RunRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// DecodeRunRequest parses one JSON run request strictly: unknown fields and
+// decodeRunRequest parses one JSON run request strictly: unknown fields and
 // trailing garbage are errors, so malformed clients fail loudly instead of
 // silently running a default simulation.
-func DecodeRunRequest(r io.Reader) (RunRequest, error) {
+func decodeRunRequest(r io.Reader) (RunRequest, error) {
 	dec := json.NewDecoder(io.LimitReader(r, maxRequestBody))
 	dec.DisallowUnknownFields()
 	var q RunRequest
@@ -263,21 +263,6 @@ type SampleInfo struct {
 	Extrapolated int64   `json:"extrapolated"`
 	Reduction    float64 `json:"reduction"`
 	CIRel        float64 `json:"ci_rel"` // CI half-width / total cycles
-}
-
-// RunID derives the deterministic public id of a cache key: identical
-// requests — from any client, at any time — map to the same id. It is
-// exported for the fleet router, which shards by it: because the id is a
-// pure function of the normalized key, POST /v1/runs and the later
-// GET /v1/runs/{id} land on the same ring node.
-func RunID(key experiments.RunKey) string { return runID(key) }
-
-// Spec maps a validated request onto a scheduler RunSpec using the given
-// defaults — the same normalization handleSubmit applies, exported so a
-// routing tier computes the identical cache key (and therefore the identical
-// ring placement and run id) as the backend that will serve the request.
-func (q RunRequest) Spec(defaultScale float64, defaultSeed int64) (experiments.RunSpec, error) {
-	return q.spec(defaultScale, defaultSeed)
 }
 
 // runID derives the deterministic public id of a cache key: identical

@@ -32,7 +32,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -253,9 +252,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/runs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/runs/{id}", s.handleGet)
 	mux.HandleFunc("GET /v1/runs/{id}/trace", s.handleTrace)
-	mux.HandleFunc("GET /v1/plt", s.handlePLTIndex)
 	mux.HandleFunc("GET /v1/plt/{benchmark}", s.handleSnapshot)
-	mux.HandleFunc("GET /v1/plt/{benchmark}/{hash}", s.handleSnapshotAt)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -365,7 +362,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errBody{"server is draining"})
 		return
 	}
-	req, err := DecodeRunRequest(r.Body)
+	req, err := decodeRunRequest(r.Body)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody{err.Error()})
 		return
@@ -623,7 +620,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // snapshot for the benchmark, as the raw pltstore bytes. A client can drop
 // the body into another process's warm dir to ship learned state between
 // hosts. 404 when persistence is disabled, the benchmark has no snapshot, or
-// the newest file no longer decodes — a corrupt store never serves garbage.
+// the newest file fails the store's load oracle (size cap, checksum,
+// filename identity, validation) — a corrupt store never serves garbage.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.sched.WarmDir() == "" {
 		writeJSON(w, http.StatusNotFound, errBody{"PLT persistence disabled (start the server with a warm dir)"})
@@ -635,70 +633,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errBody{"no PLT snapshot for benchmark " + bench})
 		return
 	}
-	data, err := os.ReadFile(path)
+	data, snap, err := pltstore.Open(s.sched.WarmDir()).ReadPath(path)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errBody{"snapshot unreadable: " + err.Error()})
-		return
-	}
-	snap, err := pltstore.Decode(data)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errBody{"snapshot corrupt: " + err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Fssim-Plt-Format-Version", strconv.Itoa(pltstore.FormatVersion))
-	w.Header().Set("X-Fssim-Plt-Key", snap.Key)
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	_, _ = w.Write(data)
-}
-
-// pltIndexBody is the JSON body of GET /v1/plt: the snapshots this node's
-// warm store currently advertises to peers.
-type pltIndexBody struct {
-	Snapshots []pltstore.IndexEntry `json:"snapshots"`
-}
-
-// handlePLTIndex is GET /v1/plt: the store's snapshot index, the anchor of
-// the anti-entropy protocol — peers diff it against their own store and
-// fetch what they are missing. Only decodable, validated snapshots are
-// advertised. An empty store (or disabled persistence) is an empty index,
-// not an error: "I have nothing for you" is a valid anti-entropy answer.
-func (s *Server) handlePLTIndex(w http.ResponseWriter, r *http.Request) {
-	body := pltIndexBody{Snapshots: []pltstore.IndexEntry{}}
-	if store := s.sched.WarmStore(); store != nil {
-		if idx, err := store.Index(); err == nil && idx != nil {
-			body.Snapshots = idx
-		}
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// handleSnapshotAt is GET /v1/plt/{benchmark}/{hash}: the exact snapshot a
-// peer's index advertised, as raw pltstore bytes. Unlike the newest-wins
-// /v1/plt/{benchmark}, the address is explicit, so a gossiping peer fetches
-// precisely what it diffed. The file is re-decoded before serving — a store
-// that rotted since indexing serves 404, never garbage.
-func (s *Server) handleSnapshotAt(w http.ResponseWriter, r *http.Request) {
-	store := s.sched.WarmStore()
-	if store == nil {
-		writeJSON(w, http.StatusNotFound, errBody{"PLT persistence disabled (start the server with a warm dir)"})
-		return
-	}
-	bench := r.PathValue("benchmark")
-	hash, err := pltstore.ParseHash(r.PathValue("hash"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errBody{err.Error()})
-		return
-	}
-	path := store.Path(bench, hash)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errBody{"no snapshot at " + bench + "/" + pltstore.FormatHash(hash)})
-		return
-	}
-	snap, err := pltstore.Decode(data)
-	if err != nil || snap.Benchmark != bench || snap.LearnHash != hash {
-		writeJSON(w, http.StatusNotFound, errBody{"snapshot at " + bench + "/" + pltstore.FormatHash(hash) + " is corrupt or transplanted"})
+		writeJSON(w, http.StatusNotFound, errBody{"snapshot invalid: " + err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -715,8 +652,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // readyBody is the GET /readyz JSON in both branches: the status-code
 // semantics (200 ready / 503 draining) are unchanged, but the body now
-// always carries the drain flag and the load signals a fleet router's
-// ejection logic weighs — a bare 200/503 is not enough to rank backends.
+// always carries the drain flag and the current load.
 type readyBody struct {
 	Status       string `json:"status"`
 	Draining     bool   `json:"draining"`
@@ -741,13 +677,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, status, body)
 }
-
-// Registry exposes the server's serving-path metrics registry so sibling
-// subsystems sharing the process (the PLT gossiper, notably) can register
-// their instruments next to the server's own and appear in GET /metrics.
-// Histograms registered here are written under the server's latency mutex;
-// external writers must be single-writer per histogram, like trace requires.
-func (s *Server) Registry() *trace.Registry { return s.reg }
 
 // handleMetrics dumps the serving-path instruments followed by the
 // scheduler's cache/worker counters, in the PR 3 plaintext format.

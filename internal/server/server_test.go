@@ -725,12 +725,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestDeterministicRunID: ids are a pure function of the request, and
-// distinct requests get distinct ids.
 // TestSampledRun: a request with a sampling spec is a distinct cache entry
 // from its unsampled twin, reports the estimator's split and CI in the
 // response, and every spelling of one policy shares a run id (and therefore
-// a memo entry and a fleet ring position).
+// a memo entry).
 func TestSampledRun(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -820,6 +818,8 @@ func TestTransferRun(t *testing.T) {
 	}
 }
 
+// TestDeterministicRunID: ids are a pure function of the request, and
+// distinct requests get distinct ids.
 func TestDeterministicRunID(t *testing.T) {
 	k1 := experiments.RunSpec{Bench: "srv-ok", Scale: 0.1, Seed: 1}.Key()
 	k2 := experiments.RunSpec{Bench: "srv-ok", Scale: 0.1, Seed: 1}.Key()

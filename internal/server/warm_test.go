@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -79,7 +80,8 @@ func TestServerWarmRestart(t *testing.T) {
 }
 
 // TestSnapshotEndpoint covers GET /v1/plt/{benchmark}: the raw snapshot bytes
-// once an accelerated run persisted them, and 404s for every absence.
+// once an accelerated run persisted them, and 404s for every absence —
+// including a benchmark whose name is only a prefix of a stored one.
 func TestSnapshotEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -114,6 +116,28 @@ func TestSnapshotEndpoint(t *testing.T) {
 	}
 	if !bytes.Equal(data, disk) {
 		t.Error("served snapshot bytes differ from the on-disk file")
+	}
+
+	// A store holding only an ab-rand snapshot serves it under ab-rand and
+	// nowhere else: not under the prefix "ab", not as an index, not by hash.
+	abDir := t.TempDir()
+	snap.Benchmark = "ab-rand"
+	if err := pltstore.Open(abDir).Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	_, cAB := newTestServer(t, warmServerConfig(abDir))
+	if got, err := cAB.Snapshot(ctx, "ab-rand"); err != nil || !bytes.Equal(got, pltstore.Encode(snap)) {
+		t.Errorf("Snapshot(ab-rand) = %d bytes, %v; want the stored ab-rand snapshot", len(got), err)
+	}
+	for _, path := range []string{"/v1/plt/ab", "/v1/plt", "/v1/plt/ab-rand/" + pltstore.FormatHash(snap.LearnHash)} {
+		resp, err := http.Get(cAB.base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
+		}
 	}
 
 	// Unknown benchmark and corrupt newest file both 404.
