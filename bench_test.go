@@ -339,6 +339,57 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
+// emulateAll fast-forwards every OS service interval at CPI 1.
+type emulateAll struct{}
+
+func (emulateAll) OnServiceStart(isa.ServiceID) (bool, float64) { return false, 1 }
+func (emulateAll) OnServiceEnd(isa.ServiceID, machine.Signature, *machine.Measurement) *machine.Prediction {
+	return nil
+}
+
+// BenchmarkFastForwardEmit measures the host cost of one fast-forwarded
+// instruction (ns/op is per instruction) for each counted Emitter helper
+// and for single Load/Store emits, inside an emulated OS interval with no
+// pending events — the machine-side floor of emulation mode's cost.
+func BenchmarkFastForwardEmit(b *testing.B) {
+	const lines = 256 // loop helpers: iterations per call
+	nodes := make([]uint64, lines)
+	for i := range nodes {
+		nodes[i] = 0x200000 + uint64(i)*4096
+	}
+	// Each case emits one call and returns how many instructions it was.
+	cases := []struct {
+		name string
+		call func(e machine.Emitter) int
+	}{
+		{"Ops", func(e machine.Emitter) int { e.Ops(1024); return 1024 }},
+		{"Chain", func(e machine.Emitter) int { e.Chain(1024); return 1024 }},
+		{"Mix", func(e machine.Emitter) int { e.Mix(1024); return 1024 }},
+		{"FOps", func(e machine.Emitter) int { e.FOps(1024); return 1024 }},
+		{"CopyLines", func(e machine.Emitter) int { e.CopyLines(0x100000, 0x180000, lines); return 4 * lines }},
+		{"ScanLines", func(e machine.Emitter) int { e.ScanLines(0x100000, lines, 64); return 4 * lines }},
+		{"WriteLines", func(e machine.Emitter) int { e.WriteLines(0x100000, lines, 64); return 3 * lines }},
+		{"ChaseList", func(e machine.Emitter) int { e.ChaseList(nodes); return 3 * lines }},
+		{"Load", func(e machine.Emitter) int { e.Load(0x100000, 8, 0); return 1 }},
+		{"Store", func(e machine.Emitter) int { e.Store(0x100000, 8); return 1 }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := machine.DefaultConfig()
+			cfg.Mode = machine.Accelerated
+			m := machine.New(cfg)
+			m.SetSink(emulateAll{})
+			m.KEnter(isa.Sys(isa.SysRead))
+			e := m.Emitter()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; {
+				n += c.call(e)
+			}
+		})
+	}
+}
+
 // BenchmarkFullSystemSimulation measures end-to-end detailed simulation
 // throughput (simulated instructions per host second) on the web workload.
 func BenchmarkFullSystemSimulation(b *testing.B) {

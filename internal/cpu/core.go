@@ -115,16 +115,9 @@ func (c *OOOCore) SkipTo(cycle uint64) {
 	if c.dispCycle < cycle {
 		c.dispCycle, c.dispCount = cycle, 0
 	}
-	// In-flight dataflow state is stale after a skip: make prior completion
-	// times no later than the resume point.
-	for i := range c.comp {
-		if c.comp[i] > cycle {
-			c.comp[i] = cycle
-		}
-		if c.cmt[i] > cycle {
-			c.cmt[i] = cycle
-		}
-	}
+	// The completion/commit history needs no clamp to the resume point:
+	// commits are in order and never precede completion, so every entry is
+	// already at or below lastCommit, which cycle never undercuts.
 	c.redirect = true
 }
 

@@ -212,3 +212,49 @@ func TestStoreDrainDoesNotStall(t *testing.T) {
 		t.Fatalf("store stream at %.1f cycles each; stores should post", perOp)
 	}
 }
+
+// TestSkipToNeedsNoClamp checks that SkipTo leaves the completion/commit
+// history as it is without changing any result: random interleavings of
+// Exec, back-to-back SkipTo and SkipTo below lastCommit must commit every
+// instruction at the same cycle, and leave the same history, as a
+// reference core whose every SkipTo clamps all 512 slots to the resume
+// point — because no entry ever lies beyond lastCommit.
+func TestSkipToNeedsNoClamp(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	got := NewOOO(DefaultConfig(), memsys.New(memsys.DefaultConfig()))
+	ref := NewOOO(DefaultConfig(), memsys.New(memsys.DefaultConfig()))
+	ops := []isa.Opcode{isa.ALU, isa.MUL, isa.DIV, isa.LOAD, isa.STORE, isa.BRANCH, isa.SYSCALL}
+	skips := 0
+	for step := 0; step < 20000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 6:
+			in := isa.Inst{
+				Op:    ops[rng.Intn(len(ops))],
+				PC:    0x1000 + uint64(rng.Intn(256))*4,
+				Addr:  0x10_000_000 + uint64(rng.Intn(1<<12))*64,
+				Size:  8,
+				Dep:   uint8(rng.Intn(4)),
+				Taken: rng.Intn(2) == 0,
+			}
+			got.Exec(&in, cache.OwnerOS)
+			ref.Exec(&in, cache.OwnerOS)
+		default:
+			// Forward, repeated, or below lastCommit (a no-op clock move).
+			cycle := got.Now() + uint64(rng.Intn(3))*uint64(rng.Intn(600))
+			if r == 9 {
+				cycle = got.Now() - uint64(rng.Intn(int(got.Now())+1))
+			}
+			got.SkipTo(cycle)
+			ref.SkipTo(cycle)
+			for i := range ref.comp {
+				ref.comp[i] = min(ref.comp[i], ref.Now())
+				ref.cmt[i] = min(ref.cmt[i], ref.Now())
+			}
+			skips++
+		}
+		if got.Now() != ref.Now() || got.comp != ref.comp || got.cmt != ref.cmt {
+			t.Fatalf("step %d (%d skips): now %d vs reference %d, or history differs",
+				step, skips, got.Now(), ref.Now())
+		}
+	}
+}

@@ -21,7 +21,7 @@ func (m *Machine) SwapCursor(c Cursor) Cursor {
 	return old
 }
 
-// Cursor returns the active cursor (by value; useful for saving).
+// CursorState returns the active cursor (by value; useful for saving).
 func (m *Machine) CursorState() Cursor { return m.cursor }
 
 // CodeMap assigns stable simulated addresses to named functions, so that
@@ -77,8 +77,88 @@ func (e Emitter) emit(in isa.Inst) {
 	e.m.execStaged()
 }
 
+// Bulk fast-forward. While the machine fast-forwards, an instruction costs
+// Exec nothing but counting and a virtual-clock add, so the counted helpers
+// below — whose instruction count and mix are known up front — check the
+// fast-forward state once per call and, when it holds, hand their stream to
+// ffRun instead of emitting it instruction by instruction, reproducing Exec's
+// counters, signature, cursor and virtual clock exactly; see DESIGN.md §8.
+
+// ffShape describes a counted helper's instruction stream: one period of
+// instructions repeated, with the slot of the period's load, store and
+// branch (-1 when absent). A shape with a branch is an Emitter.Loop: the
+// branch is the period's last slot and jumps back to the loop head.
+type ffShape struct {
+	period              int
+	load, store, branch int
+}
+
+var (
+	ffStraight = ffShape{period: 1, load: -1, store: -1, branch: -1}
+	ffCopy     = ffShape{period: 4, load: 1, store: 2, branch: 3}
+	ffScan     = ffShape{period: 4, load: 1, store: -1, branch: 3}
+	ffWrite    = ffShape{period: 3, load: -1, store: 1, branch: 2}
+	ffChase    = ffShape{period: 3, load: 0, store: -1, branch: 2}
+)
+
+// slots counts the instructions in [x, y) that sit at slot s of a period.
+func (sh *ffShape) slots(s, x, y int) uint64 {
+	if s < 0 {
+		return 0
+	}
+	p := sh.period
+	return uint64((y+p-1-s)/p - (x+p-1-s)/p)
+}
+
+// ffRun emits instructions [0, n) of a counted helper while the machine
+// fast-forwards. Each round applies the longest span Machine.ffSpan allows
+// in O(1) apart from its virtual-clock adds, then passes the boundary
+// instruction to step, which emits instruction x exactly as the helper's
+// per-instruction path would. Only a boundary can fire events, so the
+// fast-forward state and cancellation are checked once per round; if an
+// event ends the fast-forward, step emits the rest one by one. start is a
+// loop shape's head PC.
+func (e Emitter) ffRun(sh *ffShape, n int, start uint64, step func(x int)) {
+	m, p := e.m, sh.period
+	for x := 0; x < n; x++ {
+		if mode := m.ffState(); mode != ffNone {
+			m.AbortIfCanceled()
+			if k := m.ffSpan(n - x); k > 0 {
+				y := x + k
+				m.ffCount(mode, uint64(k), sh.slots(sh.load, x, y), sh.slots(sh.store, x, y), sh.slots(sh.branch, x, y))
+				loop, last := sh.branch >= 0, y-1
+				switch head := last - last%p; {
+				case loop && last%p == sh.branch && y < n:
+					m.cursor.PC = start // the span ends on a taken back-branch
+				case loop && head >= x:
+					m.cursor.PC = start + 4*uint64(y-head) // it ran from the loop head
+				default:
+					m.cursor.PC += 4 * uint64(k)
+				}
+				if x = y; x == n {
+					return
+				}
+			}
+		}
+		step(x)
+	}
+}
+
+// mixPattern is one period of Mix's instruction stream.
+var mixPattern = [8]isa.Inst{
+	{Op: isa.ALU}, {Op: isa.ALU}, {Op: isa.ALU}, {Op: isa.ALU, Dep: 1},
+	{Op: isa.ALU}, {Op: isa.ALU, Dep: 2}, {Op: isa.ALU}, {Op: isa.MUL},
+}
+
+// fopsPattern is one period of FOps's instruction stream.
+var fopsPattern = [4]isa.Inst{{Op: isa.FPU}, {Op: isa.FPU}, {Op: isa.FPU}, {Op: isa.FPU, Dep: 1}}
+
 // Ops emits n independent single-cycle integer operations.
 func (e Emitter) Ops(n int) {
+	if e.m.ffState() != ffNone {
+		e.ffRun(&ffStraight, n, 0, func(int) { e.emit(isa.Inst{Op: isa.ALU}) })
+		return
+	}
 	for i := 0; i < n; i++ {
 		e.emit(isa.Inst{Op: isa.ALU})
 	}
@@ -87,6 +167,10 @@ func (e Emitter) Ops(n int) {
 // Chain emits n serially dependent integer operations (a dependence chain,
 // e.g. an address calculation or reduction).
 func (e Emitter) Chain(n int) {
+	if e.m.ffState() != ffNone {
+		e.ffRun(&ffStraight, n, 0, func(int) { e.emit(isa.Inst{Op: isa.ALU, Dep: 1}) })
+		return
+	}
 	for i := 0; i < n; i++ {
 		e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
 	}
@@ -96,28 +180,23 @@ func (e Emitter) Chain(n int) {
 // scattered short dependence chains and an occasional multiply — the filler
 // between the memory operations that dominate timing.
 func (e Emitter) Mix(n int) {
+	if e.m.ffState() != ffNone {
+		e.ffRun(&ffStraight, n, 0, func(i int) { e.emit(mixPattern[i&7]) })
+		return
+	}
 	for i := 0; i < n; i++ {
-		switch i & 7 {
-		case 3:
-			e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
-		case 5:
-			e.emit(isa.Inst{Op: isa.ALU, Dep: 2})
-		case 7:
-			e.emit(isa.Inst{Op: isa.MUL})
-		default:
-			e.emit(isa.Inst{Op: isa.ALU})
-		}
+		e.emit(mixPattern[i&7])
 	}
 }
 
 // FOps emits n floating-point operations with moderate dependence.
 func (e Emitter) FOps(n int) {
+	if e.m.ffState() != ffNone {
+		e.ffRun(&ffStraight, n, 0, func(i int) { e.emit(fopsPattern[i&3]) })
+		return
+	}
 	for i := 0; i < n; i++ {
-		if i&3 == 3 {
-			e.emit(isa.Inst{Op: isa.FPU, Dep: 1})
-		} else {
-			e.emit(isa.Inst{Op: isa.FPU})
-		}
+		e.emit(fopsPattern[i&3])
 	}
 }
 
@@ -200,6 +279,23 @@ func (e Emitter) Loop(iters int, body func(i int)) {
 // are independent (addresses come from the induction variable), so the
 // out-of-order core overlaps their misses the way real memcpy does.
 func (e Emitter) CopyLines(dst, src uint64, n int) {
+	if n > 0 && e.m.ffState() != ffNone {
+		start := e.m.cursor.PC
+		e.ffRun(&ffCopy, 4*n, start, func(x int) {
+			i := x / 4
+			switch x % 4 {
+			case 0:
+				e.emit(isa.Inst{Op: isa.ALU, Dep: 4})
+			case 1:
+				e.Load(src+uint64(i)*64, 64, 1)
+			case 2:
+				e.Store(dst+uint64(i)*64, 64)
+			default:
+				e.Branch(i < n-1, start)
+			}
+		})
+		return
+	}
 	e.Loop(n, func(i int) {
 		off := uint64(i) * 64
 		e.emit(isa.Inst{Op: isa.ALU, Dep: 4})
@@ -215,6 +311,23 @@ func (e Emitter) ScanLines(addr uint64, n int, stride uint64) {
 	if stride == 0 {
 		stride = 64
 	}
+	if n > 0 && e.m.ffState() != ffNone {
+		start := e.m.cursor.PC
+		e.ffRun(&ffScan, 4*n, start, func(x int) {
+			i := x / 4
+			switch x % 4 {
+			case 0:
+				e.emit(isa.Inst{Op: isa.ALU, Dep: 4})
+			case 1:
+				e.Load(addr+uint64(i)*stride, 8, 1)
+			case 2:
+				e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
+			default:
+				e.Branch(i < n-1, start)
+			}
+		})
+		return
+	}
 	e.Loop(n, func(i int) {
 		e.emit(isa.Inst{Op: isa.ALU, Dep: 4})
 		e.Load(addr+uint64(i)*stride, 8, 1)
@@ -226,6 +339,21 @@ func (e Emitter) ScanLines(addr uint64, n int, stride uint64) {
 func (e Emitter) WriteLines(addr uint64, n int, stride uint64) {
 	if stride == 0 {
 		stride = 64
+	}
+	if n > 0 && e.m.ffState() != ffNone {
+		start := e.m.cursor.PC
+		e.ffRun(&ffWrite, 3*n, start, func(x int) {
+			i := x / 3
+			switch x % 3 {
+			case 0:
+				e.emit(isa.Inst{Op: isa.ALU, Dep: 3})
+			case 1:
+				e.Store(addr+uint64(i)*stride, 64)
+			default:
+				e.Branch(i < n-1, start)
+			}
+		})
+		return
 	}
 	e.Loop(n, func(i int) {
 		e.emit(isa.Inst{Op: isa.ALU, Dep: 3})
@@ -240,6 +368,26 @@ func (e Emitter) WriteLines(addr uint64, n int, stride uint64) {
 // iteration's load therefore names the producer three instructions back.
 func (e Emitter) ChaseList(nodes []uint64) {
 	start := e.m.cursor.PC
+	if len(nodes) > 0 && e.m.ffState() != ffNone {
+		e.ffRun(&ffChase, 3*len(nodes), start, func(x int) {
+			i := x / 3
+			switch x % 3 {
+			case 0:
+				dep := uint8(3)
+				if i == 0 {
+					dep = 0
+				}
+				e.Load(nodes[i], 8, dep)
+			case 1:
+				e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
+			default:
+				e.Branch(i < len(nodes)-1, start)
+				e.m.cursor.PC = start
+			}
+		})
+		e.m.cursor.PC = start + 12
+		return
+	}
 	for i, a := range nodes {
 		e.m.cursor.PC = start
 		dep := uint8(3) // the previous iteration's load

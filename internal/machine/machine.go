@@ -363,16 +363,10 @@ func (m *Machine) Depth() int { return m.depth }
 func (m *Machine) Emulating() bool { return m.emulating }
 
 // skipTiming reports whether the current instruction bypasses the timing
-// models: fast-forwarded OS intervals, and all kernel-mode work in App-Only
-// simulation.
+// models: fast-forwarded OS and application intervals (ffState), and all
+// kernel-mode work in App-Only simulation.
 func (m *Machine) skipTiming() bool {
-	if m.emulating && m.inInterval {
-		return true
-	}
-	if m.appEmulating && m.depth == 0 {
-		return true
-	}
-	return m.cfg.Mode == AppOnly && m.depth > 0
+	return m.ffState() != ffNone || m.cfg.Mode == AppOnly && m.depth > 0
 }
 
 // cancelReason wraps the cancellation cause behind one pointer so the hot
@@ -438,8 +432,10 @@ func (m *Machine) execStaged() {
 // guest code normally call this through an Emitter, which manages the PC
 // cursor.
 func (m *Machine) Exec(in *isa.Inst) {
-	// Cancellation is polled every 256 instructions: cheap enough for the hot
-	// path, tight enough that even a pure-compute guest loop aborts promptly.
+	// Cancellation is polled here on every 256th instruction and by the
+	// bulk fast-forward paths once per span (Emitter.ffRun), so a canceled
+	// run aborts within one span — at most 512/virtCPI fast-forwarded
+	// instructions — plus 256 instructions of Exec.
 	if m.totalInsts&255 == 0 {
 		m.AbortIfCanceled()
 	}
@@ -510,6 +506,71 @@ func (m *Machine) advanceVirtual() {
 		m.virtFrac -= float64(chunk)
 		m.core.SkipTo(m.core.Now() + chunk)
 	}
+}
+
+// ffMode names the interval kind whose counters a fast-forwarded instruction
+// bumps.
+type ffMode uint8
+
+const (
+	ffNone ffMode = iota // the next instruction must take Exec
+	ffOS                 // emulated OS service interval
+	ffApp                // emulated application interval
+)
+
+// ffState reports whether the next instruction would be fast-forwarded by
+// Exec with no effect beyond counting and the virtual clock, and for which
+// interval kind. Emitter.ffRun applies instructions in bulk only in these
+// states.
+func (m *Machine) ffState() ffMode {
+	switch {
+	case m.emulating && m.inInterval:
+		return ffOS
+	case m.appEmulating && m.depth == 0:
+		return ffApp
+	}
+	return ffNone
+}
+
+// ffSpan returns how many of the next n fast-forwarded instructions can be
+// applied in bulk, taking their virtual-clock adds. The span ends before the
+// first instruction at which Exec would do more than count: the one whose
+// add reaches 512 (a clock flush, after which events may come due), or any
+// instruction while an event is already due. The adds still happen one at a
+// time, so virtFrac rounds exactly as it does per instruction.
+func (m *Machine) ffSpan(n int) int {
+	if !m.delivering && m.core.Now() >= m.next {
+		return 0
+	}
+	f, c := m.virtFrac, m.virtCPI
+	k := 0
+	for k < n && f+c < 512 {
+		f += c
+		k++
+	}
+	m.virtFrac = f
+	return k
+}
+
+// ffCount adds k fast-forwarded instructions, of which loads, stores and
+// branches are the signature's classes, to the counters Exec would bump.
+func (m *Machine) ffCount(mode ffMode, k, loads, stores, branches uint64) {
+	m.totalInsts += k
+	sig := &m.curSig
+	if mode == ffOS {
+		m.osInsts += k
+		m.emuInsts += k
+		m.emuTotal += k
+	} else {
+		sig = &m.appSig
+		m.userInsts += k
+		m.appEmuInsts += k
+		m.appEmuTotal += k
+	}
+	sig.Insts += k
+	sig.Loads += loads
+	sig.Stores += stores
+	sig.Branches += branches
 }
 
 // KEnter records entry into kernel mode for service svc. The first-level

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fssim/internal/core"
+	"fssim/internal/isa"
 	"fssim/internal/machine"
 )
 
@@ -45,6 +46,47 @@ func TestAcceleratedAccuracy(t *testing.T) {
 			}
 			if e > 0.15 {
 				t.Errorf("execution-time error %.1f%% too high", 100*e)
+			}
+		})
+	}
+}
+
+// detailedSink is an acceleration engine that never predicts: it asks for
+// every OS service interval to be simulated in detail.
+type detailedSink struct{}
+
+func (detailedSink) OnServiceStart(isa.ServiceID) (bool, float64) { return true, 0 }
+func (detailedSink) OnServiceEnd(isa.ServiceID, machine.Signature, *machine.Measurement) *machine.Prediction {
+	return nil
+}
+
+// TestNeverPredictingAcceleratorMatchesFull pins a design invariant: an
+// Accelerated run whose sink never predicts is the FullSystem run. Every
+// machine statistic — cycles, instruction counters, the cache snapshot,
+// DRAM and branch-predictor counts — must be identical on each OS-intensive
+// benchmark.
+func TestNeverPredictingAcceleratorMatchesFull(t *testing.T) {
+	for _, name := range OSIntensiveNames() {
+		t.Run(name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Scale = 0.1
+			full, err := Run(name, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Machine.Mode = machine.Accelerated
+			opts.Sink = detailedSink{}
+			acc, err := Run(name, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.Stats.OSInsts == 0 || full.Stats.Intervals == 0 {
+				t.Fatalf("degenerate run: %+v", full.Stats)
+			}
+			t.Logf("%d insts, %d OS intervals", full.Stats.Insts, full.Stats.Intervals)
+			if acc.Stats != full.Stats {
+				t.Errorf("never-predicting accelerated run differs from full system:\n accel: %+v\n  full: %+v",
+					acc.Stats, full.Stats)
 			}
 		})
 	}
