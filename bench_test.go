@@ -502,10 +502,9 @@ func BenchmarkExtensionPrefetch(b *testing.B) {
 }
 
 // BenchmarkServerRunRequest measures the serving front-end's per-request
-// overhead on the memo-cache hit path (admission, breaker, singleflight
-// lookup, JSON response) — the simulation itself runs once, outside the
-// timed loop. This is the latency floor a warm fssimd adds over the raw
-// scheduler.
+// overhead on the memo-cache hit path (admission, singleflight lookup, JSON
+// response) — the simulation itself runs once, outside the timed loop. This
+// is the latency floor a warm fssimd adds over the raw scheduler.
 func BenchmarkServerRunRequest(b *testing.B) {
 	srv := server.New(server.Config{Scale: benchScale})
 	hs := httptest.NewServer(srv.Handler())

@@ -28,8 +28,8 @@
 //	GET  /metrics            serving-path and scheduler counters
 //
 // Robustness contract: requests beyond the admission queue get 429 +
-// Retry-After; per-(benchmark, mode) circuit breakers fast-fail 503 under
-// failure storms and recover via half-open probes; SIGTERM/SIGINT stops
+// Retry-After; a failed run returns its own error (500, or 504 on a run
+// timeout) to its callers and is not cached; SIGTERM/SIGINT stops
 // admission, finishes or cancels in-flight runs within the drain budget,
 // flushes artifacts (bounded — completed work is persisted, wedged runs are
 // skipped), and exits 0. A second SIGTERM/SIGINT forces immediate exit 1,

@@ -421,7 +421,7 @@ func WriteChromeTrace(w io.Writer, label string, t *Tracer) error {
 type (
 	// ServerConfig configures the resilient HTTP serving front-end: listen
 	// address, admission-queue bound, worker-pool width, request deadline,
-	// drain budget, circuit-breaker tuning, and drain-time artifacts.
+	// drain budget, per-run timeout, and drain-time artifacts.
 	ServerConfig = server.Config
 	// ServerClient talks to a running fssimd.
 	ServerClient = server.Client

@@ -76,7 +76,7 @@ func Fig4(cfg Config) (*Result, error) {
 			fmt.Sprint(h.NonEmpty()))
 	}
 	return &Result{Table: t, Notes: []string{
-		"Use `oschar -bench ab-rand -service sys_read -series` to dump the full per-invocation series.",
+		"Use `fssim -bench ab-rand -trace -` to dump every service interval as CSV; its sys_read rows are the full per-invocation series.",
 	}}, nil
 }
 

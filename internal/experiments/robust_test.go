@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -335,6 +336,66 @@ func TestLookupDetachedExecution(t *testing.T) {
 	}
 	if st := s.Stats(); st.Misses != 1 {
 		t.Errorf("Misses = %d, want 1 (single detached execution)", st.Misses)
+	}
+}
+
+// TestLookupNotifyOnceForCoalescedFailure pins the exactly-once completion
+// contract a serving front-end settles its run records on: three coalesced
+// LookupNotify calls on one failing key share a single execution, every
+// waiter sees the failure, and onDone fires exactly once in total.
+func TestLookupNotifyOnceForCoalescedFailure(t *testing.T) {
+	gate := make(chan struct{})
+	workload.Register(workload.Benchmark{
+		Name: "gate-fail-test", Hidden: true,
+	}, func(k *kernel.Kernel, scale float64) {
+		k.Spawn("gatefail", func(p *kernel.Proc) {
+			<-gate
+			panic("deliberate post-gate failure")
+		})
+	})
+	s := NewScheduler(Config{Scale: 1, Seed: 1, Parallelism: 2})
+	key := s.cfg.benchKey("gate-fail-test", machine.FullSystem, 0)
+
+	var notified atomic.Int32
+	onDone := func(_ Outcome, err error) {
+		if err == nil {
+			t.Error("onDone reported success for a panicking run")
+		}
+		notified.Add(1)
+	}
+	errs := make(chan error, 3)
+	for i := 0; i < 3; i++ {
+		go func() {
+			_, _, err := s.LookupNotify(context.Background(), key, onDone)
+			errs <- err
+		}()
+	}
+	// All three are attached to the one in-flight run (1 miss + 2 joins)
+	// before the gate releases it into its panic.
+	for i := 0; ; i++ {
+		if st := s.Stats(); st.Misses == 1 && st.Hits == 2 {
+			break
+		}
+		if i > 5000 {
+			t.Fatal("lookups never coalesced onto one run")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	for i := 0; i < 3; i++ {
+		var re *RunError
+		if err := <-errs; !errors.As(err, &re) {
+			t.Fatalf("coalesced waiter %d got %v, want *RunError", i, err)
+		}
+	}
+	// onDone runs after the entry resolves; give it a moment, then make sure
+	// no second notification follows.
+	for i := 0; notified.Load() == 0 && i < 5000; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if n := notified.Load(); n != 1 {
+		t.Errorf("onDone fired %d times for one shared execution, want 1", n)
 	}
 }
 

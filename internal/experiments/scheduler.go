@@ -512,9 +512,8 @@ func (s *Scheduler) Lookup(ctx context.Context, key RunKey) (Outcome, LookupStat
 // exactly once with the run's final outcome, after the entry resolves —
 // regardless of whether this caller's ctx expires first. Joined (coalesced or
 // hit) lookups never invoke onDone: each distinct execution notifies only its
-// creator, so a front-end feeding health signals (circuit breakers, run
-// records) from the hook counts every run exactly once, even when all of its
-// waiters abandoned it.
+// creator, so a front-end settling run records from the hook sees every run
+// exactly once, even when all of its waiters abandoned it.
 func (s *Scheduler) LookupNotify(ctx context.Context, key RunKey, onDone func(Outcome, error)) (Outcome, LookupStatus, error) {
 	s.mu.Lock()
 	e, ok := s.runs[key]

@@ -24,6 +24,7 @@ import (
 
 	"fssim/internal/isa"
 	"fssim/internal/kernel"
+	"fssim/internal/trace"
 )
 
 // Kind enumerates the perturbation types a plan can schedule.
@@ -296,15 +297,22 @@ func (p *Plan) Install(k *kernel.Kernel) {
 	rec := m.Trace()
 	reg := rec.Metrics()
 	total := reg.Counter("faults.dispatched")
+	kindCtr := make(map[Kind]*trace.Counter)
 	for _, ev := range p.Events {
-		ev := ev
-		kindCtr := reg.Counter("faults." + ev.Kind.String())
-		m.Schedule(ev.At, func() {
-			p.apply(k, ev)
-			total.Inc()
-			kindCtr.Inc()
-			rec.InstantNow("fault " + ev.Kind.String())
-		})
+		if _, ok := kindCtr[ev.Kind]; !ok {
+			kindCtr[ev.Kind] = reg.Counter("faults." + ev.Kind.String())
+		}
+	}
+	// One op for the whole plan; the payload is the event's index.
+	op := m.RegisterOp(func(i, _ uint64) {
+		ev := p.Events[i]
+		p.apply(k, ev)
+		total.Inc()
+		kindCtr[ev.Kind].Inc()
+		rec.InstantNow("fault " + ev.Kind.String())
+	})
+	for i, ev := range p.Events {
+		m.ScheduleOp(ev.At, op, uint64(i), 0)
 	}
 }
 

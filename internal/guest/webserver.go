@@ -89,16 +89,22 @@ func SetupWebServer(k *kernel.Kernel, cfg WebConfig) {
 		t.SetEntry(srv.pcMain)
 	}
 
+	m := k.Machine()
 	ab := &abClient{k: k, cfg: cfg, listener: listener, paths: paths,
 		rng: rand.New(rand.NewSource(cfg.Seed)), workers: cfg.Workers}
 	ab.buildOrder()
+	ab.onPeerClose = ab.responseDone
+	ab.opStart = m.RegisterOp(ab.start)
+	ab.opConnect = m.RegisterOp(ab.connect)
+	ab.opData = m.RegisterOp(ab.sendData)
+	ab.opPoison = m.RegisterOp(ab.sendPoison)
 	if cfg.Warmup > 0 {
 		// The paper skips the first requests so that measurement (and the
 		// acceleration scheme's learning) covers the warmed steady state.
-		k.Machine().DeclareWarmup()
+		m.DeclareWarmup()
 	}
 	// Kick the client once the machine starts running.
-	k.Machine().Schedule(1, ab.start)
+	m.ScheduleOp(1, ab.opStart, 0, 0)
 }
 
 // webServer is the Apache-prefork-like server: workers serialize on a SysV
@@ -197,6 +203,12 @@ type abClient struct {
 	done     int
 	workers  int
 	poisoned bool
+
+	// Client events are registered ops; a connection waiting for its
+	// request data to be sent sits in conns, the payload naming its slot.
+	opStart, opConnect, opData, opPoison machine.EventOp
+	conns                                machine.Slab[*kernel.Socket]
+	onPeerClose                          func() // responseDone, bound once
 }
 
 func (ab *abClient) buildOrder() {
@@ -229,7 +241,7 @@ func (ab *abClient) buildOrder() {
 	ab.order = append(warm, measured...)
 }
 
-func (ab *abClient) start() {
+func (ab *abClient) start(_, _ uint64) {
 	for c := 0; c < ab.cfg.Concurrency; c++ {
 		ab.connectNext(uint64(c) * 900)
 	}
@@ -243,21 +255,30 @@ func (ab *abClient) connectNext(delay uint64) {
 	}
 	idx := ab.order[ab.issued]
 	ab.issued++
-	ab.k.Machine().ScheduleAfter(delay+1, func() {
-		conn := ab.k.Net().InjectConnect(ab.listener, nil, func() {
-			// Server closed the connection: response complete.
-			ab.done++
-			if ab.done == ab.cfg.Warmup {
-				ab.k.Machine().Warm()
-			}
-			ab.connectNext(ab.thinkTime())
-		})
-		conn.Meta = ab.paths[idx]
-		// The HTTP request arrives shortly after the connection.
-		ab.k.Machine().ScheduleAfter(ab.k.Tunables().NetRTT/2, func() {
-			ab.k.Net().InjectData(conn, 230)
-		})
-	})
+	ab.k.Machine().ScheduleOpAfter(delay+1, ab.opConnect, uint64(idx), 0)
+}
+
+// connect opens a connection requesting page idx. The HTTP request arrives
+// shortly after the connection.
+func (ab *abClient) connect(idx, _ uint64) {
+	conn := ab.k.Net().InjectConnect(ab.listener, nil, ab.onPeerClose)
+	conn.Meta = ab.paths[idx]
+	ab.k.Machine().ScheduleOpAfter(ab.k.Tunables().NetRTT/2, ab.opData, ab.conns.Put(conn), 230)
+}
+
+// sendData delivers nbytes of request data on the connection in slot.
+func (ab *abClient) sendData(slot, nbytes uint64) {
+	ab.k.Net().InjectData(ab.conns.Take(slot), int(nbytes))
+}
+
+// responseDone runs when the server closes a connection: the response is
+// complete.
+func (ab *abClient) responseDone() {
+	ab.done++
+	if ab.done == ab.cfg.Warmup {
+		ab.k.Machine().Warm()
+	}
+	ab.connectNext(ab.thinkTime())
 }
 
 func (ab *abClient) thinkTime() uint64 {
@@ -271,12 +292,13 @@ func (ab *abClient) maybePoison() {
 	}
 	ab.poisoned = true
 	for w := 0; w < ab.workers; w++ {
-		ab.k.Machine().ScheduleAfter(uint64(w)*500+1, func() {
-			conn := ab.k.Net().InjectConnect(ab.listener, nil, nil)
-			conn.Meta = poison
-			ab.k.Machine().ScheduleAfter(200, func() {
-				ab.k.Net().InjectData(conn, 16)
-			})
-		})
+		ab.k.Machine().ScheduleOpAfter(uint64(w)*500+1, ab.opPoison, 0, 0)
 	}
+}
+
+// sendPoison opens one connection whose request tells a worker to exit.
+func (ab *abClient) sendPoison(_, _ uint64) {
+	conn := ab.k.Net().InjectConnect(ab.listener, nil, nil)
+	conn.Meta = poison
+	ab.k.Machine().ScheduleOpAfter(200, ab.opData, ab.conns.Put(conn), 16)
 }

@@ -182,6 +182,7 @@ func New(m *machine.Machine, tun Tunables) *Kernel {
 	k.opSleep = m.RegisterOp(k.sleepWake)
 	k.disk.op = m.RegisterOp(k.disk.complete)
 	k.net.opDeliver = m.RegisterOp(k.net.deliver)
+	k.net.opClose = m.RegisterOp(k.net.peerClosed)
 
 	m.SetIRQHandler(k.handleIRQ)
 	return k

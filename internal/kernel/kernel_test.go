@@ -217,10 +217,12 @@ func TestSocketsEndToEnd(t *testing.T) {
 		p.Nanosleep(40 * k.tun.NetPerKB)
 		p.Close(cfd)
 	})
-	m.Schedule(100, func() {
-		conn := k.Net().InjectConnect(listener, func(n int) { delivered += n }, nil)
-		m.ScheduleAfter(500, func() { k.Net().InjectData(conn, 300) })
-	})
+	var conn *Socket
+	opData := m.RegisterOp(func(n, _ uint64) { k.Net().InjectData(conn, int(n)) })
+	m.ScheduleOp(100, m.RegisterOp(func(_, _ uint64) {
+		conn = k.Net().InjectConnect(listener, func(n int) { delivered += n }, nil)
+		m.ScheduleOpAfter(500, opData, 300, 0)
+	}), 0, 0)
 	k.Run()
 	if got != 300 {
 		t.Fatalf("server received %d bytes", got)
@@ -265,9 +267,9 @@ func TestPollWakes(t *testing.T) {
 		lfd := p.InstallSocket(listener)
 		polled = p.Poll(lfd)
 	})
-	m.Schedule(50_000, func() {
+	m.ScheduleOp(50_000, m.RegisterOp(func(_, _ uint64) {
 		k.Net().InjectConnect(listener, nil, nil)
-	})
+	}), 0, 0)
 	k.Run()
 	if polled < 0 {
 		t.Fatal("poll never returned ready")

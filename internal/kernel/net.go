@@ -41,12 +41,13 @@ type Net struct {
 	BytesTx   uint64
 	BytesRx   uint64
 
-	// Segment-delivery slab: sendBody schedules deliveries as op events
-	// whose payload indexes this free-listed slab, replacing the per-segment
-	// closure capture. Slots are recycled as soon as the delivery fires.
-	delivSlab []deliv
-	delivFree []int32
-	opDeliver machine.EventOp
+	// In-flight segment deliveries and peer-close notifications: the op
+	// events' payload is a slot in these slabs, recycled as soon as the
+	// event fires.
+	deliveries machine.Slab[deliv]
+	closing    machine.Slab[*Socket]
+	opDeliver  machine.EventOp
+	opClose    machine.EventOp
 }
 
 // deliv is one in-flight segment delivery awaiting its arrival event.
@@ -392,16 +393,7 @@ func (n *Net) sendBody(p *Proc, s *Socket, buf uint64, nbytes int) {
 				arrive += n.lossExtra
 			}
 		}
-		var slot int32
-		if nf := len(n.delivFree); nf > 0 {
-			slot = n.delivFree[nf-1]
-			n.delivFree = n.delivFree[:nf-1]
-		} else {
-			slot = int32(len(n.delivSlab))
-			n.delivSlab = append(n.delivSlab, deliv{})
-		}
-		n.delivSlab[slot] = deliv{sock: s, bytes: chunk}
-		k.m.ScheduleOp(arrive, n.opDeliver, uint64(slot), 0)
+		k.m.ScheduleOp(arrive, n.opDeliver, n.deliveries.Put(deliv{sock: s, bytes: chunk}), 0)
 		src += uint64(chunk)
 		remaining -= chunk
 	}
@@ -409,15 +401,11 @@ func (n *Net) sendBody(p *Proc, s *Socket, buf uint64, nbytes int) {
 }
 
 // deliver is the segment-arrival op handler: hand the payload to the
-// external peer, queue the ACK, and raise the NIC IRQ — the body the
-// per-segment closure used to carry. The slab slot is recycled before the
-// IRQ so a delivery that triggers more sends can reuse it immediately.
+// external peer, queue the ACK, and raise the NIC IRQ. The slab slot is
+// recycled before the IRQ so a delivery that triggers more sends can reuse
+// it immediately.
 func (n *Net) deliver(a, _ uint64) {
-	d := n.delivSlab[a]
-	if machine.PoisonPools {
-		n.delivSlab[a] = deliv{sock: nil, bytes: -1 << 30}
-	}
-	n.delivFree = append(n.delivFree, int32(a))
+	d := n.deliveries.Take(a)
 	if d.sock.onDeliver != nil {
 		d.sock.onDeliver(d.bytes)
 	}
@@ -437,10 +425,13 @@ func (n *Net) closeSocket(s *Socket) {
 		if n.k.appOnly() {
 			delay = 1
 		}
-		cb := s.onPeerClose
-		n.k.m.ScheduleAfter(delay, cb)
+		n.k.m.ScheduleOpAfter(delay, n.opClose, n.closing.Put(s), 0)
 	}
 }
+
+// peerClosed is the op handler that tells the external peer a guest-closed
+// socket is gone.
+func (n *Net) peerClosed(a, _ uint64) { n.closing.Take(a).onPeerClose() }
 
 // --- Socket system calls ---------------------------------------------------
 

@@ -17,11 +17,14 @@ func TestRecvReturnsZeroOnFIN(t *testing.T) {
 		afterFin = p.Recv(cfd, p.Scratch(), 4096) // FIN: returns 0
 		p.Close(cfd)
 	})
-	m.Schedule(100, func() {
-		conn := k.Net().InjectConnect(listener, nil, nil)
-		m.ScheduleAfter(200, func() { k.Net().InjectData(conn, 128) })
-		m.ScheduleAfter(50_000, func() { k.Net().InjectFIN(conn) })
-	})
+	var conn *Socket
+	opData := m.RegisterOp(func(n, _ uint64) { k.Net().InjectData(conn, int(n)) })
+	opFIN := m.RegisterOp(func(_, _ uint64) { k.Net().InjectFIN(conn) })
+	m.ScheduleOp(100, m.RegisterOp(func(_, _ uint64) {
+		conn = k.Net().InjectConnect(listener, nil, nil)
+		m.ScheduleOpAfter(200, opData, 128, 0)
+		m.ScheduleOpAfter(50_000, opFIN, 0, 0)
+	}), 0, 0)
 	k.Run()
 	if got != 128 || afterFin != 0 {
 		t.Fatalf("recv = %d then %d, want 128 then 0", got, afterFin)
@@ -39,10 +42,12 @@ func TestRecvTruncatesToMax(t *testing.T) {
 		second = p.Recv(cfd, p.Scratch(), 4096)
 		p.Close(cfd)
 	})
-	m.Schedule(100, func() {
-		conn := k.Net().InjectConnect(listener, nil, nil)
-		m.ScheduleAfter(200, func() { k.Net().InjectData(conn, 300) })
-	})
+	var conn *Socket
+	opData := m.RegisterOp(func(n, _ uint64) { k.Net().InjectData(conn, int(n)) })
+	m.ScheduleOp(100, m.RegisterOp(func(_, _ uint64) {
+		conn = k.Net().InjectConnect(listener, nil, nil)
+		m.ScheduleOpAfter(200, opData, 300, 0)
+	}), 0, 0)
 	k.Run()
 	if first != 100 || second != 200 {
 		t.Fatalf("recv = %d, %d; want 100, 200", first, second)
@@ -61,12 +66,13 @@ func TestAcceptQueueOrdering(t *testing.T) {
 			p.Close(cfd)
 		}
 	})
-	for i, name := range []string{"a", "b", "c"} {
-		name := name
-		m.Schedule(uint64(100+i*1000), func() {
-			conn := k.Net().InjectConnect(listener, nil, nil)
-			conn.Meta = name
-		})
+	names := []string{"a", "b", "c"}
+	op := m.RegisterOp(func(i, _ uint64) {
+		conn := k.Net().InjectConnect(listener, nil, nil)
+		conn.Meta = names[i]
+	})
+	for i := range names {
+		m.ScheduleOp(uint64(100+i*1000), op, uint64(i), 0)
 	}
 	k.Run()
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
@@ -84,9 +90,9 @@ func TestPeerCloseCallback(t *testing.T) {
 		p.Close(cfd)
 		p.Nanosleep(100_000) // let the close notification fire
 	})
-	m.Schedule(100, func() {
+	m.ScheduleOp(100, m.RegisterOp(func(_, _ uint64) {
 		k.Net().InjectConnect(listener, nil, func() { closed = true })
-	})
+	}), 0, 0)
 	k.Run()
 	if !closed {
 		t.Fatal("onPeerClose never fired")
@@ -117,7 +123,7 @@ func TestPollMultipleFds(t *testing.T) {
 		ready = p.Poll(fd1, fd2)
 	})
 	// Only the second listener gets a connection.
-	m.Schedule(60_000, func() { k.Net().InjectConnect(l2, nil, nil) })
+	m.ScheduleOp(60_000, m.RegisterOp(func(_, _ uint64) { k.Net().InjectConnect(l2, nil, nil) }), 0, 0)
 	k.Run()
 	if ready != fd2 {
 		t.Fatalf("poll returned %d, want %d (the ready fd)", ready, fd2)

@@ -92,7 +92,7 @@ func TestSchedulePastEventFiresImmediately(t *testing.T) {
 	e := m.Emitter()
 	e.Ops(1000)
 	fired := false
-	m.Schedule(1, func() { fired = true }) // already past
+	m.ScheduleOp(1, m.RegisterOp(func(_, _ uint64) { fired = true }), 0, 0) // already past
 	e.Ops(8)
 	if !fired {
 		t.Fatal("past-due event did not fire at the next boundary")
@@ -101,8 +101,9 @@ func TestSchedulePastEventFiresImmediately(t *testing.T) {
 
 func TestPendingEvents(t *testing.T) {
 	m := New(DefaultConfig())
-	m.Schedule(1_000_000, func() {})
-	m.Schedule(2_000_000, func() {})
+	op := m.RegisterOp(func(_, _ uint64) {})
+	m.ScheduleOp(1_000_000, op, 0, 0)
+	m.ScheduleOp(2_000_000, op, 0, 0)
 	if m.PendingEvents() != 2 {
 		t.Fatalf("pending = %d", m.PendingEvents())
 	}

@@ -11,13 +11,11 @@ package machine
 //     allocates (beyond amortized slice growth, which stops once the queue
 //     has reached its high-water mark).
 //
-//   - Hot schedulers use op-dispatched events: a typed op code naming a
-//     handler in the machine's per-machine jump table plus two payload
-//     words, instead of a fresh closure per event. The handler closure is
-//     allocated once at registration; per-event state rides in the payload.
-//     The closure form (Schedule with a func()) remains available for cold
-//     paths — setup, fault plans, guest-level callbacks — where a capture
-//     allocation per event is irrelevant.
+//   - Every event is op-dispatched: a typed op code naming a handler in the
+//     machine's per-machine jump table plus two payload words. The handler
+//     closure is allocated once at registration; per-event state rides in
+//     the payload (an index into a caller-owned slab when it is more than
+//     two words). Events carry no pointers, so the heap is pointer-free.
 //
 // Determinism: events fire in (at, seq) order, seq being a per-machine
 // counter, so each machine's event order is a pure function of its own
@@ -26,18 +24,14 @@ package machine
 // EventOp names a handler registered in the machine's dispatch table.
 type EventOp int32
 
-// opFunc marks a closure-carrying event (Schedule); payload words unused.
-const opFunc EventOp = -1
-
-// event is a scheduled device callback: either a registered op with two
-// payload words, or a closure.
+// event is a scheduled device callback: a registered op with two payload
+// words.
 type event struct {
 	at  uint64
 	seq uint64 // tie-break for determinism
 	op  EventOp
 	a   uint64
 	b   uint64
-	fn  func()
 }
 
 // eventQueue is a typed binary min-heap over value events ordered by
@@ -76,8 +70,6 @@ func (q *eventQueue) pop() event {
 		// loud garbage rather than a plausible stale event.
 		h[n] = event{at: ^uint64(0), seq: ^uint64(0), op: -2,
 			a: 0xDEADDEADDEADDEAD, b: 0xDEADDEADDEADDEAD}
-	} else {
-		h[n] = event{} // drop the closure reference for the GC
 	}
 	h = h[:n]
 	*q = h
@@ -124,32 +116,48 @@ func (m *Machine) RegisterOp(h func(a, b uint64)) EventOp {
 	return EventOp(len(m.ops) - 1)
 }
 
-// Schedule runs fn when the global cycle counter reaches cycle `at`
-// (immediately at the next instruction boundary if `at` is already past).
-// Device models use this for disk completions, packet arrivals and timer
-// ticks; callbacks typically raise an interrupt via the kernel.
-// The tie-break sequence is per-machine so that concurrently running
-// machines stay race-free and each machine's event order is a pure
-// function of its own history.
-//
-// Schedule carries a closure and is the cold-path form; steady-state
-// device scheduling should use ScheduleOp, which allocates nothing.
-func (m *Machine) Schedule(at uint64, fn func()) {
-	m.eventSeq++
-	m.events.push(event{at: at, seq: m.eventSeq, op: opFunc, fn: fn})
-	if at < m.next {
-		m.next = at
+// Slab is a free-listed table for event payloads that do not fit in two
+// words: Put parks a value and returns the slot index to schedule as a
+// payload word, and the handler's Take returns the value and recycles the
+// slot. Slots are reused LIFO, so a slab stops allocating once it reaches
+// its high-water mark.
+type Slab[T any] struct {
+	items []T
+	free  []int32
+}
+
+// Put stores v in a free slot and returns the slot's index.
+func (s *Slab[T]) Put(v T) uint64 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.items[i] = v
+		return uint64(i)
 	}
+	s.items = append(s.items, v)
+	return uint64(len(s.items) - 1)
 }
 
-// ScheduleAfter runs fn delay cycles from now.
-func (m *Machine) ScheduleAfter(delay uint64, fn func()) {
-	m.Schedule(m.core.Now()+delay, fn)
+// Take returns the value in slot i and frees the slot. The slot is cleared
+// to the zero value, so a stale read of a recycled slot sees no reference
+// to the value that was in it.
+func (s *Slab[T]) Take(i uint64) T {
+	v := s.items[i]
+	var zero T
+	s.items[i] = zero
+	s.free = append(s.free, int32(i))
+	return v
 }
 
-// ScheduleOp schedules a registered handler with two payload words. The
-// event is a plain value — no closure, no boxing — so steady-state device
-// scheduling through this path performs zero heap allocations.
+// ScheduleOp runs the registered handler op with payload words a and b when
+// the global cycle counter reaches cycle `at` (immediately at the next
+// instruction boundary if `at` is already past). Device models use this for
+// disk completions, packet arrivals and timer ticks; handlers typically
+// raise an interrupt via the kernel. The tie-break sequence is per-machine
+// so that concurrently running machines stay race-free and each machine's
+// event order is a pure function of its own history. The event is a plain
+// value — no closure, no boxing — so scheduling performs zero heap
+// allocations.
 func (m *Machine) ScheduleOp(at uint64, op EventOp, a, b uint64) {
 	m.eventSeq++
 	m.events.push(event{at: at, seq: m.eventSeq, op: op, a: a, b: b})
@@ -176,11 +184,7 @@ func (m *Machine) pollEvents() {
 	m.delivering = true
 	for len(m.events) > 0 && m.events[0].at <= m.core.Now() {
 		e := m.events.pop()
-		if e.op >= 0 {
-			m.ops[e.op](e.a, e.b)
-		} else {
-			e.fn()
-		}
+		m.ops[e.op](e.a, e.b)
 	}
 	if len(m.events) > 0 {
 		m.next = m.events[0].at

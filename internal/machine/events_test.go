@@ -4,7 +4,16 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
+
+// TestEventSize pins the heap element at five words: an op code and two
+// payload words, with no closure pointer for the GC to scan.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 40", got)
+	}
+}
 
 // TestEventHeapOrder pins the typed heap's comparator directly: events pop
 // in (at, seq) order no matter the insertion order. The tie-break matters
@@ -45,20 +54,20 @@ func TestEventHeapOrder(t *testing.T) {
 }
 
 // TestScheduleTieBreakFIFO asserts the machine-level contract built on the
-// heap comparator: closure events and op events scheduled for the same cycle
-// interleave in exact scheduling order, because both draw from the one
-// per-machine sequence counter.
+// heap comparator: events for different handlers scheduled for the same
+// cycle interleave in exact scheduling order, because they all draw from the
+// one per-machine sequence counter.
 func TestScheduleTieBreakFIFO(t *testing.T) {
 	m := New(DefaultConfig())
 	var order []int
-	op := m.RegisterOp(func(a, _ uint64) { order = append(order, int(a)) })
+	even := m.RegisterOp(func(a, _ uint64) { order = append(order, int(a)) })
+	odd := m.RegisterOp(func(_, b uint64) { order = append(order, int(b)) })
 	const at = 100
 	for i := 0; i < 12; i++ {
 		if i%2 == 0 {
-			i := i
-			m.Schedule(at, func() { order = append(order, i) })
+			m.ScheduleOp(at, even, uint64(i), 0)
 		} else {
-			m.ScheduleOp(at, op, uint64(i), 0)
+			m.ScheduleOp(at, odd, 0, uint64(i))
 		}
 	}
 	if !m.AdvanceIdle() {
@@ -80,13 +89,14 @@ type pendingEv struct {
 	id      int
 }
 
-// FuzzEventQueue interleaves closure scheduling, op scheduling (including
-// deliberate same-cycle ties and past due-times) with idle advances, against
-// a reference model: every event must fire exactly once — never dropped,
-// never twice — and the global fire sequence must follow (at, seq) order.
-// Half the corpus runs with PoisonPools set, so vacated heap slots are
-// scrubbed with loud garbage: a pop that reads a recycled slot would fire a
-// poisoned event and break the oracle.
+// FuzzEventQueue interleaves scheduling on two registered handlers —
+// one carrying its state in the payload words, one in a Slab slot —
+// (including deliberate same-cycle ties and past due-times) with idle
+// advances, against a reference model: every event must fire exactly once —
+// never dropped, never twice — and the global fire sequence must follow
+// (at, seq) order. Half the corpus runs with PoisonPools set, so vacated
+// heap slots are scrubbed with loud garbage: a pop that reads a recycled
+// slot would fire a poisoned event and break the oracle.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 3, 4, 0, 2, 1, 3, 7, 4, 0}, false)
 	f.Add([]byte{2, 0, 2, 0, 4, 0, 0, 255, 4, 0, 4, 0}, true)
@@ -103,14 +113,15 @@ func FuzzEventQueue(f *testing.F) {
 		op := m.RegisterOp(func(a, b uint64) {
 			fired = append(fired, pendingEv{at: b, id: int(a)})
 		})
-		add := func(at uint64, closure bool) {
+		var slab Slab[pendingEv]
+		slabOp := m.RegisterOp(func(slot, _ uint64) {
+			fired = append(fired, slab.Take(slot))
+		})
+		add := func(at uint64, slabbed bool) {
 			id := ids
 			ids++
-			if closure {
-				at := at
-				m.Schedule(at, func() {
-					fired = append(fired, pendingEv{at: at, id: id})
-				})
+			if slabbed {
+				m.ScheduleOp(at, slabOp, slab.Put(pendingEv{at: at, id: id}), 0)
 			} else {
 				m.ScheduleOp(at, op, uint64(id), at)
 			}
@@ -167,7 +178,7 @@ func FuzzEventQueue(f *testing.F) {
 			switch cmd % 5 {
 			case 0: // op event in the near future
 				add(m.Now()+arg, false)
-			case 1: // closure event, tighter spread to force collisions
+			case 1: // slab event, tighter spread to force collisions
 				add(m.Now()+arg%32, true)
 			case 2: // three same-cycle ties
 				at := m.Now() + arg%4

@@ -193,9 +193,10 @@ func TestAppOnlySkipsKernelTiming(t *testing.T) {
 func TestEventsFireInOrder(t *testing.T) {
 	m := newTestMachine(FullSystem)
 	var fired []int
-	m.Schedule(500, func() { fired = append(fired, 2) })
-	m.Schedule(100, func() { fired = append(fired, 1) })
-	m.Schedule(900, func() { fired = append(fired, 3) })
+	op := m.RegisterOp(func(a, _ uint64) { fired = append(fired, int(a)) })
+	m.ScheduleOp(500, op, 2, 0)
+	m.ScheduleOp(100, op, 1, 0)
+	m.ScheduleOp(900, op, 3, 0)
 	e := m.Emitter()
 	for m.Now() < 2000 {
 		e.Ops(64)
@@ -208,7 +209,7 @@ func TestEventsFireInOrder(t *testing.T) {
 func TestAdvanceIdle(t *testing.T) {
 	m := newTestMachine(FullSystem)
 	hit := false
-	m.Schedule(10000, func() { hit = true })
+	m.ScheduleOp(10000, m.RegisterOp(func(_, _ uint64) { hit = true }), 0, 0)
 	if !m.AdvanceIdle() {
 		t.Fatal("AdvanceIdle found no event")
 	}

@@ -22,8 +22,7 @@ var (
 	// ErrOverloaded: the admission queue was full (HTTP 429). Retry after
 	// the duration carried by the *APIError.
 	ErrOverloaded = errors.New("server overloaded")
-	// ErrUnavailable: the server is draining or a circuit breaker is open
-	// for the requested (benchmark, mode) (HTTP 503).
+	// ErrUnavailable: the server is draining (HTTP 503).
 	ErrUnavailable = errors.New("server unavailable")
 	// ErrDeadline: the request's deadline expired before the run finished
 	// (HTTP 504); the result may become available later under the same id.
@@ -174,11 +173,10 @@ func (c *Client) Snapshot(ctx context.Context, benchmark string) ([]byte, error)
 // ReadyState is the decoded GET /readyz body: whether the server is
 // admitting work, and its current load.
 type ReadyState struct {
-	Status       string `json:"status"` // "ready" or "draining"
-	Draining     bool   `json:"draining"`
-	QueueDepth   int    `json:"queue_depth"`
-	QueueCap     int    `json:"queue_cap"`
-	BreakersOpen int    `json:"breakers_open"`
+	Status     string `json:"status"` // "ready" or "draining"
+	Draining   bool   `json:"draining"`
+	QueueDepth int    `json:"queue_depth"`
+	QueueCap   int    `json:"queue_cap"`
 }
 
 // Readyz fetches and decodes the server's readiness state. The returned

@@ -69,7 +69,7 @@ func TestReadyzBody(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Readyz: %v", err)
 	}
-	if st.Status != "ready" || st.Draining || st.QueueCap != 7 || st.BreakersOpen != 0 {
+	if st.Status != "ready" || st.Draining || st.QueueCap != 7 {
 		t.Errorf("ready state = %+v", st)
 	}
 

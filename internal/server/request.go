@@ -155,7 +155,7 @@ func (q RunRequest) Validate() error {
 
 // spec maps the validated request onto a scheduler RunSpec, applying the
 // server's defaults for unset fields. Accelerated runs always arm the
-// divergence watchdog so the breaker sees degradation signals.
+// divergence watchdog, whose verdict the response's degraded flag reports.
 func (q RunRequest) spec(defaultScale float64, defaultSeed int64) (experiments.RunSpec, error) {
 	mode, err := q.mode()
 	if err != nil {

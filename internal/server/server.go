@@ -16,9 +16,10 @@
 //     identical repeat requests are served from the memo cache. Cache status
 //     is reported in the X-Fssim-Cache header; response bodies are a pure
 //     function of the request, hence byte-identical and cacheable.
-//   - Circuit breaking: per-(benchmark, mode) breakers open under failure
-//     storms (run failures, timeouts, or watchdog-degraded predictions) and
-//     fast-fail with 503 until a half-open probe proves recovery.
+//   - Failure isolation: runs are deterministic, so a failure belongs to its
+//     request alone. A panicking or timed-out run reaches its own waiters as
+//     an error (500, or 504 on timeout) without affecting other keys, and a
+//     watchdog-degraded prediction is served flagged X-Fssim-Degraded.
 //   - Graceful drain: on shutdown the server stops admitting, lets in-flight
 //     runs finish (or cancels them at the drain deadline), and flushes trace
 //     and metrics artifacts before exiting.
@@ -94,11 +95,6 @@ type Config struct {
 	// snapshot is rescaled and imported as priors. Requires WarmDir; an
 	// ineligible donor is rejected (counted) and the run proceeds cold.
 	Transfer bool
-	// Breaker tunes the per-(benchmark, mode) circuit breakers.
-	Breaker BreakerConfig
-
-	// now is the test seam for breaker and Retry-After clocks.
-	now func() time.Time
 }
 
 func (c Config) normalized() Config {
@@ -134,9 +130,6 @@ func (c Config) normalized() Config {
 	}
 	if c.MaxRecords <= 0 {
 		c.MaxRecords = 4096
-	}
-	if c.now == nil {
-		c.now = time.Now
 	}
 	return c
 }
@@ -179,7 +172,6 @@ type Server struct {
 	// Add/Wait race.
 	drainMu  sync.Mutex
 	inflight sync.WaitGroup
-	breakers *breakerSet
 
 	mu       sync.Mutex
 	records  map[string]*runRecord
@@ -197,7 +189,6 @@ type Server struct {
 	mQueue     *trace.Gauge
 	mAdmitted  *trace.Counter
 	mShed      *trace.Counter
-	mBreaker   *trace.Counter
 	mDedup     *trace.Counter
 	mCompleted *trace.Counter
 	mFailed    *trace.Counter
@@ -225,14 +216,12 @@ func New(cfg Config) *Server {
 		baseCtx:    baseCtx,
 		cancelRuns: cancel,
 		queueSlots: make(chan struct{}, cfg.Queue),
-		breakers:   newBreakerSet(cfg.Breaker, cfg.now),
 		records:    make(map[string]*runRecord),
 		started:    make(chan struct{}),
 		reg:        reg,
 		mQueue:     reg.Gauge("server.queue.depth"),
 		mAdmitted:  reg.Counter("server.requests.admitted"),
 		mShed:      reg.Counter("server.requests.shed"),
-		mBreaker:   reg.Counter("server.requests.breaker_fastfail"),
 		mDedup:     reg.Counter("server.requests.deduped"),
 		mCompleted: reg.Counter("server.requests.completed"),
 		mFailed:    reg.Counter("server.requests.failed"),
@@ -355,7 +344,7 @@ func (s *Server) lookupRecord(id string) (*runRecord, bool) {
 	return rec, ok
 }
 
-// handleSubmit is POST /v1/runs: admission, breaker, deadline, run, respond.
+// handleSubmit is POST /v1/runs: admission, deadline, run, respond.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
@@ -410,20 +399,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}()
 	s.mAdmitted.Add(1)
 
-	// Circuit breaker, scoped to this (benchmark, mode). Checked after
-	// admission so a half-open probe that is admitted always resolves.
-	bk := breakerKey{bench: spec.Bench, mode: spec.Mode}
-	br := s.breakers.get(bk)
-	ok, probe, retry := br.allow()
-	if !ok {
-		s.mBreaker.Add(1)
-		w.Header().Set("Retry-After", fmt.Sprint(int(math.Ceil(retry.Seconds()))))
-		w.Header().Set("X-Fssim-Breaker", "open")
-		writeJSON(w, http.StatusServiceUnavailable,
-			errBody{fmt.Sprintf("circuit open for %s/%s: recent runs failing", spec.Bench, spec.Mode)})
-		return
-	}
-
 	id := runID(key)
 	rec := s.record(id, key)
 
@@ -433,25 +408,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), req.deadline(s.cfg.Deadline))
 	defer cancel()
 
-	// The breaker and the run record are resolved from the detached run's
-	// actual outcome, exactly once per distinct execution — not from this
-	// waiter. A probe whose client gives up therefore still closes or
-	// re-opens the circuit when its run finishes, and an abandoned run's
-	// record still flips to done/failed for later GETs.
-	start := s.cfg.now()
+	// The run record is resolved from the detached run's actual outcome,
+	// exactly once per distinct execution — not from this waiter — so an
+	// abandoned run's record still flips to done/failed for later GETs.
+	start := time.Now()
 	out, status, err := s.sched.LookupNotify(ctx, key, func(out experiments.Outcome, err error) {
-		s.completeRun(rec, br, out, err)
+		s.completeRun(rec, out, err)
 	})
-	s.observeLatency(s.cfg.now().Sub(start))
+	s.observeLatency(time.Since(start))
 	if status != experiments.LookupMiss {
 		s.mDedup.Add(1)
-	}
-	if probe && status == experiments.LookupHit {
-		// The probe was served from the memo cache: no fresh execution will
-		// report an outcome, so resolve the half-open state from the cached
-		// one here (failed entries are evicted, so a hit is a success unless
-		// it carries a degraded accelerator).
-		br.record(err != nil || (s.degraded(out) && s.breakers.cfg.DegradeAsFailure))
 	}
 	w.Header().Set("X-Fssim-Cache", status.String())
 	w.Header().Set("X-Fssim-Run-Id", id)
@@ -459,8 +425,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 			// This waiter gave up (deadline or disconnect); the run itself
-			// may still complete for others and settles the breaker and the
-			// record via the completion hook.
+			// may still complete for others and settles the record via the
+			// completion hook.
 			s.mFailed.Add(1)
 			if errors.Is(err, context.DeadlineExceeded) {
 				writeJSON(w, http.StatusGatewayTimeout, errBody{"deadline exceeded waiting for run " + id})
@@ -548,16 +514,13 @@ func (s *Server) responseBody(id string, key experiments.RunKey, out experiments
 }
 
 // completeRun is the detached-execution completion hook: invoked exactly once
-// per distinct run (even if every waiter abandoned it), it feeds the run's
-// final outcome to the circuit breaker and settles the shared record.
-func (s *Server) completeRun(rec *runRecord, br *breaker, out experiments.Outcome, err error) {
+// per distinct run (even if every waiter abandoned it), it settles the shared
+// record with the run's final outcome.
+func (s *Server) completeRun(rec *runRecord, out experiments.Outcome, err error) {
 	if err != nil {
-		br.record(true)
 		rec.settle("failed", nil, err.Error())
 		return
 	}
-	degraded := s.degraded(out)
-	br.record(degraded && s.breakers.cfg.DegradeAsFailure)
 	body, _, merr := s.responseBody(rec.id, rec.key, out)
 	if merr != nil {
 		rec.settle("failed", nil, merr.Error())
@@ -650,26 +613,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// readyBody is the GET /readyz JSON in both branches: the status-code
-// semantics (200 ready / 503 draining) are unchanged, but the body now
-// always carries the drain flag and the current load.
-type readyBody struct {
-	Status       string `json:"status"`
-	Draining     bool   `json:"draining"`
-	QueueDepth   int    `json:"queue_depth"`
-	QueueCap     int    `json:"queue_cap"`
-	BreakersOpen int    `json:"breakers_open"`
-}
-
 // handleReadyz reports readiness: draining (or drained) servers are not
-// ready, so load balancers stop routing before the listener goes away.
+// ready (503), so load balancers stop routing before the listener goes away.
+// Both branches describe the drain flag and the current load as a
+// ReadyState body.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	body := readyBody{
-		Status:       "ready",
-		Draining:     s.draining.Load(),
-		QueueDepth:   len(s.queueSlots),
-		QueueCap:     cap(s.queueSlots),
-		BreakersOpen: s.breakers.openCount(),
+	body := ReadyState{
+		Status:     "ready",
+		Draining:   s.draining.Load(),
+		QueueDepth: len(s.queueSlots),
+		QueueCap:   cap(s.queueSlots),
 	}
 	status := http.StatusOK
 	if body.Draining {
