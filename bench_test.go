@@ -330,13 +330,41 @@ func BenchmarkInOrderCore(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheAccess measures the raw cache model.
+// BenchmarkCacheAccess measures the raw cache model on a 1 MB 8-way cache:
+// sequential 8-byte hits over a resident 256 KB range (seven of every eight
+// hit the set's most recent line), sequential line misses cycling through
+// 4 MB (LRU evicts every line before its reuse), and random misses over
+// 256 MB.
 func BenchmarkCacheAccess(b *testing.B) {
-	c := cache.New(cache.Config{Name: "b", Size: 1 << 20, Assoc: 8, BlockSize: 64})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(uint64(i%65536)*64, 1, false, cache.OwnerApp)
+	newCache := func() *cache.Cache {
+		return cache.New(cache.Config{Name: "b", Size: 1 << 20, Assoc: 8, BlockSize: 64})
 	}
+	b.Run("hit", func(b *testing.B) {
+		c := newCache()
+		for i := 0; i < 4096; i++ {
+			c.Access(uint64(i)*64, 1, false, cache.OwnerApp)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i%32768)*8, 1, false, cache.OwnerApp)
+		}
+	})
+	b.Run("miss-seq", func(b *testing.B) {
+		c := newCache()
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i%65536)*64, 1, false, cache.OwnerApp)
+		}
+	})
+	b.Run("miss-rand", func(b *testing.B) {
+		c := newCache()
+		x := uint64(88172645463325252)
+		for i := 0; i < b.N; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			c.Access(x%(256<<20), 1, false, cache.OwnerApp)
+		}
+	})
 }
 
 // emulateAll fast-forwards every OS service interval at CPI 1.

@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -67,61 +68,74 @@ func (s Stats) Add(o Stats) Stats {
 	}
 }
 
-// Line state is kept as a structure of arrays indexed by way slot
-// (set*assoc + way): the tag scan — the hottest loop in a detailed run —
-// then walks a dense uint64 array (an 8-way set's tags share one hardware
-// cache line) instead of striding through 24-byte structs.
+// Line state is one word per way slot (set*assoc + way): the block number
+// in the low bits and the valid, dirty and owner flags in the top three, so
+// the tag scan — the hottest loop in a detailed run — reads one dense uint64
+// array (an 8-way set's words share one host cache line). Replacement order
+// is one recency word per set: byte w holds way w's rank, 0 = MRU and
+// assoc-1 = LRU, so promotion and victim lookup are a few branch-free
+// word operations instead of a scan over per-way timestamps.
 const (
-	metaValid = 1 << iota
-	metaDirty
-	metaOS // owner bit: set = OwnerOS, clear = OwnerApp
+	flagValid = 1 << 63
+	flagDirty = 1 << 62
+	flagOS    = 1 << 61 // owner: set = OwnerOS, clear = OwnerApp
+
+	lanes01 = 0x0101010101010101
+	lanes80 = 0x8080808080808080
+	// identityRanks gives way w rank w. Ranks only order valid ways, so any
+	// permutation would do; lanes w >= assoc keep rank w forever, which is
+	// never below a live way's rank and never equal to assoc-1.
+	identityRanks = 0x0706050403020100
 )
 
 // Cache is a single set-associative cache level.
 type Cache struct {
 	cfg      Config
-	tags     []uint64 // block number per way slot
-	lru      []uint64 // last-touch stamp; larger = more recent
-	meta     []uint8  // metaValid | metaDirty | metaOS
+	ways     []uint64 // block number | flag bits, per way slot
+	rank     []uint64 // per set: byte w = way w's recency rank, 0 = MRU
+	lruRank  uint64   // assoc-1 in every byte lane
 	assoc    int
+	assocLog uint // assoc = 1 << assocLog
 	numSets  int
 	blkShift uint
 	setMask  uint64
-	stamp    uint64
+	stamp    uint64 // operations so far; names pollution phantoms
 	stats    Stats
 }
 
-func metaOwner(m uint8) Owner {
-	if m&metaOS != 0 {
-		return OwnerOS
-	}
-	return OwnerApp
-}
-
-func ownerMeta(o Owner) uint8 {
+func ownerFlag(o Owner) uint64 {
 	if o == OwnerOS {
-		return metaOS
+		return flagOS
 	}
 	return 0
 }
 
 // New builds a cache from cfg. Size, Assoc and BlockSize must describe a
-// power-of-two number of sets.
+// power-of-two number of sets; Assoc must be 1, 2, 4 or 8 (one recency byte
+// per way in a 64-bit word, and a set's first way slot is a shift, not a
+// multiply, away) and BlockSize at least 8 (block numbers leave the top
+// three bits free for the flags).
 func New(cfg Config) *Cache {
-	if cfg.Size <= 0 || cfg.Assoc <= 0 || cfg.BlockSize <= 0 {
+	if cfg.Size <= 0 || cfg.Assoc <= 0 || cfg.Assoc > 8 || cfg.Assoc&(cfg.Assoc-1) != 0 || cfg.BlockSize < 8 {
 		panic(fmt.Sprintf("cache %q: invalid config %+v", cfg.Name, cfg))
 	}
 	numSets := cfg.Size / (cfg.Assoc * cfg.BlockSize)
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache %q: sets=%d not a power of two", cfg.Name, numSets))
 	}
-	c := &Cache{cfg: cfg, assoc: cfg.Assoc, numSets: numSets, setMask: uint64(numSets - 1)}
+	c := &Cache{cfg: cfg, assoc: cfg.Assoc, numSets: numSets, setMask: uint64(numSets - 1),
+		lruRank: uint64(cfg.Assoc-1) * lanes01}
 	for s := 1; s < cfg.BlockSize; s <<= 1 {
 		c.blkShift++
 	}
-	c.tags = make([]uint64, numSets*cfg.Assoc)
-	c.lru = make([]uint64, numSets*cfg.Assoc)
-	c.meta = make([]uint8, numSets*cfg.Assoc)
+	for a := 1; a < cfg.Assoc; a <<= 1 {
+		c.assocLog++
+	}
+	c.ways = make([]uint64, numSets*cfg.Assoc)
+	c.rank = make([]uint64, numSets)
+	for i := range c.rank {
+		c.rank[i] = identityRanks
+	}
 	return c
 }
 
@@ -134,9 +148,41 @@ func (c *Cache) Stats() Stats { return c.stats }
 // LineAddr returns the line-aligned address for addr.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.blkShift << c.blkShift }
 
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
+// lookup returns addr's set, that set's way words, and the word a valid line
+// holding addr matches once its dirty and owner flags are masked off.
+func (c *Cache) lookup(addr uint64) (set int, ways []uint64, key uint64) {
 	blk := addr >> c.blkShift
-	return int(blk & c.setMask), blk >> 0 // full block number as tag (set bits redundant but harmless)
+	set = int(blk & c.setMask)
+	base := set << c.assocLog
+	return set, c.ways[base : base+c.assoc], blk | flagValid
+}
+
+// promote returns the recency word x with way made the MRU way: every way
+// ranked above it (more recent) moves down one rank, and the rest keep
+// theirs. x comes back unchanged when way is already MRU.
+func promote(x uint64, way int) uint64 {
+	sh := uint(way&7) * 8 // way < 8 already; the mask drops a shift check
+	r := x >> sh & 0xFF
+	if r == 0 {
+		return x
+	}
+	// (rank_i | 0x80) - r keeps lane i's high bit exactly when rank_i >= r,
+	// and never borrows across lanes because ranks are at most 7; below
+	// flags the lanes ranked more recent than the promoted way.
+	below := ((x|lanes80)-r*lanes01)&lanes80 ^ lanes80
+	return (x + below>>7) &^ (0xFF << sh)
+}
+
+// victim returns the way a fill replaces: the first invalid way, else the
+// LRU way — the lane whose rank is assoc-1, found with a zero-byte test.
+func (c *Cache) victim(set int, ways []uint64) int {
+	for i, w := range ways {
+		if w&flagValid == 0 {
+			return i
+		}
+	}
+	x := c.rank[set] ^ c.lruRank
+	return bits.TrailingZeros64((x-lanes01)&^x&lanes80) >> 3
 }
 
 // AccessResult reports the outcome of one cache access.
@@ -161,68 +207,46 @@ func (c *Cache) Access(addr uint64, words int, isWrite bool, owner Owner) Access
 	if owner == OwnerOS {
 		c.stats.OSAccesses += uint64(words)
 	}
-	set, tag := c.index(addr)
-	base := set * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	for i, t := range tags {
-		if t == tag && c.meta[base+i]&metaValid != 0 {
-			j := base + i
-			c.lru[j] = c.stamp
-			m := c.meta[j]&^metaOS | ownerMeta(owner)
-			if isWrite {
-				m |= metaDirty
-			}
-			c.meta[j] = m
+	flags := ownerFlag(owner)
+	if isWrite {
+		flags |= flagDirty
+	}
+	set, ways, key := c.lookup(addr)
+	rank := &c.rank[set]
+	x := *rank // loaded ahead of the scan, off the hit's critical path
+	for i, w := range ways {
+		if w&^(flagDirty|flagOS) == key {
+			ways[i] = w&^flagOS | flags
+			*rank = promote(x, i)
 			return AccessResult{Hit: true}
 		}
 	}
-	// Miss: fill into invalid way or LRU victim. One fused pass: the first
-	// invalid way wins outright; otherwise the earliest minimum-lru way does —
-	// identical victim choice to separate invalid-then-LRU scans.
 	c.stats.Misses++
 	if owner == OwnerOS {
 		c.stats.OSMisses++
 	}
-	lru := c.lru[base : base+c.assoc]
-	victim, filled := 0, false
-	for i := range tags {
-		if c.meta[base+i]&metaValid == 0 {
-			victim = i
-			filled = true
-			break
-		}
-		if lru[i] < lru[victim] {
-			victim = i
-		}
-	}
 	var res AccessResult
-	j := base + victim
-	if !filled {
+	v := c.victim(set, ways)
+	if w := ways[v]; w&flagValid != 0 {
 		res.Evicted = true
-		res.EvictedDirty = c.meta[j]&metaDirty != 0
-		res.EvictedAddr = tags[victim] << c.blkShift
+		res.EvictedDirty = w&flagDirty != 0
+		res.EvictedAddr = w &^ (flagValid | flagDirty | flagOS) << c.blkShift
 		c.stats.Evictions++
 		if res.EvictedDirty {
 			c.stats.Writebacks++
 		}
 	}
-	tags[victim] = tag
-	lru[victim] = c.stamp
-	m := metaValid | ownerMeta(owner)
-	if isWrite {
-		m |= metaDirty
-	}
-	c.meta[j] = m
+	ways[v] = key | flags
+	*rank = promote(x, v)
 	return res
 }
 
 // Probe reports whether addr is present without disturbing LRU state or
 // counters. Used by tests and by the warmup checker.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	base := set * c.assoc
-	for i, t := range c.tags[base : base+c.assoc] {
-		if t == tag && c.meta[base+i]&metaValid != 0 {
+	_, ways, key := c.lookup(addr)
+	for _, w := range ways {
+		if w&^(flagDirty|flagOS) == key {
 			return true
 		}
 	}
@@ -230,22 +254,15 @@ func (c *Cache) Probe(addr uint64) bool {
 }
 
 // InvalidateAll drops every line (TLB shootdown / flush semantics).
-func (c *Cache) InvalidateAll() {
-	clear(c.tags)
-	clear(c.lru)
-	clear(c.meta)
-}
+func (c *Cache) InvalidateAll() { clear(c.ways) }
 
 // Invalidate drops addr's line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	base := set * c.assoc
-	for i, t := range c.tags[base : base+c.assoc] {
-		j := base + i
-		if t == tag && c.meta[j]&metaValid != 0 {
-			d := c.meta[j]&metaDirty != 0
-			c.tags[j], c.lru[j], c.meta[j] = 0, 0, 0
-			return true, d
+	_, ways, key := c.lookup(addr)
+	for i, w := range ways {
+		if w&^(flagDirty|flagOS) == key {
+			ways[i] = 0
+			return true, w&flagDirty != 0
 		}
 	}
 	return false, false
@@ -257,37 +274,29 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // replay a fast-forwarded OS service's working set: the service's phantom
 // lines compete for capacity like the real lines would have, but the
 // predicted miss counts — which are accounted separately — are not
-// double-counted.
-func (c *Cache) Touch(addr uint64) {
+// double-counted. A displaced valid line counts as a pollution eviction.
+func (c *Cache) Touch(addr uint64) { c.fill(addr, flagOS, true) }
+
+// Fill is Touch for a hardware prefetch: the line is tagged with the
+// requester's owner and a displaced line is not counted as pollution.
+func (c *Cache) Fill(addr uint64, owner Owner) { c.fill(addr, ownerFlag(owner), false) }
+
+func (c *Cache) fill(addr, flags uint64, polluting bool) {
 	c.stamp++
-	set, tag := c.index(addr)
-	base := set * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	for i, t := range tags {
-		if t == tag && c.meta[base+i]&metaValid != 0 {
-			c.lru[base+i] = c.stamp
-			c.meta[base+i] |= metaOS
+	set, ways, key := c.lookup(addr)
+	for i, w := range ways {
+		if w&^(flagDirty|flagOS) == key {
+			ways[i] = w&^flagOS | flags
+			c.rank[set] = promote(c.rank[set], i)
 			return
 		}
 	}
-	lru := c.lru[base : base+c.assoc]
-	victim, filled := 0, false
-	for i := range tags {
-		if c.meta[base+i]&metaValid == 0 {
-			victim = i
-			filled = true
-			break
-		}
-		if lru[i] < lru[victim] {
-			victim = i
-		}
-	}
-	if !filled {
+	v := c.victim(set, ways)
+	if polluting && ways[v]&flagValid != 0 {
 		c.stats.PollutionEv++
 	}
-	tags[victim] = tag
-	lru[victim] = c.stamp
-	c.meta[base+victim] = metaValid | metaOS
+	ways[v] = key | flags
+	c.rank[set] = promote(c.rank[set], v)
 }
 
 // InjectPollution models the working-set displacement an OS service would
@@ -304,44 +313,32 @@ func (c *Cache) InjectPollution(n int, rng *rand.Rand) {
 	for i := 0; i < n; i++ {
 		c.stamp++
 		set := rng.Intn(c.numSets)
-		base := set * c.assoc
-		lru := c.lru[base : base+c.assoc]
-		victim, filled := 0, false
+		base := set << c.assocLog
+		ways := c.ways[base : base+c.assoc]
 		// Invalid line first: pollution then consumes capacity without
 		// displacing live data; otherwise the least-recently-used line, any
 		// owner — stale lines the OS itself left behind are displaced like
 		// any other.
-		for w := range lru {
-			if c.meta[base+w]&metaValid == 0 {
-				victim = w
-				filled = true
-				break
-			}
-			if lru[w] < lru[victim] {
-				victim = w
-			}
-		}
-		if !filled {
+		v := c.victim(set, ways)
+		if ways[v]&flagValid != 0 {
 			c.stats.PollutionEv++
 		}
 		// Placeholder tag outside any allocated region; unique per injection
 		// so placeholder lines never alias real data.
 		phantom := (uint64(0xF0000000_00000000) | c.stamp<<c.blkShift) >> c.blkShift
-		c.tags[base+victim] = phantom
-		lru[victim] = c.stamp
-		c.meta[base+victim] = metaValid | metaOS
+		ways[v] = phantom | flagValid | flagOS
+		c.rank[set] = promote(c.rank[set], v)
 	}
 }
 
 // OwnedLines counts valid lines per owner; used by tests and diagnostics.
 func (c *Cache) OwnedLines() (app, os int) {
-	for _, m := range c.meta {
-		if m&metaValid == 0 {
-			continue
-		}
-		if metaOwner(m) == OwnerApp {
+	for _, w := range c.ways {
+		switch {
+		case w&flagValid == 0:
+		case w&flagOS == 0:
 			app++
-		} else {
+		default:
 			os++
 		}
 	}

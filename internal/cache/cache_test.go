@@ -196,12 +196,21 @@ func TestStatsConservation(t *testing.T) {
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-power-of-two set count should panic")
-		}
-	}()
-	New(Config{Name: "bad", Size: 3000, Assoc: 3, BlockSize: 64})
+	for why, cfg := range map[string]Config{
+		"non-power-of-two set count": {Name: "bad", Size: 3000, Assoc: 4, BlockSize: 64},
+		"non-power-of-two ways":      {Name: "bad", Size: 12288, Assoc: 3, BlockSize: 64},
+		"more than 8 ways":           {Name: "bad", Size: 1 << 20, Assoc: 16, BlockSize: 64},
+		"blocks too small for flags": {Name: "bad", Size: 4096, Assoc: 4, BlockSize: 4},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic", why)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }
 
 func TestStatsSubAdd(t *testing.T) {

@@ -1,0 +1,247 @@
+package cache
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// refCache is the stamp-based LRU model the packed cache replaced: separate
+// tag, last-touch-stamp and flag arrays, and a victim scan for the smallest
+// stamp. FuzzCacheReference drives both through the same operations.
+type refCache struct {
+	tags, lru []uint64
+	meta      []uint8
+	assoc     int
+	numSets   int
+	blkShift  uint
+	setMask   uint64
+	stamp     uint64
+	stats     Stats
+}
+
+const (
+	refValid = 1 << iota
+	refDirty
+	refOS
+)
+
+func newRef(cfg Config) *refCache {
+	numSets := cfg.Size / (cfg.Assoc * cfg.BlockSize)
+	r := &refCache{assoc: cfg.Assoc, numSets: numSets, setMask: uint64(numSets - 1)}
+	for s := 1; s < cfg.BlockSize; s <<= 1 {
+		r.blkShift++
+	}
+	r.tags = make([]uint64, numSets*cfg.Assoc)
+	r.lru = make([]uint64, numSets*cfg.Assoc)
+	r.meta = make([]uint8, numSets*cfg.Assoc)
+	return r
+}
+
+func refOwner(o Owner) uint8 {
+	if o == OwnerOS {
+		return refOS
+	}
+	return 0
+}
+
+func (r *refCache) find(addr uint64) (base int, tag uint64, hit int) {
+	blk := addr >> r.blkShift
+	base = int(blk&r.setMask) * r.assoc
+	for i := 0; i < r.assoc; i++ {
+		if r.tags[base+i] == blk && r.meta[base+i]&refValid != 0 {
+			return base, blk, i
+		}
+	}
+	return base, blk, -1
+}
+
+// victim is the original fused scan: the first invalid way, else the
+// earliest way with the smallest stamp.
+func (r *refCache) victim(base int) (way int, filled bool) {
+	for i := 0; i < r.assoc; i++ {
+		if r.meta[base+i]&refValid == 0 {
+			return i, true
+		}
+		if r.lru[base+i] < r.lru[base+way] {
+			way = i
+		}
+	}
+	return way, false
+}
+
+func (r *refCache) Access(addr uint64, words int, isWrite bool, owner Owner) AccessResult {
+	if words < 1 {
+		words = 1
+	}
+	r.stamp++
+	r.stats.Accesses += uint64(words)
+	if owner == OwnerOS {
+		r.stats.OSAccesses += uint64(words)
+	}
+	m := refOwner(owner)
+	if isWrite {
+		m |= refDirty
+	}
+	base, tag, hit := r.find(addr)
+	if hit >= 0 {
+		j := base + hit
+		r.lru[j] = r.stamp
+		r.meta[j] = r.meta[j]&^refOS | m
+		return AccessResult{Hit: true}
+	}
+	r.stats.Misses++
+	if owner == OwnerOS {
+		r.stats.OSMisses++
+	}
+	v, filled := r.victim(base)
+	j := base + v
+	var res AccessResult
+	if !filled {
+		res.Evicted = true
+		res.EvictedDirty = r.meta[j]&refDirty != 0
+		res.EvictedAddr = r.tags[j] << r.blkShift
+		r.stats.Evictions++
+		if res.EvictedDirty {
+			r.stats.Writebacks++
+		}
+	}
+	r.tags[j], r.lru[j], r.meta[j] = tag, r.stamp, refValid|m
+	return res
+}
+
+func (r *refCache) fill(addr uint64, m uint8, polluting bool) {
+	r.stamp++
+	base, tag, hit := r.find(addr)
+	if hit >= 0 {
+		r.lru[base+hit] = r.stamp
+		r.meta[base+hit] = r.meta[base+hit]&^refOS | m
+		return
+	}
+	v, filled := r.victim(base)
+	if polluting && !filled {
+		r.stats.PollutionEv++
+	}
+	r.tags[base+v], r.lru[base+v], r.meta[base+v] = tag, r.stamp, refValid|m
+}
+
+func (r *refCache) InjectPollution(n int, rng *rand.Rand) {
+	for i := 0; i < n; i++ {
+		r.stamp++
+		base := rng.Intn(r.numSets) * r.assoc
+		v, filled := r.victim(base)
+		if !filled {
+			r.stats.PollutionEv++
+		}
+		r.tags[base+v] = (uint64(0xF0000000_00000000) | r.stamp<<r.blkShift) >> r.blkShift
+		r.lru[base+v], r.meta[base+v] = r.stamp, refValid|refOS
+	}
+}
+
+func (r *refCache) Invalidate(addr uint64) (present, dirty bool) {
+	base, _, hit := r.find(addr)
+	if hit < 0 {
+		return false, false
+	}
+	j := base + hit
+	d := r.meta[j]&refDirty != 0
+	r.tags[j], r.lru[j], r.meta[j] = 0, 0, 0
+	return true, d
+}
+
+func (r *refCache) InvalidateAll() {
+	clear(r.tags)
+	clear(r.lru)
+	clear(r.meta)
+}
+
+func (r *refCache) Probe(addr uint64) bool {
+	_, _, hit := r.find(addr)
+	return hit >= 0
+}
+
+func (r *refCache) OwnedLines() (app, os int) {
+	for _, m := range r.meta {
+		switch {
+		case m&refValid == 0:
+		case m&refOS == 0:
+			app++
+		default:
+			os++
+		}
+	}
+	return
+}
+
+// FuzzCacheReference checks the packed cache (flag-folded way words, per-set
+// recency ranks) against the stamp-based reference on random operation
+// sequences at associativity 1, 2, 4 and 8: every AccessResult, Stats,
+// Probe, Invalidate and OwnedLines must match after every operation.
+// Addresses stay below 2^56, so they never alias a pollution phantom.
+func FuzzCacheReference(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 2, 0, 1, 2, 0, 1, 2})
+	f.Add([]byte{0, 9, 9, 9, 9, 9, 9})
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{64, 512, 4096} {
+		b := make([]byte, n)
+		rng.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		assoc := 1 << (data[0] & 3)
+		cfg := Config{Name: "fuzz", Size: assoc * 64 * 8, Assoc: assoc, BlockSize: 64}
+		c, ref := New(cfg), newRef(cfg)
+		seed := int64(data[0])
+		crng, rrng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		data = data[1:]
+		for len(data) >= 4 {
+			op, a0, a1, a2 := data[0], data[1], data[2], data[3]
+			data = data[4:]
+			// 64 lines over 8 sets keeps hits and evictions frequent; a2's
+			// top bits occasionally move the line far away (still < 2^56).
+			addr := uint64(a0&63)<<6 | uint64(a1&63) | uint64(a2>>5)<<53
+			owner := Owner(a1 >> 7)
+			switch op % 8 {
+			case 0, 1, 2:
+				words, isWrite := int(a2&7), a1&64 != 0
+				if got, want := c.Access(addr, words, isWrite, owner), ref.Access(addr, words, isWrite, owner); got != want {
+					t.Fatalf("Access(%#x, %d, %v, %d) = %+v, reference %+v", addr, words, isWrite, owner, got, want)
+				}
+			case 3:
+				c.Touch(addr)
+				ref.fill(addr, refOS, true)
+			case 4:
+				c.Fill(addr, owner)
+				ref.fill(addr, refOwner(owner), false)
+			case 5:
+				n := int(a2 & 15)
+				c.InjectPollution(n, crng)
+				ref.InjectPollution(n, rrng)
+			case 6:
+				gp, gd := c.Invalidate(addr)
+				wp, wd := ref.Invalidate(addr)
+				if gp != wp || gd != wd {
+					t.Fatalf("Invalidate(%#x) = (%v, %v), reference (%v, %v)", addr, gp, gd, wp, wd)
+				}
+			case 7:
+				if a0 == 0 {
+					c.InvalidateAll()
+					ref.InvalidateAll()
+				}
+			}
+			if got, want := c.Stats(), ref.stats; got != want {
+				t.Fatalf("after op %d at %#x: stats %+v, reference %+v", op%8, addr, got, want)
+			}
+			if got, want := c.Probe(addr), ref.Probe(addr); got != want {
+				t.Fatalf("after op %d: Probe(%#x) = %v, reference %v", op%8, addr, got, want)
+			}
+			ga, gos := c.OwnedLines()
+			wa, wos := ref.OwnedLines()
+			if ga != wa || gos != wos {
+				t.Fatalf("after op %d: OwnedLines = (%d, %d), reference (%d, %d)", op%8, ga, gos, wa, wos)
+			}
+		}
+	})
+}

@@ -42,8 +42,10 @@ var opLatency = [...]uint64{
 // Core is a processor timing model. Exec consumes one dynamic instruction;
 // Now reports the cycle at which the most recent instruction committed.
 type Core interface {
-	// Exec runs one instruction attributed to owner (application or OS).
-	Exec(in *isa.Inst, owner cache.Owner)
+	// Exec runs one instruction attributed to owner (application or OS) and
+	// returns Now, saving the machine a second interface call per
+	// instruction.
+	Exec(in *isa.Inst, owner cache.Owner) uint64
 	// Now returns the current committed-time cycle counter.
 	Now() uint64
 	// Retired returns the number of committed instructions.
@@ -129,7 +131,7 @@ func max64(a, b uint64) uint64 {
 }
 
 // Exec implements Core.
-func (c *OOOCore) Exec(in *isa.Inst, owner cache.Owner) {
+func (c *OOOCore) Exec(in *isa.Inst, owner cache.Owner) uint64 {
 	cfg := &c.cfg
 	c.seq++
 	seq := c.seq
@@ -251,6 +253,7 @@ func (c *OOOCore) Exec(in *isa.Inst, owner cache.Owner) {
 	c.cmt[seq%histSize] = commit
 	c.lastCommit = commit
 	c.retired++
+	return commit
 }
 
 var _ Core = (*OOOCore)(nil)

@@ -49,7 +49,7 @@ func (c *InOrderCore) SkipTo(cycle uint64) {
 }
 
 // Exec implements Core.
-func (c *InOrderCore) Exec(in *isa.Inst, owner cache.Owner) {
+func (c *InOrderCore) Exec(in *isa.Inst, owner cache.Owner) uint64 {
 	start := c.now
 	if c.slot >= c.cfg.IssueWidth {
 		start++
@@ -124,6 +124,7 @@ func (c *InOrderCore) Exec(in *isa.Inst, owner cache.Owner) {
 		c.now, c.slot = done, 0
 	}
 	c.retired++
+	return c.now
 }
 
 var _ Core = (*InOrderCore)(nil)

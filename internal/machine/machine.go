@@ -471,6 +471,7 @@ func (m *Machine) Exec(in *isa.Inst) {
 			m.appSig.Branches++
 		}
 	}
+	var now uint64
 	if m.skipTiming() {
 		if m.emulating {
 			m.emuInsts++
@@ -488,10 +489,11 @@ func (m *Machine) Exec(in *isa.Inst) {
 			// prediction tops up the remainder when the app interval closes.
 			m.advanceVirtual()
 		}
+		now = m.core.Now()
 	} else {
-		m.core.Exec(in, owner)
+		now = m.core.Exec(in, owner)
 	}
-	if m.core.Now() >= m.next {
+	if now >= m.next {
 		m.pollEvents()
 	}
 }

@@ -170,6 +170,11 @@ func (h *Hierarchy) DRAMAccesses() uint64 { return h.dram }
 // memFill models one line fill from DRAM starting no earlier than cycle now:
 // MSHR admission, coalescing with an in-flight fill of the same line, bus
 // arbitration, and DRAM latency. It returns the cycle the line is available.
+//
+// inflight is kept in ascending ready order for free: every fill starts at
+// or after busFree and moves busFree past its start, so each start — and,
+// with a fixed MemLatency, each ready — is at least its predecessor's. reap
+// therefore retires a prefix and the earliest fill is inflight[0].
 func (h *Hierarchy) memFill(lineAddr, now uint64) uint64 {
 	// Coalesce with an outstanding fill of the same line.
 	h.reap(now)
@@ -181,13 +186,7 @@ func (h *Hierarchy) memFill(lineAddr, now uint64) uint64 {
 	start := now
 	// MSHR admission: if all MSHRs busy, wait for the earliest to retire.
 	if len(h.inflight) >= h.cfg.MSHRs {
-		earliest := h.inflight[0].ready
-		for _, m := range h.inflight[1:] {
-			if m.ready < earliest {
-				earliest = m.ready
-			}
-		}
-		if earliest > start {
+		if earliest := h.inflight[0].ready; earliest > start {
 			start = earliest
 		}
 		h.reap(start)
@@ -204,14 +203,15 @@ func (h *Hierarchy) memFill(lineAddr, now uint64) uint64 {
 	return ready
 }
 
+// reap retires the fills complete by cycle now: a prefix of inflight.
 func (h *Hierarchy) reap(now uint64) {
-	kept := h.inflight[:0]
-	for _, m := range h.inflight {
-		if m.ready > now {
-			kept = append(kept, m)
-		}
+	i := 0
+	for i < len(h.inflight) && h.inflight[i].ready <= now {
+		i++
 	}
-	h.inflight = kept
+	if i > 0 {
+		h.inflight = h.inflight[:copy(h.inflight, h.inflight[i:])]
+	}
 }
 
 // writebackToMem models a dirty L2 eviction: it consumes a bus slot but does
@@ -240,7 +240,7 @@ func (h *Hierarchy) accessL2(lineAddr, now uint64, isWrite bool, owner cache.Own
 			// consuming a bus slot but delaying no one.
 			next := lineAddr + uint64(h.cfg.L2.BlockSize)
 			if !h.l2.Probe(next) {
-				h.l2.Touch(next)
+				h.l2.Fill(next, owner)
 				h.memFill(next, now+uint64(h.cfg.L2.HitLatency))
 				h.prefetches++
 			}
@@ -260,6 +260,10 @@ func (h *Hierarchy) Data(addr uint64, size int, now uint64, isWrite bool, owner 
 	now = h.tlbLookup(h.dtlb, addr, now, owner)
 	bs := uint64(h.cfg.L1D.BlockSize)
 	first := h.l1d.LineAddr(addr)
+	if addr-first+uint64(size) <= bs {
+		// One line, the common case; dataLine never returns before now.
+		return h.dataLine(first, (size+7)/8, now, isWrite, owner)
+	}
 	last := h.l1d.LineAddr(addr + uint64(size) - 1)
 	avail := now
 	remaining := size
