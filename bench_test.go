@@ -581,10 +581,10 @@ func benchSnapshot(b *testing.B) *pltstore.Snapshot {
 	if err != nil {
 		b.Fatal(err)
 	}
-	learn := pltstore.LearnHash("ab-seq", opts.Machine, core.DefaultParams(), benchScale, "")
+	learn := pltstore.LearnHash("ab-seq", opts.Machine, core.DefaultParams(), benchScale, "", "")
 	return &pltstore.Snapshot{
 		LearnHash:  learn,
-		ReplayHash: pltstore.ReplayHash(learn, "bench:ab-seq", opts.Machine.Seed),
+		ReplayHash: pltstore.ReplayHash(learn, "bench:ab-seq", opts.Machine.Seed, 0),
 		Benchmark:  "ab-seq",
 		Key:        "bench:ab-seq",
 		Stats:      res.Stats,

@@ -33,8 +33,8 @@ import (
 
 func main() {
 	bench := flag.String("bench", "ab-rand", "benchmark name")
-	mode := flag.String("mode", "full", "simulation mode: full | apponly | accel")
-	strategy := flag.String("strategy", "statistical", "re-learning strategy for accel mode: bestmatch | eager | delayed | statistical")
+	mode := flag.String("mode", "full", "simulation mode: full | app (apponly) | accel")
+	strategy := flag.String("strategy", "statistical", "re-learning strategy for accel mode: statistical | best-match (bestmatch) | eager | delayed")
 	scale := flag.Float64("scale", 1.0, "workload size multiplier")
 	l2 := flag.Int("l2", 0, "L2 size in bytes (0 = default 1MB)")
 	seed := flag.Int64("seed", 1, "simulation seed")
@@ -122,31 +122,21 @@ func main() {
 		smp = sample.New(spec, opts.Machine.Seed)
 		opts.Sample = smp
 	}
+	simMode, err := machine.ParseMode(*mode)
+	if err != nil {
+		fail("%v", err)
+	}
+	strat, err := core.ParseStrategy(*strategy)
+	if err != nil {
+		fail("%v", err)
+	}
+	opts.Machine.Mode = simMode
 	var acc *core.Accelerator
-	switch *mode {
-	case "full":
-		opts.Machine.Mode = machine.FullSystem
-	case "apponly":
-		opts.Machine.Mode = machine.AppOnly
-	case "accel":
-		opts.Machine.Mode = machine.Accelerated
+	if simMode == machine.Accelerated {
 		params := core.DefaultParams()
-		switch *strategy {
-		case "bestmatch":
-			params.Strategy = core.BestMatch
-		case "eager":
-			params.Strategy = core.Eager
-		case "delayed":
-			params.Strategy = core.Delayed
-		case "statistical":
-			params.Strategy = core.Statistical
-		default:
-			fail("unknown strategy %q", *strategy)
-		}
+		params.Strategy = strat
 		acc = core.NewAccelerator(params)
 		opts.Sink = acc
-	default:
-		fail("unknown mode %q", *mode)
 	}
 
 	// Warm start: import a compatible persisted PLT before simulating; a
@@ -156,29 +146,22 @@ func main() {
 	// ineligible or missing donor is reported and the run stays cold — a
 	// transfer is never silent.
 	var store *pltstore.Store
-	var learnHash uint64
+	var params core.Params
 	warmed := false
 	var prov *transfer.Provenance
 	if acc != nil && *warmDir != "" {
 		store = pltstore.Open(*warmDir)
-		params := acc.Export().Params
-		learnHash = pltstore.LearnHash(*bench, opts.Machine, params, opts.Scale, "")
+		params = acc.Export().Params
+		learnHash := pltstore.LearnHash(*bench, opts.Machine, params, opts.Scale, "", "")
 		if snap, err := store.Load(*bench, learnHash); err == nil {
 			warmed = acc.Import(snap.State) == nil
 		}
 		if !warmed && *transferOn {
 			family := transfer.FamilyHash(*bench, opts.Machine, params, opts.Scale, "")
 			recip := transfer.FromConfig(opts.Machine)
-			if donor, dist, err := store.Nearest(family, recip); err == nil {
-				model := transfer.FitAnalytic(donor.Coords, recip)
-				if prior, rerr := transfer.Rescale(donor.State, model, params); rerr == nil && acc.Import(prior) == nil {
-					prov = &transfer.Provenance{
-						DonorBench: donor.Benchmark,
-						DonorAddr:  pltstore.FormatHash(donor.Family) + "/" + pltstore.FormatHash(donor.LearnHash),
-						Distance:   dist,
-						Scale:      model.L2M,
-						Hash:       transfer.TransferHash(donor.LearnHash, model),
-					}
+			if donor, err := pltstore.Nearest(store.Donors(), family, recip); err == nil {
+				if prior, p, err := pltstore.DonorPrior(donor, recip, params); err == nil && acc.Import(prior) == nil {
+					prov = p
 				}
 			}
 			if prov == nil {
@@ -196,18 +179,15 @@ func main() {
 		// TransferHash trailer, so they never overwrite — or later pose as —
 		// the cold-learned table of the same configuration (transferred
 		// snapshots are not donor-eligible: priors must not chain).
-		params := acc.Export().Params
 		runKey := "fssim:" + *bench
-		saveLearn, xferHash := learnHash, uint64(0)
-		replay := pltstore.ReplayHash(learnHash, runKey, opts.Machine.Seed)
+		directive, xferHash := "", uint64(0)
 		if prov != nil {
-			saveLearn = pltstore.LearnHashWith(*bench, opts.Machine, params, opts.Scale, "", "store")
-			xferHash = prov.Hash
-			replay = pltstore.TransferReplayHash(saveLearn, runKey, opts.Machine.Seed, prov.Hash)
+			directive, xferHash = "store", prov.Hash
 		}
+		learnHash := pltstore.LearnHash(*bench, opts.Machine, params, opts.Scale, "", directive)
 		snap := &pltstore.Snapshot{
-			LearnHash:    saveLearn,
-			ReplayHash:   replay,
+			LearnHash:    learnHash,
+			ReplayHash:   pltstore.ReplayHash(learnHash, runKey, opts.Machine.Seed, xferHash),
 			Benchmark:    *bench,
 			Key:          runKey,
 			Family:       transfer.FamilyHash(*bench, opts.Machine, params, opts.Scale, ""),

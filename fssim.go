@@ -57,6 +57,7 @@ import (
 	"fssim/internal/sample"
 	"fssim/internal/server"
 	"fssim/internal/trace"
+	"fssim/internal/transfer"
 	"fssim/internal/workload"
 )
 
@@ -276,13 +277,15 @@ func RunBenchmark(name string, o Options) (*Report, error) {
 		return nil, err
 	}
 	var store *pltstore.Store
+	var params core.Params
 	var learn uint64
 	warmed := false
 	if acc != nil && o.WarmDir != "" {
 		store = pltstore.Open(o.WarmDir)
 		// Export on the fresh accelerator yields the exact Params it was
 		// built with, so the hash gates on what this run would learn under.
-		learn = pltstore.LearnHash(name, opts.Machine, acc.Export().Params, opts.Scale, "")
+		params = acc.Export().Params
+		learn = pltstore.LearnHash(name, opts.Machine, params, opts.Scale, "", "")
 		if snap, err := store.Load(name, learn); err == nil {
 			warmed = acc.Import(snap.State) == nil
 		}
@@ -292,11 +295,15 @@ func RunBenchmark(name string, o Options) (*Report, error) {
 		return nil, err
 	}
 	if store != nil {
+		// Family and Coords make the table a transfer donor for neighboring
+		// configurations, exactly as one learned through the fssim CLI.
 		snap := &pltstore.Snapshot{
 			LearnHash:  learn,
-			ReplayHash: pltstore.ReplayHash(learn, "fssim:"+name, opts.Machine.Seed),
+			ReplayHash: pltstore.ReplayHash(learn, "fssim:"+name, opts.Machine.Seed, 0),
 			Benchmark:  name,
 			Key:        "fssim:" + name,
+			Family:     transfer.FamilyHash(name, opts.Machine, params, opts.Scale, ""),
+			Coords:     transfer.FromConfig(opts.Machine),
 			Stats:      res.Stats,
 			State:      acc.Export(),
 		}

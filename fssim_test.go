@@ -4,6 +4,11 @@ import (
 	"testing"
 
 	"fssim"
+	"fssim/internal/core"
+	"fssim/internal/machine"
+	"fssim/internal/pltstore"
+	"fssim/internal/transfer"
+	"fssim/internal/workload"
 )
 
 func TestPublicRunBenchmark(t *testing.T) {
@@ -130,5 +135,29 @@ func TestPublicWarmStart(t *testing.T) {
 	}
 	if rerun.WarmStarted {
 		t.Error("scale change still warm-started: hash gate missed a config field")
+	}
+}
+
+// TestPublicWarmStartDonates: a table learned through the library carries
+// its sweep family and coordinates, so it donates to a neighboring L2
+// configuration exactly as one learned through the fssim CLI does.
+func TestPublicWarmStartDonates(t *testing.T) {
+	dir := t.TempDir()
+	opts := fssim.Options{Mode: fssim.Accelerated, Strategy: fssim.Statistical,
+		Scale: 0.1, L2Size: 512 << 10, WarmDir: dir}
+	if _, err := fssim.RunBenchmark("ab-rand", opts); err != nil {
+		t.Fatal(err)
+	}
+	recip := workload.DefaultOptions().Machine
+	recip.Mode = machine.Accelerated
+	params := core.DefaultParams()
+	params.Strategy = core.Statistical
+	family := transfer.FamilyHash("ab-rand", recip, params, opts.Scale, "")
+	donor, err := pltstore.Nearest(pltstore.Open(dir).Donors(), family, transfer.FromConfig(recip))
+	if err != nil {
+		t.Fatalf("no donor for the 1MB recipient: %v", err)
+	}
+	if donor.Benchmark != "ab-rand" || donor.Coords.L2Size != 512<<10 {
+		t.Errorf("donor %s with L2 %d, want the 512KB ab-rand table", donor.Benchmark, donor.Coords.L2Size)
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"strings"
+
 	"fssim/internal/isa"
 	"fssim/internal/machine"
 	"fssim/internal/stats"
@@ -27,6 +30,22 @@ const (
 var strategyNames = [...]string{"Best-Match", "Eager", "Delayed", "Statistical"}
 
 func (s Strategy) String() string { return strategyNames[s] }
+
+// ParseStrategy resolves a strategy name, case-insensitively: "" or
+// "statistical", "best-match" (also "bestmatch"), "eager" and "delayed".
+func ParseStrategy(s string) (Strategy, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "", "statistical":
+		return Statistical, nil
+	case "best-match", "bestmatch":
+		return BestMatch, nil
+	case "eager":
+		return Eager, nil
+	case "delayed":
+		return Delayed, nil
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want statistical, best-match, eager or delayed)", s)
+}
 
 // Strategies lists all four in the paper's comparison order (Fig 11).
 func Strategies() []Strategy { return []Strategy{BestMatch, Statistical, Delayed, Eager} }

@@ -42,17 +42,23 @@ func faultsVariants() []faultsVariant {
 
 // faultsKey builds the cache key for one variant's faulted accelerated run.
 func faultsKey(cfg Config, name string, v faultsVariant) RunKey {
-	k := cfg.accelKey(name, v.strategy, 0).withFaults(faultsPlan)
-	if v.watchdog {
-		k = k.withWatchdog()
-	}
+	k := cfg.accelKey(name, v.strategy, 0)
+	k.Faults, k.Watchdog = faultsPlan, v.watchdog
+	return k
+}
+
+// faultsTruthKey is the faulted full-system run every variant is scored
+// against.
+func faultsTruthKey(cfg Config, name string) RunKey {
+	k := cfg.benchKey(name, machine.FullSystem, 0)
+	k.Faults = faultsPlan
 	return k
 }
 
 func faultsExpNeeds(cfg Config) []RunKey {
 	var keys []RunKey
 	for _, name := range faultsBenches() {
-		keys = append(keys, cfg.benchKey(name, machine.FullSystem, 0).withFaults(faultsPlan))
+		keys = append(keys, faultsTruthKey(cfg, name))
 		for _, v := range faultsVariants() {
 			keys = append(keys, faultsKey(cfg, name, v))
 		}
@@ -79,7 +85,7 @@ func FaultsExp(cfg Config) (*Result, error) {
 	aggs := make(map[string]*agg)
 	var degradedServices int
 	for _, name := range faultsBenches() {
-		full, err := getKey(cfg, cfg.benchKey(name, machine.FullSystem, 0).withFaults(faultsPlan))
+		full, err := getKey(cfg, faultsTruthKey(cfg, name))
 		if err != nil {
 			return nil, err
 		}

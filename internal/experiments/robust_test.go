@@ -156,7 +156,9 @@ func TestAttemptSeedDerivation(t *testing.T) {
 	}
 	// Faulted keys derive different seeds; unfaulted derivation is unchanged
 	// by the existence of the Faults field (byte-identity guarantee).
-	if key.withFaults("mild").DeriveSeed() == key.DeriveSeed() {
+	faulted := key
+	faulted.Faults = "mild"
+	if faulted.DeriveSeed() == key.DeriveSeed() {
 		t.Error("fault plan does not separate derived seeds")
 	}
 }

@@ -1,0 +1,241 @@
+package experiments
+
+import (
+	"fmt"
+	"hash/fnv"
+	"io"
+	"math"
+
+	"fssim/internal/core"
+	"fssim/internal/machine"
+	"fssim/internal/pltstore"
+	"fssim/internal/transfer"
+	"fssim/internal/workload"
+)
+
+// RunKey is the single typed description of one simulation. The experiment
+// runners, the serving front-end and the warm store all derive every
+// identity they use from it through the projections in this file, so two
+// layers can never disagree about which runs are "the same". The paper's
+// baselines (full-system App+OS at the default L2, for example) are needed by
+// fig1, fig2, fig8, fig9, fig10 and tab2, but as one key they are simulated
+// exactly once per Scheduler.
+//
+// Keys are compared (and used as memo-cache map keys) only in Normalized
+// form. Which fields feed which identity:
+//
+//	field     | seed | String | ID | learn | replay | family
+//	----------+------+--------+----+-------+--------+-------
+//	Bench     |  x   |   x    | x  |   x   |   x    |   x
+//	Mode      |  x   |   x    | x  |   x   |   x    |   x
+//	L2        |  x   |   x    | x  |   x   |   x    |   -
+//	Scale     |  x   |   x    | x  |   x   |   x    |   x
+//	Seed      |  x   |   -    | x  |   -   |   x    |   -
+//	Strategy  |  x   |   x    | x  |   x   |   x    |   x
+//	Watchdog  |  x   |   x    | x  |   x   |   x    |   x
+//	Faults    |  x   |   x    | x  |   x   |   x    |   x
+//	Sample    |  -   |   x    | x  |   -   |   x    |   -
+//	Transfer  |  -   |   x    | x  |   x   |   x    |   -
+//
+// Strategy and Watchdog exist only on Accelerated keys: Normalized zeroes
+// them elsewhere, so on a full-system or app-only key they feed nothing.
+// The learn, replay and family addresses are only ever stored for
+// Accelerated keys (see Scheduler.warmEligible).
+type RunKey struct {
+	Bench string
+	Mode  machine.SimMode
+	L2    int // L2 size in bytes; 0 = the platform default
+	Scale float64
+	Seed  int64 // the config's base seed; the run's machine seed is derived
+	// Strategy is the re-learning policy of an Accelerated run.
+	Strategy core.Strategy
+	// Watchdog arms the prediction-divergence watchdog on an Accelerated run.
+	Watchdog bool
+	// Faults names a faults.Named plan injected into the run ("" = none).
+	// The plan is derived from the config's base Seed, not the per-run
+	// machine seed, so every mode and strategy of one config experiences
+	// the identical fault schedule and stays comparable.
+	Faults string
+	// Sample is the canonical sample.Spec string of the application-interval
+	// stratified-sampling policy ("" = every app interval detailed). A
+	// sampled run replays the exact workload trajectory of its unsampled
+	// twin, so comparing the two measures pure estimator error, not
+	// seed-to-seed variance.
+	Sample string
+	// Transfer is the canonical transfer.Spec directive for warm-starting
+	// this run's PLT from a neighbor configuration ("" = cold start). Like
+	// Sample it leaves the seed alone: the transferred run replays its cold
+	// twin's trajectory, so any divergence is the imported priors' doing.
+	Transfer string
+}
+
+// Normalized applies every default, so all spellings of one run are one
+// key: the platform-default L2 becomes 0, a non-positive scale 1, a zero
+// seed 1, and Strategy and Watchdog are cleared on keys that are not
+// Accelerated. It is idempotent.
+func (k RunKey) Normalized() RunKey {
+	if k.L2 == defaultL2() {
+		k.L2 = 0
+	}
+	if k.Scale <= 0 {
+		k.Scale = 1.0
+	}
+	if k.Seed == 0 {
+		k.Seed = 1
+	}
+	if k.Mode != machine.Accelerated {
+		k.Strategy, k.Watchdog = 0, false
+	}
+	return k
+}
+
+// opts is the word that encodes Strategy and Watchdog in DeriveSeed and
+// String: uint64(strategy)+1 in the low byte, the watchdog at bit 8, and 0
+// for keys that are not Accelerated. The encoding predates the typed fields
+// and is kept so derived seeds, key strings and every address built on them
+// stay byte-identical.
+func (k RunKey) opts() uint64 {
+	if k.Mode != machine.Accelerated {
+		return 0
+	}
+	w := uint64(k.Strategy) + 1
+	if k.Watchdog {
+		w |= 1 << 8
+	}
+	return w
+}
+
+// --- seed: DeriveSeed, AttemptSeed ------------------------------------------
+// Fed by every field but Sample and Transfer.
+
+// DeriveSeed maps the base seed and the key's coordinates to the seed the
+// run's machine uses. Deriving per-run seeds (rather than handing every run
+// the same base seed) makes each simulation's randomness a pure function of
+// what is being simulated, so results are independent of scheduling order
+// and of which other experiments happen to share the cache. Sample and
+// Transfer are not hashed: both variants must replay the workload trajectory
+// of the plain run at the same coordinates for error attribution to mean
+// anything.
+func (k RunKey) DeriveSeed() int64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%d|%d|%x|%d|%d",
+		k.Bench, k.Mode, k.L2, math.Float64bits(k.Scale), k.Seed, k.opts())
+	// Appended only for faulted keys so unfaulted runs keep the seeds they
+	// had before fault injection existed.
+	if k.Faults != "" {
+		fmt.Fprintf(h, "|faults=%s", k.Faults)
+	}
+	return positive(h.Sum64())
+}
+
+// AttemptSeed is the machine seed for the given retry attempt: attempt 0 is
+// DeriveSeed itself (preserving established results); each retry derives a
+// fresh seed so a failure tied to one random trajectory is not replayed
+// verbatim. Still a pure function of (key, attempt) — retries are as
+// deterministic as first attempts.
+func (k RunKey) AttemptSeed(attempt int) int64 {
+	if attempt <= 0 {
+		return k.DeriveSeed()
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|retry=%d", k.DeriveSeed(), attempt)
+	return positive(h.Sum64())
+}
+
+// positive folds a hash into a non-zero, non-negative seed.
+func positive(h uint64) int64 {
+	if s := int64(h &^ (1 << 63)); s != 0 {
+		return s
+	}
+	return 1
+}
+
+// --- result: the map key, String, ID ----------------------------------------
+// The map key is the whole normalized struct; String is every field but
+// Seed; ID is every field.
+
+// String renders the key compactly for notes, error messages and snapshot
+// diagnostics. It omits Seed; ID adds it back.
+func (k RunKey) String() string {
+	s := fmt.Sprintf("%s/%s/L2=%d/scale=%g", k.Bench, k.Mode, k.L2, k.Scale)
+	if o := k.opts(); o != 0 {
+		s += fmt.Sprintf("/opts=%d", o)
+	}
+	if k.Faults != "" {
+		s += "/faults=" + k.Faults
+	}
+	if k.Sample != "" {
+		s += "/sample=" + k.Sample
+	}
+	if k.Transfer != "" {
+		s += "/transfer=" + k.Transfer
+	}
+	return s
+}
+
+// ID is the deterministic public id of the run — the one a serving
+// front-end hands out: identical requests, from any client at any time, map
+// to the same id.
+func (k RunKey) ID() string {
+	h := fnv.New64a()
+	io.WriteString(h, k.String())
+	fmt.Fprintf(h, "|seed=%d", k.Seed)
+	return fmt.Sprintf("r%016x", h.Sum64())
+}
+
+// --- learn address: warmLearnHash -------------------------------------------
+// Fed by every field but Seed and Sample.
+
+// warmLearnHash is the snapshot address of key's configuration. The transfer
+// directive is part of the address: a transferred run's learned table is
+// shaped by the imported priors and must never be mistaken for (or overwrite)
+// the cold-learned table of the identical configuration.
+func warmLearnHash(key RunKey) uint64 {
+	return pltstore.LearnHash(key.Bench, machineConfigFor(key), accelParamsFor(key),
+		key.Scale, key.Faults, key.Transfer)
+}
+
+// --- replay address: warmReplayHash -----------------------------------------
+// Fed by every field, plus the provenance hash of a transferred run.
+
+// warmReplayHash is the exact-replay address of key. transferHash is the
+// provenance hash of the donor and model a transferred run imported (0 for
+// a cold run), so a snapshot recorded under one donor never replays for an
+// invocation that resolved a different one.
+func warmReplayHash(key RunKey, transferHash uint64) uint64 {
+	return pltstore.ReplayHash(warmLearnHash(key), key.String(), key.DeriveSeed(), transferHash)
+}
+
+// --- family: familyHash -----------------------------------------------------
+// Fed by every field but L2, Seed, Sample and Transfer.
+
+// familyHash is the sweep-family address of key: its learn address minus the
+// swept machine coordinates (L2 among them) and the transfer directive.
+func familyHash(key RunKey) uint64 {
+	return transfer.FamilyHash(key.Bench, machineConfigFor(key), accelParamsFor(key),
+		key.Scale, key.Faults)
+}
+
+// machineConfigFor is the machine configuration a run of key uses (with the
+// first attempt's derived seed), shared by the run itself and by every
+// address, so an address always reflects the configuration simulated.
+func machineConfigFor(key RunKey) machine.Config {
+	mcfg := workload.DefaultOptions().Machine
+	mcfg.Mode = key.Mode
+	mcfg.Seed = key.DeriveSeed()
+	if key.L2 > 0 {
+		mcfg.Mem = mcfg.Mem.WithL2Size(key.L2)
+	}
+	return mcfg
+}
+
+// accelParamsFor is the acceleration parameter set an Accelerated key encodes.
+func accelParamsFor(key RunKey) core.Params {
+	params := core.DefaultParams()
+	params.Strategy = key.Strategy
+	if key.Watchdog {
+		params.WatchdogThreshold = core.DefaultWatchdogThreshold
+		params.WatchdogWindow = core.DefaultWatchdogWindow
+	}
+	return params
+}

@@ -46,6 +46,12 @@ func samplingBase(cfg Config, name string) RunKey {
 	return k
 }
 
+// sampledKey is base under the sampling preset.
+func sampledKey(base RunKey, preset string) RunKey {
+	base.Sample = samplingSpec(preset)
+	return base
+}
+
 // samplingSpec returns the canonical spec string of a preset.
 func samplingSpec(preset string) string {
 	sp, err := sample.ParseSpec(preset)
@@ -61,7 +67,7 @@ func samplingNeeds(cfg Config) []RunKey {
 		base := samplingBase(cfg, name)
 		keys = append(keys, base)
 		for _, preset := range samplingPresets {
-			keys = append(keys, base.withSample(samplingSpec(preset)))
+			keys = append(keys, sampledKey(base, preset))
 		}
 	}
 	return keys
@@ -83,7 +89,7 @@ func SamplingExp(cfg Config) (*Result, error) {
 		}
 		refCPI := cpiOf(ref.res.Stats)
 		for _, preset := range samplingPresets {
-			out, err := getKey(cfg, base.withSample(samplingSpec(preset)))
+			out, err := getKey(cfg, sampledKey(base, preset))
 			if err != nil {
 				return nil, err
 			}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"os"
 	"runtime/debug"
 	"sort"
@@ -22,126 +20,6 @@ import (
 	"fssim/internal/transfer"
 	"fssim/internal/workload"
 )
-
-// RunKey identifies one distinct simulation in the harness's memo cache.
-// Two experiment runners asking for the same key share a single simulation:
-// the paper's baselines (full-system App+OS at the default L2, for example)
-// are needed by fig1, fig2, fig8, fig9, fig10 and tab2, but are simulated
-// exactly once per Scheduler.
-type RunKey struct {
-	Bench string
-	Mode  machine.SimMode
-	L2    int // L2 size in bytes; 0 = the platform default (keys are normalized)
-	Scale float64
-	Seed  int64 // the config's base seed; the run's machine seed is derived
-	// OptsHash discriminates option variants beyond (mode, L2). For
-	// Accelerated runs the low byte encodes the re-learning strategy as
-	// uint64(strategy)+1 (0 for plain detailed/app-only runs); the
-	// watchdogOpt bit arms the divergence watchdog.
-	OptsHash uint64
-	// Faults names a faults.Named plan injected into the run ("" = none).
-	// The plan is derived from the config's base Seed, not the per-run
-	// machine seed, so every mode and strategy of one config experiences
-	// the identical fault schedule and stays comparable.
-	Faults string
-	// Sample is the canonical sample.Spec string of the application-interval
-	// stratified-sampling policy ("" = every app interval detailed). Part of
-	// the key — sampled and unsampled runs never share cache entries — but
-	// deliberately excluded from DeriveSeed: a sampled run replays the exact
-	// workload trajectory of its unsampled twin, so comparing the two
-	// measures pure estimator error, not seed-to-seed variance.
-	Sample string
-	// Transfer is the canonical transfer.Spec directive for warm-starting
-	// this run's PLT from a neighbor configuration ("" = cold start). Part
-	// of the key — a transferred run and its cold twin never share cache
-	// entries — but excluded from DeriveSeed for the same reason Sample is:
-	// the transferred run must replay the byte-identical workload trajectory
-	// of its cold twin so that any divergence is attributable purely to the
-	// imported priors, not to seed-to-seed variance.
-	Transfer string
-}
-
-// watchdogOpt is the OptsHash bit arming the prediction-divergence watchdog
-// on an Accelerated run. It sits above the low strategy byte.
-const watchdogOpt uint64 = 1 << 8
-
-// String renders the key compactly for notes and error messages.
-func (k RunKey) String() string {
-	s := fmt.Sprintf("%s/%s/L2=%d/scale=%g", k.Bench, k.Mode, k.L2, k.Scale)
-	if k.OptsHash != 0 {
-		s += fmt.Sprintf("/opts=%d", k.OptsHash)
-	}
-	if k.Faults != "" {
-		s += "/faults=" + k.Faults
-	}
-	if k.Sample != "" {
-		s += "/sample=" + k.Sample
-	}
-	if k.Transfer != "" {
-		s += "/transfer=" + k.Transfer
-	}
-	return s
-}
-
-// DeriveSeed maps the base seed and the key's coordinates to the seed the
-// run's machine uses. Deriving per-run seeds (rather than handing every run
-// the same base seed) makes each simulation's randomness a pure function of
-// what is being simulated, so results are independent of scheduling order
-// and of which other experiments happen to share the cache.
-func (k RunKey) DeriveSeed() int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%x|%d|%d",
-		k.Bench, k.Mode, k.L2, math.Float64bits(k.Scale), k.Seed, k.OptsHash)
-	// Appended only for faulted keys so unfaulted runs keep the seeds (and
-	// therefore the byte-identical tables) they had before fault injection
-	// existed.
-	if k.Faults != "" {
-		fmt.Fprintf(h, "|faults=%s", k.Faults)
-	}
-	// k.Sample and k.Transfer are intentionally NOT hashed: the sampler only
-	// decides which intervals are measured versus extrapolated, transfer only
-	// seeds the learners' prior tables, and both variants must replay the
-	// byte-identical workload trajectory of the plain run at the same
-	// coordinates for error attribution to be meaningful.
-	s := int64(h.Sum64() &^ (1 << 63)) // keep it non-negative for readability
-	if s == 0 {
-		s = 1
-	}
-	return s
-}
-
-// AttemptSeed is the machine seed for the given retry attempt: attempt 0 is
-// DeriveSeed itself (preserving established results); each retry derives a
-// fresh seed so a failure tied to one random trajectory is not replayed
-// verbatim. Still a pure function of (key, attempt) — retries are as
-// deterministic as first attempts.
-func (k RunKey) AttemptSeed(attempt int) int64 {
-	if attempt <= 0 {
-		return k.DeriveSeed()
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|retry=%d", k.DeriveSeed(), attempt)
-	s := int64(h.Sum64() &^ (1 << 63))
-	if s == 0 {
-		s = 1
-	}
-	return s
-}
-
-// accelStrategy recovers the re-learning strategy an Accelerated key encodes.
-func (k RunKey) accelStrategy() core.Strategy { return core.Strategy(k.OptsHash&0xff - 1) }
-
-// withFaults returns the key with the named fault plan applied.
-func (k RunKey) withFaults(plan string) RunKey { k.Faults = plan; return k }
-
-// withWatchdog returns the key with the divergence watchdog armed.
-func (k RunKey) withWatchdog() RunKey { k.OptsHash |= watchdogOpt; return k }
-
-// withSample returns the key with the given canonical sampling spec applied.
-func (k RunKey) withSample(spec string) RunKey { k.Sample = spec; return k }
-
-// withTransfer returns the key with the given transfer directive applied.
-func (k RunKey) withTransfer(spec string) RunKey { k.Transfer = spec; return k }
 
 // runOutput is everything a memoized run yields. Full-system runs always
 // carry a Profiler (characterization is free to record and lets Figs 3-6
@@ -311,29 +189,10 @@ func NewScheduler(cfg Config) *Scheduler {
 			s.recQuar.Store(int64(rep.Quarantined))
 		}
 		if cfg.Transfer {
-			s.loadDonors()
+			s.donors = s.warm.Donors()
 		}
 	}
 	return s
-}
-
-// loadDonors freezes the store-driven transfer donor set: every snapshot in
-// the warm directory that decodes, validates, and is cold-learned
-// (TransferHash 0 — transferred tables never donate). Paths come from List,
-// which sorts, so the donor order — and therefore nearest-donor tie-breaking
-// — is deterministic.
-func (s *Scheduler) loadDonors() {
-	paths, err := s.warm.List("")
-	if err != nil {
-		return
-	}
-	for _, p := range paths {
-		snap, err := s.warm.LoadPath(p)
-		if err != nil || snap.TransferHash != 0 {
-			continue
-		}
-		s.donors = append(s.donors, snap)
-	}
 }
 
 // Parallelism returns the worker-pool width.
@@ -672,32 +531,19 @@ func (s *Scheduler) executeOnce(ctx context.Context, key RunKey, attempt int, pr
 			err = fmt.Errorf("run %s: panic: %v\n%s", key, r, debug.Stack())
 		}
 	}()
-	opts := workload.DefaultOptions()
-	opts.Scale = key.Scale
-	opts.Machine = machineConfigFor(key)
-	opts.Machine.Seed = key.AttemptSeed(attempt)
-	if key.Faults != "" {
-		spec, ferr := faults.Named(key.Faults)
-		if ferr != nil {
-			return out, ferr
-		}
-		// Seeded by the config's base seed: every run of this config sees
-		// the same schedule regardless of mode, strategy or retry attempt.
-		plan := faults.NewPlan(key.Seed, spec.Scaled(key.Scale))
-		opts.Prepare = plan.Install
+	runCtx := ctx
+	if s.cfg.Timeout > 0 {
+		var cancel context.CancelFunc
+		runCtx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
+		defer cancel()
+	}
+	opts, err := runOptions(key, attempt, runCtx.Done())
+	if err != nil {
+		return out, err
 	}
 	if s.cfg.Trace {
 		out.rec = trace.NewRecorder(trace.DefaultConfig())
 		opts.Trace = out.rec
-	}
-	if s.cfg.Timeout > 0 || ctx.Done() != nil {
-		runCtx := ctx
-		if s.cfg.Timeout > 0 {
-			var cancel context.CancelFunc
-			runCtx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-			defer cancel()
-		}
-		opts.Cancel = runCtx.Done()
 	}
 	switch key.Mode {
 	case machine.FullSystem:
@@ -734,29 +580,27 @@ func (s *Scheduler) executeOnce(ctx context.Context, key RunKey, attempt int, pr
 	return out, err
 }
 
-// machineConfigFor is the machine configuration a run of key uses (with the
-// first attempt's derived seed). It is shared by executeOnce and the warm
-// store's LearnHash so the snapshot address always reflects the exact
-// configuration that would be simulated.
-func machineConfigFor(key RunKey) machine.Config {
-	mcfg := workload.DefaultOptions().Machine
-	mcfg.Mode = key.Mode
-	mcfg.Seed = key.DeriveSeed()
-	if key.L2 > 0 {
-		mcfg.Mem = mcfg.Mem.WithL2Size(key.L2)
+// runOptions is the workload configuration of one attempt of key: the
+// key's machine with the attempt's derived seed, its workload scale, its
+// fault plan, and cancellation when done closes. Every simulation of a key —
+// the scheduler's attempts and the warmstart experiment's reruns — is built
+// here, so they are the same deterministic run.
+func runOptions(key RunKey, attempt int, done <-chan struct{}) (workload.Options, error) {
+	opts := workload.DefaultOptions()
+	opts.Scale = key.Scale
+	opts.Machine = machineConfigFor(key)
+	opts.Machine.Seed = key.AttemptSeed(attempt)
+	opts.Cancel = done
+	if key.Faults != "" {
+		spec, err := faults.Named(key.Faults)
+		if err != nil {
+			return opts, err
+		}
+		// Seeded by the config's base seed: every run of this config sees
+		// the same schedule regardless of mode, strategy or retry attempt.
+		opts.Prepare = faults.NewPlan(key.Seed, spec.Scaled(key.Scale)).Install
 	}
-	return mcfg
-}
-
-// accelParamsFor is the acceleration parameter set an Accelerated key encodes.
-func accelParamsFor(key RunKey) core.Params {
-	params := core.DefaultParams()
-	params.Strategy = key.accelStrategy()
-	if key.OptsHash&watchdogOpt != 0 {
-		params.WatchdogThreshold = core.DefaultWatchdogThreshold
-		params.WatchdogWindow = core.DefaultWatchdogWindow
-	}
-	return params
+	return opts, nil
 }
 
 // --- cross-config transfer --------------------------------------------------
@@ -772,6 +616,8 @@ func accelParamsFor(key RunKey) core.Params {
 // sibling run at that L2 in this invocation, simulated on demand), so sweep
 // run-sets are automatically ordered donor-first. The "store" form resolves
 // against the donor set frozen at construction from the warm directory.
+// Either way the donor becomes a snapshot and takes pltstore's one donor
+// path, the same one the fssim CLI takes.
 func (s *Scheduler) resolveTransfer(ctx context.Context, key RunKey, st *expStats) (*core.AccelState, *transfer.Provenance) {
 	if key.Transfer == "" {
 		return nil, nil
@@ -784,74 +630,28 @@ func (s *Scheduler) resolveTransfer(ctx context.Context, key RunKey, st *expStat
 	if err != nil || key.Mode != machine.Accelerated {
 		return reject()
 	}
-	recipCoords := transfer.FromConfig(machineConfigFor(key))
-	targetParams := accelParamsFor(key)
-
-	var (
-		donorState *core.AccelState
-		donorBench string
-		donorLearn uint64
-		donorFam   uint64
-		donorCrd   transfer.Coords
-	)
+	recip := transfer.FromConfig(machineConfigFor(key))
+	var donor *pltstore.Snapshot
 	if spec.Store {
-		fam := transfer.FamilyHash(key.Bench, machineConfigFor(key), targetParams,
-			key.Scale, key.Faults)
-		var best *pltstore.Snapshot
-		bestDist := math.Inf(1)
-		for _, snap := range s.donors {
-			if snap.Family != fam {
-				continue
-			}
-			d := transfer.Distance(snap.Coords, recipCoords)
-			// Strict < keeps the first of equally-near donors; the frozen
-			// list is in List (path-lexicographic) order, so ties break
-			// deterministically.
-			if transfer.Eligible(d) && d < bestDist {
-				best, bestDist = snap, d
-			}
-		}
-		if best == nil {
+		if donor, err = pltstore.Nearest(s.donors, familyHash(key), recip); err != nil {
 			return reject()
 		}
-		donorState = best.State
-		donorBench, donorLearn, donorFam, donorCrd = best.Benchmark, best.LearnHash, best.Family, best.Coords
 	} else {
-		donorKey := key.withTransfer("")
-		donorKey.L2 = spec.L2
-		if donorKey.L2 == defaultL2() {
-			donorKey.L2 = 0
-		}
+		donorKey := key
+		donorKey.Transfer, donorKey.L2 = "", spec.L2
+		donorKey = donorKey.Normalized()
 		out, err := s.get(ctx, donorKey, st)
 		if err != nil || out.acc == nil {
 			return reject()
 		}
-		donorMcfg := machineConfigFor(donorKey)
-		donorCrd = transfer.FromConfig(donorMcfg)
-		if d := transfer.Distance(donorCrd, recipCoords); !transfer.Eligible(d) {
-			return reject()
-		}
-		donorState = out.acc.Export()
-		donorBench = donorKey.Bench
-		donorLearn = warmLearnHash(donorKey)
-		donorFam = transfer.FamilyHash(donorKey.Bench, donorMcfg, accelParamsFor(donorKey),
-			donorKey.Scale, donorKey.Faults)
+		donor = warmSnapshot(donorKey, out)
 	}
-
-	dist := transfer.Distance(donorCrd, recipCoords)
-	model := transfer.FitAnalytic(donorCrd, recipCoords)
-	prior, err := transfer.Rescale(donorState, model, targetParams)
+	prior, prov, err := pltstore.DonorPrior(donor, recip, accelParamsFor(key))
 	if err != nil {
 		return reject()
 	}
 	s.transferHits.Add(1)
-	return prior, &transfer.Provenance{
-		DonorBench: donorBench,
-		DonorAddr:  pltstore.FormatHash(donorFam) + "/" + pltstore.FormatHash(donorLearn),
-		Distance:   dist,
-		Scale:      model.L2M,
-		Hash:       transfer.TransferHash(donorLearn, model),
-	}
+	return prior, prov
 }
 
 // TransferRecord pairs a completed run with its transfer provenance, for the
@@ -895,25 +695,13 @@ func (s *Scheduler) warmEligible(key RunKey) bool {
 	return s.warm != nil && key.Mode == machine.Accelerated && key.Sample == ""
 }
 
-// warmLearnHash is the snapshot address of key's configuration. The transfer
-// directive is part of the address: a transferred run's learned table is
-// shaped by the imported priors and must never be mistaken for (or overwrite)
-// the cold-learned table of the identical configuration.
-func warmLearnHash(key RunKey) uint64 {
-	return pltstore.LearnHashWith(key.Bench, machineConfigFor(key), accelParamsFor(key),
-		key.Scale, key.Faults, key.Transfer)
-}
-
-// warmReplayHash is the exact-replay address of key: transferred runs
-// additionally bind the provenance hash (exact donor + model), so a snapshot
-// recorded under one donor never replays for an invocation that resolved a
-// different one.
-func warmReplayHash(key RunKey, prov *transfer.Provenance) uint64 {
-	learn := warmLearnHash(key)
-	if prov != nil {
-		return pltstore.TransferReplayHash(learn, key.String(), key.DeriveSeed(), prov.Hash)
+// provHash is the provenance hash a run's replay address binds: the
+// imported donor's TransferHash, or 0 for a cold run.
+func provHash(prov *transfer.Provenance) uint64 {
+	if prov == nil {
+		return 0
 	}
-	return pltstore.ReplayHash(learn, key.String(), key.DeriveSeed())
+	return prov.Hash
 }
 
 // warmReplay consults the warm store for an exact-identity snapshot of key.
@@ -937,7 +725,7 @@ func (s *Scheduler) warmReplay(key RunKey, prov *transfer.Provenance) (runOutput
 		}
 		return runOutput{}, false
 	}
-	if snap.ReplayHash != warmReplayHash(key, prov) {
+	if snap.ReplayHash != warmReplayHash(key, provHash(prov)) {
 		// Compatible learned state, but not this exact run (different base
 		// seed, or a transferred snapshot recorded under a different donor
 		// than this invocation resolved): exact replay would be wrong, so
@@ -972,22 +760,17 @@ func (s *Scheduler) warmSave(key RunKey, out runOutput) {
 // both marks the table as transferred (ineligible to donate further) and
 // binds its replay address to the exact donor and model imported.
 func warmSnapshot(key RunKey, out runOutput) *pltstore.Snapshot {
-	mcfg := machineConfigFor(key)
-	snap := &pltstore.Snapshot{
-		LearnHash:  warmLearnHash(key),
-		ReplayHash: warmReplayHash(key, out.transfer),
-		Benchmark:  key.Bench,
-		Key:        key.String(),
-		Family: transfer.FamilyHash(key.Bench, mcfg, accelParamsFor(key),
-			key.Scale, key.Faults),
-		Coords: transfer.FromConfig(mcfg),
-		Stats:  out.res.Stats,
-		State:  out.acc.Export(),
+	return &pltstore.Snapshot{
+		LearnHash:    warmLearnHash(key),
+		ReplayHash:   warmReplayHash(key, provHash(out.transfer)),
+		Benchmark:    key.Bench,
+		Key:          key.String(),
+		Family:       familyHash(key),
+		TransferHash: provHash(out.transfer),
+		Coords:       transfer.FromConfig(machineConfigFor(key)),
+		Stats:        out.res.Stats,
+		State:        out.acc.Export(),
 	}
-	if out.transfer != nil {
-		snap.TransferHash = out.transfer.Hash
-	}
-	return snap
 }
 
 // FlushWarm sweeps every completed successful accelerated run into the warm
@@ -1117,71 +900,18 @@ func (s *Scheduler) modeCosts() ModeCosts {
 
 // --- key constructors -------------------------------------------------------
 
-// RunSpec is the exported description of one simulation request, as a serving
-// front-end receives it. Key normalizes it into the scheduler's cache key
-// using the same rules the experiment runners use, so server requests and
-// suite runs share memo-cache entries when they coincide.
-type RunSpec struct {
-	Bench  string
-	Mode   machine.SimMode
-	L2     int     // bytes; 0 or the platform default normalize to 0
-	Scale  float64 // 0 normalizes to 1.0
-	Seed   int64   // 0 normalizes to 1
-	Faults string  // faults.Named plan ("" = none)
-	// Sample is the canonical sampling spec ("" = no sampling). Callers
-	// canonicalize via sample.Canonical before building the spec so that
-	// every spelling of one policy shares a cache entry.
-	Sample string
-	// Transfer is the canonical transfer directive ("" = cold start); only
-	// meaningful for Accelerated runs — the server's request validation
-	// rejects it elsewhere, and the scheduler counts any directive on a
-	// non-accelerated key as a rejection.
-	Transfer string
-	// Strategy selects the re-learning policy for Accelerated runs.
-	Strategy core.Strategy
-	// Watchdog arms the divergence watchdog on Accelerated runs, so the
-	// Outcome's Accel.Health() carries degradation signals.
-	Watchdog bool
-}
-
-// Key returns the spec's normalized memo-cache key.
-func (sp RunSpec) Key() RunKey {
-	if sp.L2 == defaultL2() {
-		sp.L2 = 0
-	}
-	if sp.Scale <= 0 {
-		sp.Scale = 1.0
-	}
-	if sp.Seed == 0 {
-		sp.Seed = 1
-	}
-	k := RunKey{Bench: sp.Bench, Mode: sp.Mode, L2: sp.L2,
-		Scale: sp.Scale, Seed: sp.Seed, Faults: sp.Faults, Sample: sp.Sample,
-		Transfer: sp.Transfer}
-	if sp.Mode == machine.Accelerated {
-		k.OptsHash = uint64(sp.Strategy) + 1
-		if sp.Watchdog {
-			k.OptsHash |= watchdogOpt
-		}
-	}
-	return k
-}
-
 // benchKey is the cache key for a plain run of name under mode with the
 // given L2 size (0 or the platform default both normalize to 0).
 func (c Config) benchKey(name string, mode machine.SimMode, l2 int) RunKey {
-	if l2 == defaultL2() {
-		l2 = 0
-	}
 	return RunKey{Bench: name, Mode: mode, L2: l2, Scale: c.Scale, Seed: c.Seed,
-		Faults: c.FaultPlan, Sample: c.Sample}
+		Faults: c.FaultPlan, Sample: c.Sample}.Normalized()
 }
 
 // accelKey is the cache key for an Accelerated run under the given
 // re-learning strategy.
 func (c Config) accelKey(name string, strat core.Strategy, l2 int) RunKey {
 	k := c.benchKey(name, machine.Accelerated, l2)
-	k.OptsHash = uint64(strat) + 1
+	k.Strategy = strat
 	// A -transfer invocation warm-starts every accelerated run from the
 	// nearest store donor; rejections (no eligible donor) are counted and
 	// fall back to cold, so the flag is safe on an empty store.

@@ -46,11 +46,14 @@ func sweepDirective() string {
 // transferred twin per recipient point. Keys are built explicitly (not through
 // accelKey alone) so the cold twins stay cold even under a -transfer Config.
 func sweepKeys(cfg Config, name string) (donor RunKey, cold, warm []RunKey) {
-	donor = cfg.accelKey(name, core.Statistical, sweepDonorL2).withTransfer("")
+	donor = cfg.accelKey(name, core.Statistical, sweepDonorL2)
+	donor.Transfer = ""
 	for _, l2 := range sweepPoints {
-		base := cfg.accelKey(name, core.Statistical, l2).withTransfer("")
-		cold = append(cold, base)
-		warm = append(warm, base.withTransfer(sweepDirective()))
+		k := cfg.accelKey(name, core.Statistical, l2)
+		k.Transfer = ""
+		cold = append(cold, k)
+		k.Transfer = sweepDirective()
+		warm = append(warm, k)
 	}
 	return donor, cold, warm
 }

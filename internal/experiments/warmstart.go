@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"fssim/internal/core"
-	"fssim/internal/faults"
 	"fssim/internal/pltstore"
 	"fssim/internal/workload"
 )
@@ -44,27 +43,6 @@ func warmstartNeeds(cfg Config) []RunKey {
 	return keys
 }
 
-// warmstartOpts rebuilds the exact workload options the scheduler would use
-// for key (executeOnce's first attempt), so the experiment's direct
-// simulations are the same deterministic runs the memo cache holds.
-func warmstartOpts(cfg Config, key RunKey) (workload.Options, error) {
-	opts := workload.DefaultOptions()
-	opts.Scale = key.Scale
-	opts.Machine = machineConfigFor(key)
-	if key.Faults != "" {
-		spec, err := faults.Named(key.Faults)
-		if err != nil {
-			return opts, err
-		}
-		plan := faults.NewPlan(key.Seed, spec.Scaled(key.Scale))
-		opts.Prepare = plan.Install
-	}
-	if done := cfg.context().Done(); done != nil {
-		opts.Cancel = done
-	}
-	return opts, nil
-}
-
 // WarmstartExp runs the persistence study: cold vs warm coverage, the
 // detailed-interval work a warm start avoids, the learning it skips, and the
 // cluster-parity invariant between a continuous and a snapshot-restored run.
@@ -89,7 +67,7 @@ func WarmstartExp(cfg Config) (*Result, error) {
 		learn := warmLearnHash(key)
 		snap := &pltstore.Snapshot{
 			LearnHash:  learn,
-			ReplayHash: pltstore.ReplayHash(learn, key.String(), key.DeriveSeed()),
+			ReplayHash: warmReplayHash(key, 0),
 			Benchmark:  key.Bench,
 			Key:        key.String(),
 			Stats:      cold.Stats,
@@ -118,7 +96,7 @@ func WarmstartExp(cfg Config) (*Result, error) {
 		if err := warmAcc.Import(restored.State); err != nil {
 			return nil, fmt.Errorf("warmstart: %s: import of decoded state: %w", name, err)
 		}
-		opts, err := warmstartOpts(cfg, key)
+		opts, err := runOptions(key, 0, cfg.context().Done())
 		if err != nil {
 			return nil, err
 		}

@@ -12,7 +12,9 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 
 	"fssim/internal/cache"
@@ -48,6 +50,21 @@ func (m SimMode) String() string {
 	default:
 		return "App+OS Pred"
 	}
+}
+
+// ParseMode resolves a mode name, case-insensitively: "" or "full" (also
+// "fullsystem", "full-system", "app+os"), "app" (also "apponly", "app-only",
+// "app only") and "accel" (also "accelerated", "pred", "app+os pred").
+func ParseMode(s string) (SimMode, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "", "full", "fullsystem", "full-system", "app+os":
+		return FullSystem, nil
+	case "app", "apponly", "app-only", "app only":
+		return AppOnly, nil
+	case "accel", "accelerated", "pred", "app+os pred":
+		return Accelerated, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (want full, app or accel)", s)
 }
 
 // CoreKind selects the processor timing model (Table 1's mode axis).

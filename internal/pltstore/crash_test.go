@@ -16,10 +16,10 @@ import (
 // snapFor builds a deterministic rich snapshot addressed to bench.
 func snapFor(bench string, bump uint64) *Snapshot {
 	st := richAccelState()
-	lh := LearnHash(bench, machine.Config{}, st.Params, 0.1, "")
+	lh := LearnHash(bench, machine.Config{}, st.Params, 0.1, "", "")
 	return &Snapshot{
 		LearnHash:  lh,
-		ReplayHash: ReplayHash(lh, bench+"/accel", 42) + bump,
+		ReplayHash: ReplayHash(lh, bench+"/accel", 42, 0) + bump,
 		Benchmark:  bench,
 		Key:        bench + "/accel",
 		Stats:      richSnapshot().Stats,

@@ -9,12 +9,14 @@
 //
 //   - LearnHash fingerprints everything the learned state depends on —
 //     benchmark, machine configuration (seed excluded), acceleration
-//     parameters, workload scale, fault plan, and the format version. It is
-//     the filename discriminator and the compatibility gate: a snapshot only
-//     ever loads into the configuration that produced it. A mismatch is a
-//     cold start with a counted metric, never a wrong prediction.
+//     parameters, workload scale, fault plan, transfer directive (if any)
+//     and the format version. It is the filename discriminator and the
+//     compatibility gate: a snapshot only ever loads into the configuration
+//     that produced it. A mismatch is a cold start with a counted metric,
+//     never a wrong prediction.
 //   - ReplayHash additionally binds the exact run identity (the full RunKey
-//     string and the derived machine seed). When it matches, the snapshot's
+//     string, the derived machine seed and, for a transferred run, the
+//     provenance hash of its donor). When it matches, the snapshot's
 //     recorded machine.Stats are the byte-identical result of re-running the
 //     simulation, so the scheduler can reconstruct the outcome without
 //     simulating at all; when only LearnHash matches, callers may still
@@ -143,51 +145,39 @@ func (s *Snapshot) Validate() error {
 // machine seed is deliberately zeroed: learned behavior clusters transfer
 // across seeds of the same configuration (that is the point of
 // warm-starting), while exact result replay is separately gated by
-// ReplayHash, which does bind the seed.
-func LearnHash(bench string, mcfg machine.Config, p core.Params, scale float64, faultPlan string) uint64 {
+// ReplayHash, which does bind the seed. A run with a transfer directive gets
+// a distinct address, so a transferred table can never be mistaken for (or
+// overwrite) the cold-learned table of the identical configuration — the
+// donor's priors shape what is learned. An empty directive is a cold run.
+func LearnHash(bench string, mcfg machine.Config, p core.Params, scale float64, faultPlan, transferSpec string) uint64 {
 	mcfg.Seed = 0
 	h := fnv.New64a()
 	fmt.Fprintf(h, "fssim-plt|v%d|bench=%s|scale=%x|faults=%s|machine=%+v|params=%+v",
 		FormatVersion, bench, math.Float64bits(scale), faultPlan, mcfg, p)
-	return h.Sum64()
-}
-
-// LearnHashWith is LearnHash extended with the run's transfer directive. A
-// run without a directive keeps its plain LearnHash address; a transferred
-// run gets a distinct address, so a transferred table can never be mistaken
-// for (or overwrite) the cold-learned table of the identical configuration —
-// the donor's priors shape what is learned, and the two must not share an
-// address.
-func LearnHashWith(bench string, mcfg machine.Config, p core.Params, scale float64, faultPlan, transferSpec string) uint64 {
-	base := LearnHash(bench, mcfg, p, scale, faultPlan)
 	if transferSpec == "" {
-		return base
+		return h.Sum64()
 	}
-	h := fnv.New64a()
+	base := h.Sum64()
+	h.Reset()
 	fmt.Fprintf(h, "fssim-plt-transfer|%016x|%s", base, transferSpec)
 	return h.Sum64()
 }
 
 // ReplayHash binds a snapshot to one exact run: the learn-compatibility
-// hash, the full run-key string, and the derived machine seed. Two runs with
+// hash, the full run-key string, the derived machine seed and, for a
+// transferred run, the TransferHash of the exact donor and scaling model it
+// imported (0 = cold-learned, as in Snapshot.TransferHash). Two runs with
 // equal ReplayHash are the same deterministic simulation, so the stored
-// Stats are byte-identical to what re-running would produce.
-func ReplayHash(learnHash uint64, key string, seed int64) uint64 {
+// Stats are byte-identical to what re-running would produce. The "store"
+// directive resolves to whatever donor the warm directory holds at run time,
+// so binding the provenance means a snapshot recorded under one donor never
+// replays for an invocation that would have resolved a different one.
+func ReplayHash(learnHash uint64, key string, seed int64, transferHash uint64) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "fssim-replay|%016x|%s|seed=%d", learnHash, key, seed)
-	return h.Sum64()
-}
-
-// TransferReplayHash is ReplayHash for a transferred run: it additionally
-// binds the TransferHash — the exact donor and scaling model imported. The
-// "store" directive resolves to whatever donor the warm directory holds at
-// run time, so the directive alone does not pin the run's inputs; binding
-// the provenance hash means a snapshot recorded under one donor can never
-// replay for an invocation that would have resolved a different one — that
-// mismatch is a counted invalidation and a fresh simulation.
-func TransferReplayHash(learnHash uint64, key string, seed int64, transferHash uint64) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "fssim-replay|%016x|%s|seed=%d|transfer=%016x", learnHash, key, seed, transferHash)
+	if transferHash != 0 {
+		fmt.Fprintf(h, "|transfer=%016x", transferHash)
+	}
 	return h.Sum64()
 }
 
@@ -364,44 +354,71 @@ func (s *Store) Load(bench string, learnHash uint64) (*Snapshot, error) {
 	return snap, nil
 }
 
-// Nearest returns the closest transfer-eligible donor snapshot in the given
-// sweep family: among fully validated snapshots whose Family matches, whose
-// provenance is cold-learned (TransferHash 0 — transferred tables never
-// donate, so priors cannot chain and compound model error), and whose
-// coordinate distance to recip is within transfer.MaxDistance, it picks the
-// minimum-distance one. Ties are broken by snapshot path (List order is
-// lexicographic), so the choice is deterministic whatever order the files
-// were written in. Returns ErrNotFound when no eligible donor exists —
-// callers count that as a rejected/unavailable transfer and start cold.
-func (s *Store) Nearest(family uint64, recip transfer.Coords) (*Snapshot, float64, error) {
-	paths, err := s.List("")
-	if err != nil {
-		return nil, 0, err
-	}
-	var (
-		best     *Snapshot
-		bestDist float64
-	)
+// Donors loads the store's transfer donor set: every snapshot that decodes,
+// validates and is cold-learned (TransferHash 0), in List order. Files that
+// fail to load are skipped — a damaged snapshot never donates — and an
+// unreadable directory has no donors, so every caller starts cold.
+func (s *Store) Donors() []*Snapshot {
+	paths, _ := s.List("")
+	var donors []*Snapshot
 	for _, p := range paths {
-		snap, err := s.LoadPath(p)
-		if err != nil {
-			continue
+		if snap, err := s.LoadPath(p); err == nil && snap.TransferHash == 0 {
+			donors = append(donors, snap)
 		}
+	}
+	return donors
+}
+
+// Nearest returns the closest transfer-eligible donor for a recipient in the
+// given sweep family: among donors whose Family matches, whose provenance is
+// cold-learned (TransferHash 0 — transferred tables never donate, so priors
+// cannot chain and compound model error), and whose coordinate distance to
+// recip is within transfer.MaxDistance, it picks the minimum-distance one.
+// Equally near donors resolve to the first in slice order, so a set in List
+// (path) order resolves deterministically. Returns ErrNotFound when no
+// eligible donor exists — callers count that as a rejected transfer and
+// start cold.
+func Nearest(donors []*Snapshot, family uint64, recip transfer.Coords) (*Snapshot, error) {
+	var best *Snapshot
+	bestDist := math.Inf(1)
+	for _, snap := range donors {
 		if snap.Family != family || snap.TransferHash != 0 {
 			continue
 		}
-		d := transfer.Distance(snap.Coords, recip)
-		if !transfer.Eligible(d) {
-			continue
-		}
-		if best == nil || d < bestDist {
+		if d := transfer.Distance(snap.Coords, recip); transfer.Eligible(d) && d < bestDist {
 			best, bestDist = snap, d
 		}
 	}
 	if best == nil {
-		return nil, 0, ErrNotFound
+		return nil, ErrNotFound
 	}
-	return best, bestDist, nil
+	return best, nil
+}
+
+// DonorPrior turns a donor snapshot into the rescaled prior a recipient at
+// coordinates recip imports under params target, plus the provenance the
+// recipient records: the donor's address, its distance, the fitted model's
+// headline scale, and the TransferHash that binds the recipient's replay
+// address. A donor beyond transfer.MaxDistance, or one whose state does not
+// survive rescaling, is an error and the recipient starts cold.
+func DonorPrior(donor *Snapshot, recip transfer.Coords, target core.Params) (*core.AccelState, *transfer.Provenance, error) {
+	dist := transfer.Distance(donor.Coords, recip)
+	if !transfer.Eligible(dist) {
+		return nil, nil, fmt.Errorf("pltstore: donor %s at distance %g is beyond the transfer cutoff %g",
+			donor.Benchmark, dist, transfer.MaxDistance)
+	}
+	model := transfer.FitAnalytic(donor.Coords, recip)
+	prior, err := transfer.Rescale(donor.State, model, target)
+	if err != nil {
+		return nil, nil, err
+	}
+	return prior, &transfer.Provenance{
+		DonorBench: donor.Benchmark,
+		DonorAddr:  FormatHash(donor.Family) + "/" + FormatHash(donor.LearnHash),
+		Distance:   dist,
+		Scale:      model.L2M,
+		Hash:       transfer.TransferHash(donor.LearnHash, model),
+	}, nil
 }
 
 // LoadPath reads and fully validates the snapshot at an explicit store path

@@ -48,10 +48,10 @@ func richAccelState() *core.AccelState {
 
 func richSnapshot() *Snapshot {
 	st := richAccelState()
-	lh := LearnHash("fig1-lmbench", machine.Config{}, st.Params, 0.1, "")
+	lh := LearnHash("fig1-lmbench", machine.Config{}, st.Params, 0.1, "", "")
 	return &Snapshot{
 		LearnHash:  lh,
-		ReplayHash: ReplayHash(lh, "fig1-lmbench/accel/L2=1048576/scale=0.1", 42),
+		ReplayHash: ReplayHash(lh, "fig1-lmbench/accel/L2=1048576/scale=0.1", 42, 0),
 		Benchmark:  "fig1-lmbench",
 		Key:        "fig1-lmbench/accel/L2=1048576/scale=0.1",
 		Stats: machine.Stats{
@@ -281,34 +281,34 @@ func TestDecodedStateImports(t *testing.T) {
 func TestLearnHash(t *testing.T) {
 	mcfg := machine.Config{Mode: 1, WithCaches: true, Seed: 7}
 	p := core.DefaultParams()
-	base := LearnHash("bench", mcfg, p, 0.1, "")
-	if LearnHash("bench", mcfg, p, 0.1, "") != base {
+	base := LearnHash("bench", mcfg, p, 0.1, "", "")
+	if LearnHash("bench", mcfg, p, 0.1, "", "") != base {
 		t.Error("LearnHash is not deterministic")
 	}
 	reseeded := mcfg
 	reseeded.Seed = 99
-	if LearnHash("bench", reseeded, p, 0.1, "") != base {
+	if LearnHash("bench", reseeded, p, 0.1, "", "") != base {
 		t.Error("machine seed changed LearnHash; learned state transfers across seeds")
 	}
 	variants := map[string]uint64{
-		"benchmark": LearnHash("other", mcfg, p, 0.1, ""),
-		"scale":     LearnHash("bench", mcfg, p, 0.2, ""),
-		"faults":    LearnHash("bench", mcfg, p, 0.1, "flip@3"),
+		"benchmark": LearnHash("other", mcfg, p, 0.1, "", ""),
+		"scale":     LearnHash("bench", mcfg, p, 0.2, "", ""),
+		"faults":    LearnHash("bench", mcfg, p, 0.1, "flip@3", ""),
 	}
 	altCfg := mcfg
 	altCfg.WithCaches = false
-	variants["machine"] = LearnHash("bench", altCfg, p, 0.1, "")
+	variants["machine"] = LearnHash("bench", altCfg, p, 0.1, "", "")
 	altP := p
 	altP.LearnWindow = 33
-	variants["params"] = LearnHash("bench", mcfg, altP, 0.1, "")
+	variants["params"] = LearnHash("bench", mcfg, altP, 0.1, "", "")
 	for name, h := range variants {
 		if h == base {
 			t.Errorf("changing %s did not change LearnHash", name)
 		}
 	}
 	// ReplayHash, by contrast, binds seed and key.
-	r := ReplayHash(base, "k", 1)
-	if ReplayHash(base, "k", 2) == r || ReplayHash(base, "k2", 1) == r || ReplayHash(base+1, "k", 1) == r {
+	r := ReplayHash(base, "k", 1, 0)
+	if ReplayHash(base, "k", 2, 0) == r || ReplayHash(base, "k2", 1, 0) == r || ReplayHash(base+1, "k", 1, 0) == r {
 		t.Error("ReplayHash ignored part of the run identity")
 	}
 }
@@ -368,7 +368,7 @@ func TestSanitizedFilenames(t *testing.T) {
 	s := Open(t.TempDir())
 	snap := richSnapshot()
 	snap.Benchmark = "../evil/bench name"
-	snap.ReplayHash = ReplayHash(snap.LearnHash, snap.Key, 42)
+	snap.ReplayHash = ReplayHash(snap.LearnHash, snap.Key, 42, 0)
 	if err := s.Save(snap); err != nil {
 		t.Fatalf("save: %v", err)
 	}

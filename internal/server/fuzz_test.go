@@ -7,9 +7,10 @@ import (
 )
 
 // FuzzRunRequestDecode hammers the request decoder with arbitrary bytes: it
-// must never panic, and any request it accepts must survive validation,
-// spec-building, and key derivation without panicking either — the full
-// untrusted path a malicious POST body can reach.
+// must never panic, and any request it accepts must survive validation and
+// key derivation without panicking either — the full untrusted path a
+// malicious POST body can reach — and the key it builds must be normalized
+// and deterministic.
 func FuzzRunRequestDecode(f *testing.F) {
 	seeds := []string{
 		``,
@@ -37,17 +38,20 @@ func FuzzRunRequestDecode(f *testing.F) {
 		if err := req.Validate(); err != nil {
 			return
 		}
-		// Accepted requests must produce a stable key and a sane deadline.
-		spec, err := req.spec(1.0, 1)
+		// Accepted requests must produce a stable, normalized key and a sane
+		// deadline.
+		key, err := req.key(1.0, 1)
 		if err != nil {
 			return
 		}
-		key := spec.Key()
-		if key.String() == "" {
-			t.Fatalf("valid request produced empty key: %q", body)
+		if key.String() == "" || key.ID() == "" {
+			t.Fatalf("valid request produced empty key or id: %q", body)
 		}
-		spec2, err := req.spec(1.0, 1)
-		if err != nil || key != spec2.Key() {
+		if key.Normalized() != key {
+			t.Fatalf("request key %v is not normalized: %q", key, body)
+		}
+		key2, err := req.key(1.0, 1)
+		if err != nil || key != key2 || key.ID() != key2.ID() {
 			t.Fatalf("key derivation not deterministic for %q (err %v)", body, err)
 		}
 		if d := req.deadline(2 * time.Minute); d <= 0 || d > 2*time.Minute {

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strings"
 	"time"
@@ -77,34 +76,6 @@ func decodeRunRequest(r io.Reader) (RunRequest, error) {
 	return q, nil
 }
 
-// mode resolves the request's mode string.
-func (q RunRequest) mode() (machine.SimMode, error) {
-	switch strings.ToLower(strings.TrimSpace(q.Mode)) {
-	case "", "full", "fullsystem", "full-system", "app+os":
-		return machine.FullSystem, nil
-	case "app", "apponly", "app-only", "app only":
-		return machine.AppOnly, nil
-	case "accel", "accelerated", "pred", "app+os pred":
-		return machine.Accelerated, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want full, app or accel)", q.Mode)
-}
-
-// strategy resolves the request's re-learning strategy string.
-func (q RunRequest) strategy() (core.Strategy, error) {
-	switch strings.ToLower(strings.TrimSpace(q.Strategy)) {
-	case "", "statistical":
-		return core.Statistical, nil
-	case "best-match", "bestmatch":
-		return core.BestMatch, nil
-	case "eager":
-		return core.Eager, nil
-	case "delayed":
-		return core.Delayed, nil
-	}
-	return 0, fmt.Errorf("unknown strategy %q (want statistical, best-match, eager or delayed)", q.Strategy)
-}
-
 // Validate rejects requests no simulation can serve. The returned error is
 // client-facing (a 400 body), so it names the offending field.
 func (q RunRequest) Validate() error {
@@ -114,10 +85,11 @@ func (q RunRequest) Validate() error {
 	if _, err := workload.Lookup(q.Benchmark); err != nil {
 		return err
 	}
-	if _, err := q.mode(); err != nil {
+	mode, err := machine.ParseMode(q.Mode)
+	if err != nil {
 		return err
 	}
-	if _, err := q.strategy(); err != nil {
+	if _, err := core.ParseStrategy(q.Strategy); err != nil {
 		return err
 	}
 	if q.L2 < 0 {
@@ -143,7 +115,7 @@ func (q RunRequest) Validate() error {
 		if _, err := transfer.ParseSpec(q.Transfer); err != nil {
 			return err
 		}
-		if mode, err := q.mode(); err == nil && mode != machine.Accelerated {
+		if mode != machine.Accelerated {
 			return fmt.Errorf("transfer requires accel mode, got %q", q.Mode)
 		}
 	}
@@ -153,54 +125,42 @@ func (q RunRequest) Validate() error {
 	return nil
 }
 
-// spec maps the validated request onto a scheduler RunSpec, applying the
-// server's defaults for unset fields. Accelerated runs always arm the
-// divergence watchdog, whose verdict the response's degraded flag reports.
-func (q RunRequest) spec(defaultScale float64, defaultSeed int64) (experiments.RunSpec, error) {
-	mode, err := q.mode()
+// key maps the validated request onto the scheduler's normalized run key,
+// applying the server's defaults for unset fields. Accelerated runs always
+// arm the divergence watchdog, whose verdict the response's degraded flag
+// reports.
+func (q RunRequest) key(defaultScale float64, defaultSeed int64) (experiments.RunKey, error) {
+	mode, err := machine.ParseMode(q.Mode)
 	if err != nil {
-		return experiments.RunSpec{}, err
+		return experiments.RunKey{}, err
 	}
-	strat, err := q.strategy()
+	strat, err := core.ParseStrategy(q.Strategy)
 	if err != nil {
-		return experiments.RunSpec{}, err
+		return experiments.RunKey{}, err
 	}
-	smp := ""
+	k := experiments.RunKey{Bench: q.Benchmark, Mode: mode, L2: q.L2, Scale: q.Scale, Seed: q.Seed,
+		Strategy: strat, Watchdog: mode == machine.Accelerated, Faults: q.Faults}
 	if q.Sample != "" {
-		smp, err = sample.Canonical(q.Sample)
-		if err != nil {
-			return experiments.RunSpec{}, err
+		if k.Sample, err = sample.Canonical(q.Sample); err != nil {
+			return experiments.RunKey{}, err
 		}
 	}
-	xfer := ""
 	if q.Transfer != "" {
 		// Canonicalize through the parsed form so every spelling of one
 		// directive shares a cache key.
 		ts, err := transfer.ParseSpec(q.Transfer)
 		if err != nil {
-			return experiments.RunSpec{}, err
+			return experiments.RunKey{}, err
 		}
-		xfer = ts.String()
+		k.Transfer = ts.String()
 	}
-	sp := experiments.RunSpec{
-		Bench:    q.Benchmark,
-		Mode:     mode,
-		L2:       q.L2,
-		Scale:    q.Scale,
-		Seed:     q.Seed,
-		Faults:   q.Faults,
-		Sample:   smp,
-		Transfer: xfer,
-		Strategy: strat,
-		Watchdog: mode == machine.Accelerated,
+	if k.Scale <= 0 {
+		k.Scale = defaultScale
 	}
-	if sp.Scale <= 0 {
-		sp.Scale = defaultScale
+	if k.Seed == 0 {
+		k.Seed = defaultSeed
 	}
-	if sp.Seed == 0 {
-		sp.Seed = defaultSeed
-	}
-	return sp, nil
+	return k.Normalized(), nil
 }
 
 // deadline resolves the request's wait deadline against the server default,
@@ -263,13 +223,4 @@ type SampleInfo struct {
 	Extrapolated int64   `json:"extrapolated"`
 	Reduction    float64 `json:"reduction"`
 	CIRel        float64 `json:"ci_rel"` // CI half-width / total cycles
-}
-
-// runID derives the deterministic public id of a cache key: identical
-// requests — from any client, at any time — map to the same id.
-func runID(key experiments.RunKey) string {
-	h := fnv.New64a()
-	io.WriteString(h, key.String())
-	fmt.Fprintf(h, "|seed=%d", key.Seed)
-	return fmt.Sprintf("r%016x", h.Sum64())
 }

@@ -360,12 +360,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errBody{err.Error()})
 		return
 	}
-	spec, err := req.spec(s.cfg.Scale, s.cfg.Seed)
+	key, err := req.key(s.cfg.Scale, s.cfg.Seed)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody{err.Error()})
 		return
 	}
-	key := spec.Key()
 
 	// Bounded admission: a full queue sheds immediately — the request never
 	// allocates a goroutine, a scheduler entry, or a worker.
@@ -399,7 +398,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}()
 	s.mAdmitted.Add(1)
 
-	id := runID(key)
+	id := key.ID()
 	rec := s.record(id, key)
 
 	// The request waits at most its deadline; the simulation itself runs

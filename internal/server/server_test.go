@@ -711,13 +711,17 @@ func TestTransferRun(t *testing.T) {
 // TestDeterministicRunID: ids are a pure function of the request, and
 // distinct requests get distinct ids.
 func TestDeterministicRunID(t *testing.T) {
-	k1 := experiments.RunSpec{Bench: "srv-ok", Scale: 0.1, Seed: 1}.Key()
-	k2 := experiments.RunSpec{Bench: "srv-ok", Scale: 0.1, Seed: 1}.Key()
-	k3 := experiments.RunSpec{Bench: "srv-ok", Scale: 0.1, Seed: 2}.Key()
-	if runID(k1) != runID(k2) {
-		t.Error("identical specs produced different ids")
+	key := func(seed int64) experiments.RunKey {
+		k, err := RunRequest{Benchmark: "srv-ok", Scale: 0.1, Seed: seed}.key(1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
 	}
-	if runID(k1) == runID(k3) {
+	if key(1).ID() != key(1).ID() {
+		t.Error("identical requests produced different ids")
+	}
+	if key(1).ID() == key(2).ID() {
 		t.Error("different seeds share an id")
 	}
 }
