@@ -135,8 +135,9 @@ type Options struct {
 	// Mode selects full-system (default), application-only, or accelerated
 	// simulation.
 	Mode machine.SimMode
-	// Strategy selects the re-learning policy for Accelerated mode
-	// (default Statistical, the paper's choice).
+	// Strategy selects the re-learning policy for Accelerated mode. The
+	// zero value is BestMatch, which is used as is; set Statistical for the
+	// paper's choice.
 	Strategy Strategy
 	// Scale multiplies workload sizes (default 1.0).
 	Scale float64

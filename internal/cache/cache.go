@@ -1,18 +1,17 @@
 // Package cache implements the set-associative cache model used for the L1
 // instruction, L1 data, and unified L2 caches: LRU replacement, write-back
 // write-allocate policy, per-line owner tagging (application vs OS), and the
-// pollution-eviction primitive the predictor uses to model OS-induced
+// phantom working-set replay the predictor uses to model OS-induced
 // displacement of application working sets (paper §4.5).
 package cache
 
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 )
 
-// Owner tags who filled a cache line. The accelerated simulator uses the tag
-// to find application-owned victims when injecting predicted OS pollution.
+// Owner tags who filled a cache line. Phantom working sets replayed for
+// fast-forwarded OS services are OS-owned.
 type Owner uint8
 
 const (
@@ -99,7 +98,6 @@ type Cache struct {
 	numSets  int
 	blkShift uint
 	setMask  uint64
-	stamp    uint64 // operations so far; names pollution phantoms
 	stats    Stats
 }
 
@@ -202,7 +200,6 @@ func (c *Cache) Access(addr uint64, words int, isWrite bool, owner Owner) Access
 	if words < 1 {
 		words = 1
 	}
-	c.stamp++
 	c.stats.Accesses += uint64(words)
 	if owner == OwnerOS {
 		c.stats.OSAccesses += uint64(words)
@@ -282,7 +279,6 @@ func (c *Cache) Touch(addr uint64) { c.fill(addr, flagOS, true) }
 func (c *Cache) Fill(addr uint64, owner Owner) { c.fill(addr, ownerFlag(owner), false) }
 
 func (c *Cache) fill(addr, flags uint64, polluting bool) {
-	c.stamp++
 	set, ways, key := c.lookup(addr)
 	for i, w := range ways {
 		if w&^(flagDirty|flagOS) == key {
@@ -299,35 +295,41 @@ func (c *Cache) fill(addr, flags uint64, polluting bool) {
 	c.rank[set] = promote(c.rank[set], v)
 }
 
-// InjectPollution models the working-set displacement an OS service would
-// have caused had it been simulated in detail (paper §4.5): it performs n
-// victim selections over uniformly random sets, assuming OS pollution is
-// uniformly distributed across sets. In each chosen set the victim
-// preference order follows the paper: an invalid line first, then the valid
-// least-recently-used line (regardless of owner — stale lines the OS itself
-// left behind are displaced like any other), progressing to more recently
-// used lines on later selections of the same set. The victim way is refilled
-// with an OS-owned placeholder line so that subsequent accesses to the
-// displaced data miss, as they would have after real OS execution.
-func (c *Cache) InjectPollution(n int, rng *rand.Rand) {
-	for i := 0; i < n; i++ {
-		c.stamp++
-		set := rng.Intn(c.numSets)
-		base := set << c.assocLog
-		ways := c.ways[base : base+c.assoc]
-		// Invalid line first: pollution then consumes capacity without
-		// displacing live data; otherwise the least-recently-used line, any
-		// owner — stale lines the OS itself left behind are displaced like
-		// any other.
-		v := c.victim(set, ways)
-		if ways[v]&flagValid != 0 {
-			c.stats.PollutionEv++
+// TouchLines leaves exactly the state n calls to Touch(base + i*BlockSize)
+// leave — way words, recency words and PollutionEv — in O(min(n, 2·lines))
+// time. The lines are distinct and sets independent, so each set replays
+// its own lines L_0, L_1, … (block numbers stepping by numSets). After its
+// first A = assoc touches a set holds exactly L_0..L_{A-1} (the LRU stack
+// property); each later touch misses and evicts L_{j-A} from the same way,
+// and the recency word repeats every A misses. Skipping k such touches, k a
+// multiple of A, thus only adds k·numSets to every way word's block number
+// (the new lines are clean) and k to PollutionEv; the rest run exactly.
+func (c *Cache) TouchLines(base uint64, n int) {
+	if n <= 2*len(c.ways) {
+		for i := 0; i < n; i++ {
+			c.Touch(base + uint64(i)<<c.blkShift)
 		}
-		// Placeholder tag outside any allocated region; unique per injection
-		// so placeholder lines never alias real data.
-		phantom := (uint64(0xF0000000_00000000) | c.stamp<<c.blkShift) >> c.blkShift
-		ways[v] = phantom | flagValid | flagOS
-		c.rank[set] = promote(c.rank[set], v)
+		return
+	}
+	first := base >> c.blkShift
+	sets, assoc := uint64(c.numSets), uint64(c.assoc)
+	for s := uint64(0); s < sets; s++ {
+		// m >= 2A touches (n > 2·lines) land in this set: blocks
+		// first+s, first+s+sets, …
+		m := (uint64(n) - s + sets - 1) / sets
+		blk := first + s
+		for j := uint64(0); j < assoc; j++ {
+			c.Touch((blk + j*sets) << c.blkShift)
+		}
+		k := (m - assoc) / assoc * assoc
+		_, ways, _ := c.lookup(blk << c.blkShift)
+		for w := range ways {
+			ways[w] = ways[w]&^flagDirty + k*sets
+		}
+		c.stats.PollutionEv += k
+		for j := assoc + k; j < m; j++ {
+			c.Touch((blk + j*sets) << c.blkShift)
+		}
 	}
 }
 

@@ -105,46 +105,63 @@ func TestOwnerTracking(t *testing.T) {
 	}
 }
 
-func TestInjectPollutionDisplacesApp(t *testing.T) {
-	c := testCache()
-	// Fill the whole cache with app lines.
-	for i := uint64(0); i < 64; i++ {
-		c.Access(0x10000+i*64, 1, false, OwnerApp)
-	}
-	rng := rand.New(rand.NewSource(1))
-	c.InjectPollution(64, rng)
-	app, os := c.OwnedLines()
-	if os == 0 {
-		t.Fatal("pollution installed no OS lines")
-	}
-	if app == 64 {
-		t.Fatal("pollution displaced nothing")
-	}
-	if ev := c.Stats().PollutionEv; ev == 0 {
-		t.Fatal("pollution eviction counter not incremented")
+// phantomBase is a line-aligned address far above any app line, as the
+// machine's per-service phantom ranges are.
+const phantomBase = 0xF000_0000_0000_0000
+
+// TestTouchLinesDisplacesApp checks that replayed phantom lines are
+// OS-owned and that each valid line they displace counts one pollution
+// eviction, on the per-line path (n within two passes over the cache) and
+// the closed-form path.
+func TestTouchLinesDisplacesApp(t *testing.T) {
+	for _, n := range []int{32, 64*5 + 7} {
+		c := testCache()
+		// Fill the whole cache with app lines.
+		for i := uint64(0); i < 64; i++ {
+			c.Access(0x10000+i*64, 1, false, OwnerApp)
+		}
+		c.TouchLines(phantomBase, n)
+		app, os := c.OwnedLines()
+		if want := min(n, 64); os != want || app != 64-want {
+			t.Errorf("n=%d: owned (app %d, os %d), want (%d, %d)", n, app, os, 64-want, want)
+		}
+		// Every phantom touch misses a full cache and displaces a valid line.
+		if ev := c.Stats().PollutionEv; ev != uint64(n) {
+			t.Errorf("n=%d: %d pollution evictions, want %d", n, ev, n)
+		}
+		if st := c.Stats(); st.Accesses != 64 || st.Misses != 64 {
+			t.Errorf("n=%d: phantom touches were counted as accesses: %+v", n, st)
+		}
 	}
 }
 
-// TestInjectPollutionPrefersInvalid checks that pollution consumes empty
-// ways before displacing live lines (paper §4.5's victim order).
-func TestInjectPollutionPrefersInvalid(t *testing.T) {
+// TestTouchLinesPrefersInvalid checks that phantom lines consume empty ways
+// before displacing live lines (paper §4.5's victim order).
+func TestTouchLinesPrefersInvalid(t *testing.T) {
 	c := testCache()
-	c.Access(0x40, 1, false, OwnerApp) // one line in one set
-	rng := rand.New(rand.NewSource(2))
-	c.InjectPollution(48, rng) // fewer injections than empty ways
+	c.Access(0x40, 1, false, OwnerApp) // one line in set 1
+	c.TouchLines(phantomBase, 48)      // three lines per set, one way spare
 	if !c.Probe(0x40) {
-		// With 63 invalid ways and 48 injections, displacing the only live
-		// line means invalid ways were not preferred.
 		t.Error("live line displaced while invalid ways remained")
 	}
+	if ev := c.Stats().PollutionEv; ev != 0 {
+		t.Errorf("%d pollution evictions while invalid ways remained", ev)
+	}
+	// The closed form too: of 64*3 + 5 misses, the first 63 — one per
+	// invalid way — displace nothing.
+	c = testCache()
+	c.Access(0x40, 1, false, OwnerApp)
+	c.TouchLines(phantomBase, 64*3+5)
+	if ev, want := c.Stats().PollutionEv, uint64(64*3+5-63); ev != want {
+		t.Errorf("closed form: %d pollution evictions, want %d", ev, want)
+	}
 }
 
-// TestPollutionPhantomsDontAlias checks pollution placeholder lines never
-// match real addresses.
+// TestPollutionPhantomsDontAlias checks phantom lines never match real
+// addresses.
 func TestPollutionPhantomsDontAlias(t *testing.T) {
 	c := testCache()
-	rng := rand.New(rand.NewSource(3))
-	c.InjectPollution(256, rng)
+	c.TouchLines(phantomBase, 256)
 	misses := c.Stats().Misses
 	for i := uint64(0); i < 64; i++ {
 		c.Access(0x20000+i*64, 1, false, OwnerApp)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -124,19 +125,6 @@ func (r *refCache) fill(addr uint64, m uint8, polluting bool) {
 	r.tags[base+v], r.lru[base+v], r.meta[base+v] = tag, r.stamp, refValid|m
 }
 
-func (r *refCache) InjectPollution(n int, rng *rand.Rand) {
-	for i := 0; i < n; i++ {
-		r.stamp++
-		base := rng.Intn(r.numSets) * r.assoc
-		v, filled := r.victim(base)
-		if !filled {
-			r.stats.PollutionEv++
-		}
-		r.tags[base+v] = (uint64(0xF0000000_00000000) | r.stamp<<r.blkShift) >> r.blkShift
-		r.lru[base+v], r.meta[base+v] = r.stamp, refValid|refOS
-	}
-}
-
 func (r *refCache) Invalidate(addr uint64) (present, dirty bool) {
 	base, _, hit := r.find(addr)
 	if hit < 0 {
@@ -172,11 +160,52 @@ func (r *refCache) OwnedLines() (app, os int) {
 	return
 }
 
+// sameState reports where c's way words and recency words differ from the
+// reference's tags, flags and stamps: every slot must hold the same block
+// and flags (an invalid slot is all zero on both sides), and among a set's
+// valid ways rank order must be stamp order, most recent first.
+func sameState(c *Cache, r *refCache) error {
+	for i, w := range c.ways {
+		var want uint64
+		if m := r.meta[i]; m&refValid != 0 {
+			want = r.tags[i] | flagValid
+			if m&refDirty != 0 {
+				want |= flagDirty
+			}
+			if m&refOS != 0 {
+				want |= flagOS
+			}
+		}
+		if w != want {
+			return fmt.Errorf("way slot %d = %#x, reference %#x", i, w, want)
+		}
+	}
+	for set, x := range c.rank {
+		base := set * c.assoc
+		for a := 0; a < c.assoc; a++ {
+			for b := 0; b < c.assoc; b++ {
+				if r.meta[base+a]&refValid == 0 || r.meta[base+b]&refValid == 0 {
+					continue
+				}
+				ra, rb := x>>(8*a)&0xFF, x>>(8*b)&0xFF
+				if (ra < rb) != (r.lru[base+a] > r.lru[base+b]) {
+					return fmt.Errorf("set %d: ways %d, %d ranked %d, %d, reference stamps %d, %d",
+						set, a, b, ra, rb, r.lru[base+a], r.lru[base+b])
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // FuzzCacheReference checks the packed cache (flag-folded way words, per-set
 // recency ranks) against the stamp-based reference on random operation
 // sequences at associativity 1, 2, 4 and 8: every AccessResult, Stats,
-// Probe, Invalidate and OwnedLines must match after every operation.
-// Addresses stay below 2^56, so they never alias a pollution phantom.
+// Probe, Invalidate and OwnedLines must match after every operation, and so
+// must every way word and recency order. TouchLines is checked against one
+// reference Touch per line, at line-aligned bases with random set offsets
+// and up to 8x the cache's capacity, so both its per-line and its
+// closed-form paths run.
 func FuzzCacheReference(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 0, 1, 2, 0, 1, 2})
 	f.Add([]byte{0, 9, 9, 9, 9, 9, 9})
@@ -186,6 +215,18 @@ func FuzzCacheReference(f *testing.F) {
 		rng.Read(b)
 		f.Add(b)
 	}
+	// One seed per associativity in which every third operation is a
+	// TouchLines, interleaved with the accesses and invalidations that
+	// leave sets partly empty, dirty or holding lines the replay hits.
+	for assoc := byte(0); assoc < 4; assoc++ {
+		b := make([]byte, 1+4*96)
+		rng.Read(b)
+		b[0] = assoc
+		for i := 1; i < len(b); i += 12 {
+			b[i] = 5
+		}
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -193,8 +234,6 @@ func FuzzCacheReference(f *testing.F) {
 		assoc := 1 << (data[0] & 3)
 		cfg := Config{Name: "fuzz", Size: assoc * 64 * 8, Assoc: assoc, BlockSize: 64}
 		c, ref := New(cfg), newRef(cfg)
-		seed := int64(data[0])
-		crng, rrng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 		data = data[1:]
 		for len(data) >= 4 {
 			op, a0, a1, a2 := data[0], data[1], data[2], data[3]
@@ -216,9 +255,13 @@ func FuzzCacheReference(f *testing.F) {
 				c.Fill(addr, owner)
 				ref.fill(addr, refOwner(owner), false)
 			case 5:
-				n := int(a2 & 15)
-				c.InjectPollution(n, crng)
-				ref.InjectPollution(n, rrng)
+				// Up to 8x the 8·assoc lines; the base keeps addr's set
+				// offset and tag, so the run may hit lines already present.
+				base, n := addr&^63, (int(a1)<<8|int(a2))%(64*assoc+1)
+				c.TouchLines(base, n)
+				for i := 0; i < n; i++ {
+					ref.fill(base+uint64(i)*64, refOS, true)
+				}
 			case 6:
 				gp, gd := c.Invalidate(addr)
 				wp, wd := ref.Invalidate(addr)
@@ -241,6 +284,9 @@ func FuzzCacheReference(f *testing.F) {
 			wa, wos := ref.OwnedLines()
 			if ga != wa || gos != wos {
 				t.Fatalf("after op %d: OwnedLines = (%d, %d), reference (%d, %d)", op%8, ga, gos, wa, wos)
+			}
+			if err := sameState(c, ref); err != nil {
+				t.Fatalf("after op %d at %#x: %v", op%8, addr, err)
 			}
 		}
 	})

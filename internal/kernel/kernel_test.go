@@ -1,10 +1,13 @@
 package kernel
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"fssim/internal/isa"
 	"fssim/internal/machine"
+	"fssim/internal/memsim"
 )
 
 func newTestKernel(mode machine.SimMode) (*machine.Machine, *Kernel) {
@@ -325,6 +328,57 @@ func TestPageFaultsOnHeap(t *testing.T) {
 	k.Run()
 	if faults != 16 || procFaults != 16 {
 		t.Fatalf("faults = %d (observer) / %d (proc), want 16", faults, procFaults)
+	}
+}
+
+// TestPageFaultsMatchReference drives a random touch stream across heap
+// growth — accesses that straddle page boundaries, start below the heap or
+// reach at and past brk — and checks the page-presence bitmap against a map
+// of faulted pages: Faults equals the map's size after every access, and a
+// final sweep of the whole heap shows each page faulted exactly once.
+func TestPageFaultsMatchReference(t *testing.T) {
+	_, k := newTestKernel(machine.FullSystem)
+	var err error
+	k.Spawn("toucher", func(p *Proc) {
+		rng := rand.New(rand.NewSource(3))
+		ref := make(map[uint64]bool)
+		for i := 0; i < 3000 && err == nil; i++ {
+			switch i % 300 {
+			case 0:
+				p.Brk(1 + rng.Intn(40*memsim.PageSize))
+			case 150:
+				p.Mmap2(1 + rng.Intn(8*memsim.PageSize))
+			}
+			// From two pages below the heap to two pages past brk.
+			addr := p.heapStart - 2*memsim.PageSize + uint64(rng.Int63n(int64(p.brk-p.heapStart+4*memsim.PageSize)))
+			if rng.Intn(3) == 0 {
+				addr = memsim.PageOf(addr) + memsim.PageSize - uint64(1+rng.Intn(8)) // straddles
+			}
+			size := []int{0, 1, 8, 64, memsim.PageSize, 3*memsim.PageSize + 100}[rng.Intn(6)]
+			p.touch(addr, size)
+			for pg := memsim.PageOf(addr); pg <= addr+uint64(max(size, 1))-1; pg += memsim.PageSize {
+				if pg >= p.heapStart && pg < p.brk {
+					ref[pg] = true
+				}
+			}
+			if p.Faults() != uint64(len(ref)) {
+				err = fmt.Errorf("access %d (%#x, %d): %d faults, reference %d", i, addr, size, p.Faults(), len(ref))
+			}
+		}
+		pages := (p.brk - p.heapStart) / memsim.PageSize
+		for sweep := 0; sweep < 2 && err == nil; sweep++ {
+			p.touch(p.heapStart, int(p.brk-p.heapStart))
+			if p.Faults() != pages {
+				err = fmt.Errorf("sweep %d: %d faults over a %d-page heap (%d touched before)", sweep, p.Faults(), pages, len(ref))
+			}
+		}
+		if err == nil && len(ref) == int(pages) {
+			err = fmt.Errorf("stream touched all %d heap pages; the sweep checked nothing", pages)
+		}
+	})
+	k.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

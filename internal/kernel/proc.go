@@ -20,7 +20,7 @@ type Proc struct {
 
 	brk       uint64
 	heapStart uint64
-	present   map[uint64]bool // demand-paged pages currently mapped
+	present   []uint64 // bitmap of mapped heap pages, bit i = heapStart + i pages
 	faults    uint64
 
 	scratch uint64 // pre-faulted user I/O buffer (stack-like)
@@ -33,7 +33,6 @@ func newProc(k *Kernel, t *Thread) *Proc {
 		fds:     make(map[int]*File),
 		nextFd:  3,
 		cwd:     k.fs.root,
-		present: make(map[uint64]bool),
 		scratch: k.m.Lay.UserStack.AllocAligned(128<<10, memsim.PageSize),
 	}
 	p.heapStart = k.m.Lay.UserHeap.AllocAligned(0, memsim.PageSize)
@@ -121,17 +120,31 @@ func (p *Proc) touch(addr uint64, size int) {
 		return
 	}
 	for pg := memsim.PageOf(addr); pg <= end; pg += memsim.PageSize {
-		if p.pagedRegion(pg) && !p.present[pg] {
+		if !p.pagedRegion(pg) {
+			continue
+		}
+		i := (pg - p.heapStart) / memsim.PageSize
+		if p.present[i/64]&(1<<(i%64)) == 0 {
+			p.present[i/64] |= 1 << (i % 64)
 			p.pageFault(pg)
 		}
 	}
+}
+
+// growHeap moves brk up by n bytes rounded up to whole pages and widens the
+// page-presence bitmap to cover the new pages. Pages are only ever added.
+func (p *Proc) growHeap(n int) {
+	sz := (uint64(n) + memsim.PageSize - 1) &^ (memsim.PageSize - 1)
+	p.k.m.Lay.UserHeap.Alloc(sz)
+	p.brk += sz
+	words := int((p.brk-p.heapStart)/memsim.PageSize+63) / 64
+	p.present = append(p.present, make([]uint64, words-len(p.present))...)
 }
 
 // pageFault runs the demand-paging exception handler: VMA lookup, a buddy
 // allocation, and clearing the fresh page (the dominant cost).
 func (p *Proc) pageFault(page uint64) {
 	p.faults++
-	p.present[page] = true
 	k := p.k
 	e := k.e
 	k.m.KEnter(isa.Exc(isa.ExcPageFault))
@@ -162,9 +175,7 @@ func (p *Proc) Brk(n int) uint64 {
 	e.Store(p.t.taskAddr+208, 8)
 	e.Ret()
 	base := p.brk
-	sz := (uint64(n) + memsim.PageSize - 1) &^ (memsim.PageSize - 1)
-	p.k.m.Lay.UserHeap.Alloc(sz)
-	p.brk += sz
+	p.growHeap(n)
 	p.exitSyscall()
 	return base
 }
@@ -179,9 +190,7 @@ func (p *Proc) Mmap2(n int) uint64 {
 	e.Mix(20)
 	e.Ret()
 	base := p.brk
-	sz := (uint64(n) + memsim.PageSize - 1) &^ (memsim.PageSize - 1)
-	p.k.m.Lay.UserHeap.Alloc(sz)
-	p.brk += sz
+	p.growHeap(n)
 	p.exitSyscall()
 	return base
 }

@@ -5,11 +5,7 @@
 // mirrors the configuration of the paper's evaluation platform (§5.1).
 package memsys
 
-import (
-	"math/rand"
-
-	"fssim/internal/cache"
-)
+import "fssim/internal/cache"
 
 // Config describes the hierarchy. The defaults (see DefaultConfig) match the
 // paper: 16KB 2-way L1I, 16KB 4-way L1D (2-cycle), 1MB 8-way L2 (8-cycle),
@@ -159,7 +155,7 @@ func (h *Hierarchy) Prefetches() uint64 { return h.prefetches }
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
-// L1I, L1D, L2 expose the individual levels (stats, pollution injection).
+// L1I, L1D, L2 expose the individual levels (stats, tests, diagnostics).
 func (h *Hierarchy) L1I() *cache.Cache { return h.l1i }
 func (h *Hierarchy) L1D() *cache.Cache { return h.l1d }
 func (h *Hierarchy) L2() *cache.Cache  { return h.l2 }
@@ -328,32 +324,19 @@ func (h *Hierarchy) InjectBusTraffic(n int, from uint64) {
 	h.dram += uint64(n)
 }
 
-// InjectPollution distributes predicted OS misses into the three levels
-// (paper §4.5). The per-level counts come from the predictor's per-level miss
-// predictions for the fast-forwarded service instance.
-func (h *Hierarchy) InjectPollution(l1i, l1d, l2 int, rng *rand.Rand) {
-	h.l1i.InjectPollution(l1i, rng)
-	h.l1d.InjectPollution(l1d, rng)
-	h.l2.InjectPollution(l2, rng)
-}
-
 // TouchPhantoms replays a fast-forwarded service's per-level working sets:
 // `lines` line-granular touches starting at base into each level. The same
 // base is reused across invocations of the same service, so the phantom
 // working set stays resident when touched repeatedly and displaces other
 // lines exactly once — the way the real service's recurring footprint
 // behaves (refining paper §4.5's uniform-random eviction model, which
-// over-displaces when the service reuses its own lines).
+// over-displaces when the service reuses its own lines). Each level replays
+// in closed form (cache.TouchLines), so a footprint many times a level's
+// capacity costs at most two passes over that level.
 func (h *Hierarchy) TouchPhantoms(base uint64, l1i, l1d, l2 int) {
-	for i := 0; i < l1i; i++ {
-		h.l1i.Touch(base + uint64(i)*64)
-	}
-	for i := 0; i < l1d; i++ {
-		h.l1d.Touch(base + uint64(i)*64)
-	}
-	for i := 0; i < l2; i++ {
-		h.l2.Touch(base + uint64(i)*64)
-	}
+	h.l1i.TouchLines(base, l1i)
+	h.l1d.TouchLines(base, l1d)
+	h.l2.TouchLines(base, l2)
 }
 
 // Snapshot captures the stats of all three levels.

@@ -230,7 +230,7 @@ func TestMSHRInflightOrdered(t *testing.T) {
 // TestL2AccessesAreL1Traffic pins where L2 accesses come from: every one is
 // an L1D miss, an L1D dirty writeback or an L1I miss — nothing else reaches
 // the L2 as a counted access, so there is no redundant L2 traffic to drop.
-// (Prefetch fills and injected pollution are uncounted.)
+// (Prefetch fills and phantom touches are uncounted.)
 func TestL2AccessesAreL1Traffic(t *testing.T) {
 	for name, cfg := range mshrConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -240,7 +240,7 @@ func TestL2AccessesAreL1Traffic(t *testing.T) {
 			for i := 0; i < 20000; i++ {
 				randomOp(rng, &now, h, ref)
 				if i%1000 == 0 {
-					h.InjectPollution(rng.Intn(64), rng.Intn(64), rng.Intn(64), rng)
+					h.TouchPhantoms(0xF000_0000_0000_0000, rng.Intn(64), rng.Intn(64), rng.Intn(64))
 				}
 			}
 			st := h.Stats()
@@ -275,5 +275,59 @@ func TestPrefetchIsNotPollution(t *testing.T) {
 	}
 	if _, os := h.L2().OwnedLines(); os != 0 {
 		t.Errorf("app-only stream left %d OS-owned L2 lines", os)
+	}
+}
+
+// TestTouchPhantomsMatchesPerLine checks the closed-form phantom replay
+// against one Touch per line at the default L1I/L1D/L2 geometry. From
+// random prior states (clean, dirty, app- and OS-owned lines, earlier
+// phantoms), replays of up to 8x each level's capacity at repeated and
+// set-offset bases must leave both hierarchies indistinguishable: the same
+// Stats, owners and phantom residency, and the same availability cycle for
+// every later access.
+func TestTouchPhantomsMatchesPerLine(t *testing.T) {
+	cfg := DefaultConfig()
+	h, ref := New(cfg), newRefHierarchy(cfg)
+	levels := []struct{ got, want *cache.Cache }{{h.l1i, ref.l1i}, {h.l1d, ref.l1d}, {h.l2, ref.l2}}
+	rng := rand.New(rand.NewSource(13))
+	var now uint64
+	for round := 0; round < 8; round++ {
+		for i := 0; i < 10000; i++ {
+			if got, want, what := randomOp(rng, &now, h, ref); got != want {
+				t.Fatalf("round %d op %d %s: available at %d, reference %d", round, i, what, got, want)
+			}
+		}
+		// Two phantom ranges, entered at a random line: repeats hit
+		// resident phantoms, offsets start the replay mid-set.
+		base := 0xF000_0000_0000_0000 + uint64(rng.Intn(2))<<32 + uint64(rng.Intn(1<<12))*64
+		var n [3]int
+		for l, lv := range levels {
+			n[l] = rng.Intn(8*lv.want.Config().Size/64 + 1)
+			for i := 0; i < n[l]; i++ {
+				lv.want.Touch(base + uint64(i)*64)
+			}
+		}
+		h.TouchPhantoms(base, n[0], n[1], n[2])
+		wantStats := Snapshot{L1I: ref.l1i.Stats(), L1D: ref.l1d.Stats(), L2: ref.l2.Stats()}
+		if h.Stats() != wantStats {
+			t.Fatalf("round %d replay %v: stats %+v, reference %+v", round, n, h.Stats(), wantStats)
+		}
+		for l, lv := range levels {
+			ga, gos := lv.got.OwnedLines()
+			wa, wos := lv.want.OwnedLines()
+			if ga != wa || gos != wos {
+				t.Fatalf("round %d %s: owned (%d, %d), reference (%d, %d)", round, lv.got.Config().Name, ga, gos, wa, wos)
+			}
+			for i := 0; i < n[l]; i++ {
+				if addr := base + uint64(i)*64; lv.got.Probe(addr) != lv.want.Probe(addr) {
+					t.Fatalf("round %d %s: Probe(%#x) = %v, reference %v", round, lv.got.Config().Name, addr, lv.got.Probe(addr), lv.want.Probe(addr))
+				}
+			}
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		if got, want, what := randomOp(rng, &now, h, ref); got != want {
+			t.Fatalf("after replays, op %d %s: available at %d, reference %d", i, what, got, want)
+		}
 	}
 }
