@@ -22,12 +22,12 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
+	"fssim"
 	"fssim/internal/core"
 	"fssim/internal/machine"
-	"fssim/internal/pltstore"
 	"fssim/internal/sample"
-	"fssim/internal/transfer"
 	"fssim/internal/workload"
 )
 
@@ -44,7 +44,7 @@ func main() {
 	trace := flag.String("trace", "", "write every OS service interval as CSV to this file ('-' = stdout)")
 	tlb := flag.Bool("tlb", false, "enable TLB modeling (64-entry I/D TLBs, 30-cycle walks)")
 	prefetch := flag.Bool("prefetch", false, "enable the L2 next-line prefetcher")
-	warmDir := flag.String("warm-dir", "", "accel mode: import a persisted PLT snapshot from this directory before simulating, and persist the learned table after (empty = off)")
+	warmDir := flag.String("warm-dir", "", "accel mode: import a persisted PLT snapshot from this directory before simulating, and persist the learned table after (empty = off; sampled runs never persist)")
 	transferOn := flag.Bool("transfer", false, "accel mode with -warm-dir: when no exact snapshot exists, warm-start the PLT from the nearest transfer-eligible donor configuration instead")
 	sampleSpec := flag.String("sample", "", "stratified app-interval sampling spec: a preset ("+strings.Join(sample.PresetNames(), ", ")+") or key=value list (empty = every app interval detailed)")
 	list := flag.Bool("list", false, "list benchmarks and exit")
@@ -62,25 +62,18 @@ func main() {
 		return
 	}
 
-	opts := workload.DefaultOptions()
-	opts.Scale = *scale
-	opts.Machine.Seed = *seed
-	if *l2 > 0 {
-		opts.Machine.Mem = opts.Machine.Mem.WithL2Size(*l2)
+	o := fssim.Options{
+		Scale:    *scale,
+		L2Size:   *l2,
+		Seed:     *seed,
+		InOrder:  *inorder,
+		NoCaches: *nocache,
+		TLB:      *tlb,
+		Prefetch: *prefetch,
+		Sample:   *sampleSpec,
+		WarmDir:  *warmDir,
+		Transfer: *transferOn,
 	}
-	if *inorder {
-		opts.Machine.Core = machine.CoreInOrder
-	}
-	if *nocache {
-		opts.Machine.WithCaches = false
-	}
-	if *tlb {
-		opts.Machine.Mem = opts.Machine.Mem.WithTLB()
-	}
-	if *prefetch {
-		opts.Machine.Mem = opts.Machine.Mem.WithPrefetch()
-	}
-	var traceW *csv.Writer
 	if *trace != "" {
 		out := os.Stdout
 		if *trace != "-" {
@@ -91,11 +84,11 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		traceW = csv.NewWriter(out)
+		traceW := csv.NewWriter(out)
 		defer traceW.Flush()
 		traceW.Write([]string{"service", "insts", "loads", "stores",
 			"branches", "cycles", "emulated", "l1d_misses", "l2_misses"})
-		opts.Observer = func(r machine.IntervalRecord) {
+		o.Observer = func(r fssim.IntervalRecord) {
 			row := []string{
 				r.Service.String(),
 				strconv.FormatUint(r.Insts, 10),
@@ -113,113 +106,47 @@ func main() {
 			traceW.Write(row)
 		}
 	}
-	var smp *sample.Sampler
-	if *sampleSpec != "" {
-		spec, err := sample.ParseSpec(*sampleSpec)
-		if err != nil {
-			fail("%v", err)
-		}
-		smp = sample.New(spec, opts.Machine.Seed)
-		opts.Sample = smp
+	var err error
+	if o.Mode, err = machine.ParseMode(*mode); err != nil {
+		fail("%v", err)
 	}
-	simMode, err := machine.ParseMode(*mode)
+	if o.Strategy, err = core.ParseStrategy(*strategy); err != nil {
+		fail("%v", err)
+	}
+
+	start := time.Now()
+	rep, err := fssim.RunBenchmark(*bench, o)
+	host := time.Since(start)
 	if err != nil {
 		fail("%v", err)
 	}
-	strat, err := core.ParseStrategy(*strategy)
-	if err != nil {
-		fail("%v", err)
+	// A transfer is never silent: an ineligible or missing donor is reported
+	// and the run stays cold.
+	if rep.Accel != nil && *warmDir != "" && *transferOn && !rep.WarmStarted && rep.Transfer == nil {
+		fmt.Fprintf(os.Stderr, "fssim: transfer: no eligible donor in %s; starting cold\n", *warmDir)
 	}
-	opts.Machine.Mode = simMode
-	var acc *core.Accelerator
-	if simMode == machine.Accelerated {
-		params := core.DefaultParams()
-		params.Strategy = strat
-		acc = core.NewAccelerator(params)
-		opts.Sink = acc
+	if rep.SaveErr != nil {
+		fmt.Fprintf(os.Stderr, "fssim: plt snapshot not saved: %v\n", rep.SaveErr)
 	}
+	st := rep.Stats
 
-	// Warm start: import a compatible persisted PLT before simulating; a
-	// stale, mismatched or corrupt snapshot silently stays cold. With
-	// -transfer, a cold start first tries the nearest eligible donor from a
-	// *neighbor* configuration, rescaled into low-confidence priors; an
-	// ineligible or missing donor is reported and the run stays cold — a
-	// transfer is never silent.
-	var store *pltstore.Store
-	var params core.Params
-	warmed := false
-	var prov *transfer.Provenance
-	if acc != nil && *warmDir != "" {
-		store = pltstore.Open(*warmDir)
-		params = acc.Export().Params
-		learnHash := pltstore.LearnHash(*bench, opts.Machine, params, opts.Scale, "", "")
-		if snap, err := store.Load(*bench, learnHash); err == nil {
-			warmed = acc.Import(snap.State) == nil
-		}
-		if !warmed && *transferOn {
-			family := transfer.FamilyHash(*bench, opts.Machine, params, opts.Scale, "")
-			recip := transfer.FromConfig(opts.Machine)
-			if donor, err := pltstore.Nearest(store.Donors(), family, recip); err == nil {
-				if prior, p, err := pltstore.DonorPrior(donor, recip, params); err == nil && acc.Import(prior) == nil {
-					prov = p
-				}
-			}
-			if prov == nil {
-				fmt.Fprintf(os.Stderr, "fssim: transfer: no eligible donor in %s; starting cold\n", *warmDir)
-			}
-		}
-	}
-
-	res, err := workload.Run(*bench, opts)
-	if err != nil {
-		fail("%v", err)
-	}
-	if store != nil {
-		// Transferred tables save under a distinct learn address and carry the
-		// TransferHash trailer, so they never overwrite — or later pose as —
-		// the cold-learned table of the same configuration (transferred
-		// snapshots are not donor-eligible: priors must not chain).
-		runKey := "fssim:" + *bench
-		directive, xferHash := "", uint64(0)
-		if prov != nil {
-			directive, xferHash = "store", prov.Hash
-		}
-		learnHash := pltstore.LearnHash(*bench, opts.Machine, params, opts.Scale, "", directive)
-		snap := &pltstore.Snapshot{
-			LearnHash:    learnHash,
-			ReplayHash:   pltstore.ReplayHash(learnHash, runKey, opts.Machine.Seed, xferHash),
-			Benchmark:    *bench,
-			Key:          runKey,
-			Family:       transfer.FamilyHash(*bench, opts.Machine, params, opts.Scale, ""),
-			TransferHash: xferHash,
-			Coords:       transfer.FromConfig(opts.Machine),
-			Stats:        res.Stats,
-			State:        acc.Export(),
-		}
-		if err := store.Save(snap); err != nil {
-			fmt.Fprintf(os.Stderr, "fssim: plt snapshot not saved: %v\n", err)
-		}
-	}
-	host := res.Wall
-	st := res.Stats
-
-	fmt.Printf("benchmark        %s (%s mode, scale %.2f)\n", *bench, opts.Machine.Mode, *scale)
+	fmt.Printf("benchmark        %s (%s mode, scale %.2f)\n", *bench, o.Mode, *scale)
 	fmt.Printf("instructions     %d (user %d, OS %d = %.1f%%)\n",
 		st.Insts, st.UserInsts, st.OSInsts, 100*float64(st.OSInsts)/float64(st.Insts))
 	fmt.Printf("cycles           %d (IPC %.3f)\n", st.Cycles, st.IPC())
 	fmt.Printf("OS intervals     %d (context switches %d, timer ticks %d)\n",
-		st.Intervals, res.Kernel.ContextSwitches(), res.Kernel.Ticks())
-	if opts.Machine.WithCaches {
+		st.Intervals, rep.Kernel.ContextSwitches(), rep.Kernel.Ticks())
+	if !*nocache {
 		l1i, l1d, l2r := st.MissRates()
 		fmt.Printf("miss rates       L1I %.3f%%  L1D %.3f%%  L2 %.3f%%  (DRAM %d)\n",
 			100*l1i, 100*l1d, 100*l2r, st.DRAM)
 	}
 	fmt.Printf("branches         %d lookups, %.2f%% mispredicted\n",
-		st.BrLookups, 100*float64(st.BrMispreds)/float64(max64(st.BrLookups, 1)))
-	if acc != nil {
+		st.BrLookups, 100*float64(st.BrMispreds)/float64(max(st.BrLookups, 1)))
+	if acc := rep.Accel; acc != nil {
 		sum := acc.Summary()
 		warmNote := ""
-		if warmed {
+		if rep.WarmStarted {
 			warmNote = " (warm-started)"
 		}
 		fmt.Printf("acceleration     coverage %.1f%% of %d invocations; %d clusters over %d services; %d re-learns; %d outliers%s\n",
@@ -227,7 +154,7 @@ func main() {
 			sum.Relearns, sum.Outliers, warmNote)
 		fmt.Printf("fast-forwarded   %d of %d instructions (%.1f%%)\n",
 			st.EmuInsts, st.Insts, 100*float64(st.EmuInsts)/float64(st.Insts))
-		if prov != nil {
+		if prov := rep.Transfer; prov != nil {
 			fmt.Printf("plt              %s (distance %.1f)\n", prov, prov.Distance)
 		}
 		if *services {
@@ -238,9 +165,8 @@ func main() {
 			}
 		}
 	}
-	if smp != nil {
-		rep := smp.Report()
-		fmt.Printf("sampling         %s\n", rep.Summary(st.Cycles))
+	if rep.Sample != nil {
+		fmt.Printf("sampling         %s\n", rep.Sample.Summary(st.Cycles))
 	}
 	fmt.Printf("host time        %.2fs (%.0f ns/inst)\n",
 		host.Seconds(), float64(host.Nanoseconds())/float64(st.Insts))
@@ -249,11 +175,4 @@ func main() {
 func fail(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "fssim: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

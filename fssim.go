@@ -168,8 +168,15 @@ type Options struct {
 	// after. Compatibility is hash-gated on (benchmark, machine config,
 	// acceleration parameters, scale): a stale, mismatched or corrupt
 	// snapshot is ignored and the run starts cold; it never produces a wrong
-	// prediction. Empty disables persistence.
+	// prediction. Sampled runs may warm-start but never persist: a table
+	// learned under sampling must not pose as the unsampled configuration's.
+	// Empty disables persistence.
 	WarmDir string
+	// Transfer lets an Accelerated run with WarmDir that finds no exact
+	// snapshot import the nearest transfer-eligible donor table from a
+	// neighboring configuration instead, rescaled into low-confidence priors
+	// (Report.Transfer names the donor). No eligible donor leaves the run cold.
+	Transfer bool
 	// Observer, if set, receives every completed OS service interval.
 	Observer func(IntervalRecord)
 	// Trace, if set, records every OS service interval plus the kernel's and
@@ -241,6 +248,12 @@ type Report struct {
 	// Options.WarmDir before simulating (false for cold starts, including
 	// every run whose snapshot was absent, stale or corrupt).
 	WarmStarted bool
+	// Transfer is the provenance of the donor table an Options.Transfer run
+	// imported (nil when none was imported).
+	Transfer *transfer.Provenance
+	// SaveErr is the best-effort PLT snapshot save's error: an unwritable
+	// warm dir degrades persistence, not the run.
+	SaveErr error
 	// Err is non-nil when the run ended abnormally (a guest-thread panic
 	// captured by the kernel scheduler, or a cancellation); Stats then cover
 	// the simulated prefix.
@@ -270,126 +283,122 @@ func Benchmarks() []string { return workload.Names() }
 func OSIntensiveBenchmarks() []string { return workload.OSIntensiveNames() }
 
 // RunBenchmark builds and runs one of the named evaluation workloads. With
-// Options.WarmDir set, an Accelerated run warm-starts from (and persists to)
-// the PLT snapshot store rooted there.
+// Options.WarmDir set, an Accelerated run warm-starts from (and, unless
+// sampled, persists to) the PLT snapshot store rooted there.
 func RunBenchmark(name string, o Options) (*Report, error) {
 	opts, acc, smp, err := o.toWorkload()
 	if err != nil {
 		return nil, err
 	}
+	rep := &Report{Accel: acc}
 	var store *pltstore.Store
 	var params core.Params
-	var learn uint64
-	warmed := false
+	var family uint64
+	var coords transfer.Coords
 	if acc != nil && o.WarmDir != "" {
 		store = pltstore.Open(o.WarmDir)
 		// Export on the fresh accelerator yields the exact Params it was
-		// built with, so the hash gates on what this run would learn under.
+		// built with, so the hashes gate on what this run would learn under.
 		params = acc.Export().Params
-		learn = pltstore.LearnHash(name, opts.Machine, params, opts.Scale, "", "")
+		family = transfer.FamilyHash(name, opts.Machine, params, opts.Scale, "")
+		coords = transfer.FromConfig(opts.Machine)
+		learn := pltstore.LearnHash(name, opts.Machine, params, opts.Scale, "", "")
 		if snap, err := store.Load(name, learn); err == nil {
-			warmed = acc.Import(snap.State) == nil
+			rep.WarmStarted = acc.Import(snap.State) == nil
+		}
+		if !rep.WarmStarted && o.Transfer {
+			if donor, err := pltstore.Nearest(store.Donors(), family, coords); err == nil {
+				if prior, prov, err := pltstore.DonorPrior(donor, coords, params); err == nil && acc.Import(prior) == nil {
+					rep.Transfer = prov
+				}
+			}
 		}
 	}
 	res, err := workload.Run(name, opts)
 	if err != nil {
 		return nil, err
 	}
-	if store != nil {
-		// Family and Coords make the table a transfer donor for neighboring
-		// configurations, exactly as one learned through the fssim CLI.
-		snap := &pltstore.Snapshot{
-			LearnHash:  learn,
-			ReplayHash: pltstore.ReplayHash(learn, "fssim:"+name, opts.Machine.Seed, 0),
-			Benchmark:  name,
-			Key:        "fssim:" + name,
-			Family:     transfer.FamilyHash(name, opts.Machine, params, opts.Scale, ""),
-			Coords:     transfer.FromConfig(opts.Machine),
-			Stats:      res.Stats,
-			State:      acc.Export(),
+	rep.Stats, rep.Machine, rep.Kernel, rep.Sample = res.Stats, res.Machine, res.Kernel, sampleReport(smp)
+	// Sampled runs never persist, as in the experiment scheduler: their
+	// statistics depend on the sampler's estimator and the snapshot identity
+	// does not encode the sampling spec.
+	if store != nil && smp == nil {
+		// Transferred tables save under a distinct learn address and carry
+		// the TransferHash trailer, so they never overwrite — or later pose
+		// as — the cold-learned table of the same configuration (transferred
+		// snapshots are not donor-eligible: priors must not chain).
+		directive, xferHash := "", uint64(0)
+		if rep.Transfer != nil {
+			directive, xferHash = "store", rep.Transfer.Hash
 		}
-		// Best effort: an unwritable warm dir degrades persistence, not the run.
-		_ = store.Save(snap)
-	}
-	rep := &Report{Stats: res.Stats, Accel: acc, Machine: res.Machine, Kernel: res.Kernel, WarmStarted: warmed}
-	if smp != nil {
-		r := smp.Report()
-		rep.Sample = &r
+		learn := pltstore.LearnHash(name, opts.Machine, params, opts.Scale, "", directive)
+		key := "fssim:" + name
+		rep.SaveErr = store.Save(&pltstore.Snapshot{
+			LearnHash:    learn,
+			ReplayHash:   pltstore.ReplayHash(learn, key, opts.Machine.Seed, xferHash),
+			Benchmark:    name,
+			Key:          key,
+			Family:       family,
+			TransferHash: xferHash,
+			Coords:       coords,
+			Stats:        res.Stats,
+			State:        acc.Export(),
+		})
 	}
 	return rep, nil
 }
 
-// System is an assembled simulated machine + OS awaiting custom workloads.
-type System struct {
-	m    *Machine
-	k    *Kernel
-	acc  *Accelerator
-	smp  *Sampler
-	opts Options
+func sampleReport(smp *sample.Sampler) *SampleReport {
+	if smp == nil {
+		return nil
+	}
+	r := smp.Report()
+	return &r
 }
 
-// NewSystem builds a simulated system for custom guest programs. An invalid
-// Options.Sample spec panics here (unlike RunBenchmark, there is no error
-// return); validate specs with ParseSampleSpec first when they are
-// user-supplied.
+// System is an assembled simulated machine + OS awaiting custom workloads.
+type System struct {
+	sim *workload.Sim
+	acc *Accelerator
+	smp *Sampler
+}
+
+// NewSystem builds a simulated system for custom guest programs, assembled
+// exactly as a benchmark's. An invalid Options.Sample spec panics here
+// (unlike RunBenchmark, there is no error return); validate specs with
+// ParseSampleSpec first when they are user-supplied.
 func NewSystem(o Options) *System {
 	opts, acc, smp, err := o.toWorkload()
 	if err != nil {
 		panic("fssim: " + err.Error())
 	}
-	m := machine.New(opts.Machine)
-	if opts.Trace != nil {
-		m.SetTrace(opts.Trace)
-	}
-	if opts.Sink != nil {
-		m.SetSink(opts.Sink)
-		if acc != nil && opts.Trace != nil {
-			acc.SetRecorder(opts.Trace)
-		}
-	}
-	if opts.Sample != nil {
-		m.SetAppSink(opts.Sample)
-		if smp != nil && opts.Trace != nil {
-			smp.SetRecorder(opts.Trace)
-		}
-	}
-	if opts.Observer != nil {
-		m.SetObserver(opts.Observer)
-	}
-	k := kernel.New(m, opts.Tunables)
-	return &System{m: m, k: k, acc: acc, smp: smp, opts: o}
+	return &System{sim: workload.Assemble(opts), acc: acc, smp: smp}
 }
 
 // Machine returns the simulated hardware.
-func (s *System) Machine() *Machine { return s.m }
+func (s *System) Machine() *Machine { return s.sim.Machine }
 
 // Kernel returns the simulated OS.
-func (s *System) Kernel() *Kernel { return s.k }
+func (s *System) Kernel() *Kernel { return s.sim.Kernel }
 
 // FS returns the simulated filesystem for setup (MustCreate, MustMkdir, ...).
-func (s *System) FS() *kernel.FS { return s.k.FS() }
+func (s *System) FS() *kernel.FS { return s.sim.Kernel.FS() }
 
 // Net returns the simulated network stack for setup.
-func (s *System) Net() *kernel.Net { return s.k.Net() }
+func (s *System) Net() *kernel.Net { return s.sim.Kernel.Net() }
 
 // Spawn creates a guest thread running body when Run is called.
 func (s *System) Spawn(name string, body func(*Proc)) *Thread {
-	return s.k.Spawn(name, body)
+	return s.sim.Kernel.Spawn(name, body)
 }
 
 // Run executes the system until every thread exits and returns the report.
 // A guest-thread panic or a machine cancellation surfaces in Report.Err; the
 // partially simulated statistics are still reported.
 func (s *System) Run() *Report {
-	err := s.k.Run()
-	// Close the final user-mode stretch (no-op without a sampling sink).
-	s.m.FinishApp()
-	rep := &Report{Stats: s.m.Stats(), Accel: s.acc, Machine: s.m, Kernel: s.k, Err: err}
-	if s.smp != nil {
-		r := s.smp.Report()
-		rep.Sample = &r
-	}
-	return rep
+	res, err := s.sim.Run()
+	return &Report{Stats: res.Stats, Accel: s.acc, Sample: sampleReport(s.smp),
+		Machine: res.Machine, Kernel: res.Kernel, Err: err}
 }
 
 // DefaultParams returns the paper's acceleration parameters: Statistical

@@ -1,6 +1,7 @@
 package fssim_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"fssim"
@@ -159,5 +160,73 @@ func TestPublicWarmStartDonates(t *testing.T) {
 	}
 	if donor.Benchmark != "ab-rand" || donor.Coords.L2Size != 512<<10 {
 		t.Errorf("donor %s with L2 %d, want the 512KB ab-rand table", donor.Benchmark, donor.Coords.L2Size)
+	}
+}
+
+// TestPublicSampledRunDoesNotPersist: a table learned under sampling must not
+// pose as the unsampled configuration's, so a sampled run saves no snapshot
+// and its unsampled twin on the same store starts cold.
+func TestPublicSampledRunDoesNotPersist(t *testing.T) {
+	dir := t.TempDir()
+	opts := fssim.Options{Mode: fssim.Accelerated, Scale: 0.2, WarmDir: dir, Sample: "default"}
+	if _, err := fssim.RunBenchmark("ab-seq", opts); err != nil {
+		t.Fatal(err)
+	}
+	if plts, _ := filepath.Glob(filepath.Join(dir, "*.plt")); len(plts) != 0 {
+		t.Errorf("sampled run persisted %v", plts)
+	}
+	opts.Sample = ""
+	rep, err := fssim.RunBenchmark("ab-seq", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WarmStarted {
+		t.Error("unsampled run warm-started from a table learned under sampling")
+	}
+}
+
+// TestPublicTransfer is the library form of the fssim CLI's transfer
+// contract: a run with no exact snapshot imports the nearest eligible donor
+// (a neighboring L2 size) and covers more than its cold twin, while a donor
+// too far away is rejected and the run stays cold.
+func TestPublicTransfer(t *testing.T) {
+	opts := fssim.Options{Mode: fssim.Accelerated, Strategy: fssim.Statistical, Scale: 0.1}
+	run := func(bench string, o fssim.Options) *fssim.Report {
+		t.Helper()
+		rep, err := fssim.RunBenchmark(bench, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	withStore := func(dir string, l2 int, xfer bool) fssim.Options {
+		o := opts
+		o.WarmDir, o.L2Size, o.Transfer = dir, l2, xfer
+		return o
+	}
+
+	near := t.TempDir()
+	run("ab-rand", withStore(near, 512<<10, false))
+	hit := run("ab-rand", withStore(near, 0, true))
+	if hit.Transfer == nil || hit.WarmStarted {
+		t.Fatalf("512KB donor: transfer %v, warm-started %v; want an imported donor", hit.Transfer, hit.WarmStarted)
+	}
+	// A library-learned table records its family and coordinates: the donor
+	// is the ab-rand table one L2 doubling away.
+	if p := hit.Transfer; p.DonorBench != "ab-rand" || p.Distance != 1 {
+		t.Errorf("donor %s at distance %.1f, want the 512KB ab-rand table at 1.0", p.DonorBench, p.Distance)
+	}
+	if cold := run("ab-rand", opts); hit.Coverage() <= cold.Coverage() {
+		t.Errorf("transferred coverage %.3f not above cold %.3f", hit.Coverage(), cold.Coverage())
+	}
+
+	far := t.TempDir()
+	run("ab-seq", withStore(far, 16<<20, false))
+	miss := run("ab-seq", withStore(far, 0, true))
+	if miss.Transfer != nil || miss.WarmStarted {
+		t.Fatalf("16MB donor: transfer %v, warm-started %v; want a cold run", miss.Transfer, miss.WarmStarted)
+	}
+	if cold := run("ab-seq", opts); miss.Stats != cold.Stats {
+		t.Errorf("rejected transfer diverged from its cold twin: %+v vs %+v", miss.Stats, cold.Stats)
 	}
 }

@@ -227,17 +227,18 @@ type ServiceReport struct {
 	OutlierRate float64
 }
 
-// Report returns per-service rows sorted by invocation count (descending).
+// Report returns per-service rows sorted by invocation count (descending),
+// ties in first-seen order.
 func (a *Accelerator) Report() []ServiceReport {
 	out := make([]ServiceReport, 0, len(a.learners))
-	for _, l := range a.learners {
+	for _, l := range a.Learners() {
 		out = append(out, ServiceReport{
 			Service: l.Svc, Seen: l.seen, Clusters: len(l.Table.Clusters),
 			Predicted: l.Predicted, Outliers: l.Outliers, Relearns: l.Relearns,
 			Degrades: l.Degrades, Phase: l.Phase(), OutlierRate: l.OutlierRate(),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seen > out[j].Seen })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Seen > out[j].Seen })
 	return out
 }
 

@@ -29,15 +29,15 @@ type Signature = machine.Signature
 // to one cluster: cycles and the per-level cache activity needed both for
 // prediction and for miss-rate bookkeeping.
 type Perf struct {
-	Cycles stats.Welford
-	L1IM   stats.Welford
-	L1DM   stats.Welford
-	L2M    stats.Welford
-	L1IA   stats.Welford
-	L1DA   stats.Welford
-	L2A    stats.Welford
-	L2WB   stats.Welford
-	IPC    stats.Welford
+	Cycles stats.Moments
+	L1IM   stats.Moments
+	L1DM   stats.Moments
+	L2M    stats.Moments
+	L1IA   stats.Moments
+	L1DA   stats.Moments
+	L2A    stats.Moments
+	L2WB   stats.Moments
+	IPC    stats.Moments
 }
 
 func (p *Perf) add(m *machine.Measurement) {
@@ -58,14 +58,14 @@ func (p *Perf) add(m *machine.Measurement) {
 // out before the next prediction — see machine.IntervalSink's contract).
 func (p *Perf) predictInto(out *machine.Prediction) {
 	*out = machine.Prediction{
-		Cycles:       uint64(math.Round(p.Cycles.Mean())),
-		L1IMisses:    uint64(math.Round(p.L1IM.Mean())),
-		L1DMisses:    uint64(math.Round(p.L1DM.Mean())),
-		L2Misses:     uint64(math.Round(p.L2M.Mean())),
-		L1IAccesses:  uint64(math.Round(p.L1IA.Mean())),
-		L1DAccesses:  uint64(math.Round(p.L1DA.Mean())),
-		L2Accesses:   uint64(math.Round(p.L2A.Mean())),
-		L2Writebacks: uint64(math.Round(p.L2WB.Mean())),
+		Cycles:       uint64(math.Round(p.Cycles.Mean)),
+		L1IMisses:    uint64(math.Round(p.L1IM.Mean)),
+		L1DMisses:    uint64(math.Round(p.L1DM.Mean)),
+		L2Misses:     uint64(math.Round(p.L2M.Mean)),
+		L1IAccesses:  uint64(math.Round(p.L1IA.Mean)),
+		L1DAccesses:  uint64(math.Round(p.L1DA.Mean)),
+		L2Accesses:   uint64(math.Round(p.L2A.Mean)),
+		L2Writebacks: uint64(math.Round(p.L2WB.Mean)),
 	}
 }
 

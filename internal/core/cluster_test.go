@@ -37,7 +37,7 @@ func TestClusterCentroidIsMean(t *testing.T) {
 	if c.N != 4 {
 		t.Errorf("N = %d", c.N)
 	}
-	if got := c.Perf.Cycles.Mean(); got != 500 {
+	if got := c.Perf.Cycles.Mean; got != 500 {
 		t.Errorf("cycles mean = %v", got)
 	}
 }

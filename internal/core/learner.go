@@ -346,7 +346,7 @@ func (l *Learner) MinClusterCPI() float64 {
 		if c.Centroid <= 0 {
 			continue
 		}
-		cpi := c.Perf.Cycles.Mean() / c.Centroid
+		cpi := c.Perf.Cycles.Mean / c.Centroid
 		if best == 0 || cpi < best {
 			best = cpi
 		}
@@ -453,11 +453,11 @@ func (l *Learner) Predict(sig Signature) *machine.Prediction {
 		epo := float64(l.countInWindow(int16(o.id))) / float64(len(l.ring))
 		o.epos = append(o.epos, epo)
 		if len(o.epos) >= l.params.MinEPOs {
-			var w stats.Welford
+			var w stats.Moments
 			for _, p := range o.epos {
 				w.Add(p)
 			}
-			bound := stats.TUpperBound95(w.Mean(), w.Std(), len(o.epos))
+			bound := stats.TUpperBound95(w.Mean, w.Std(), len(o.epos))
 			// If we cannot be 95% confident the true probability of
 			// occurrence is below p_min, conservatively re-learn (Eq 8).
 			if bound >= l.params.PMin {

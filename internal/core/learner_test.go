@@ -309,9 +309,9 @@ func TestMixSignatureSeparatesAliases(t *testing.T) {
 	if ca == nil || cb == nil || ca == cb {
 		t.Fatal("mix signature failed to separate the aliases")
 	}
-	if ca.Perf.Cycles.Mean() != 3000 || cb.Perf.Cycles.Mean() != 30000 {
+	if ca.Perf.Cycles.Mean != 3000 || cb.Perf.Cycles.Mean != 30000 {
 		t.Errorf("cluster means blurred: %v / %v",
-			ca.Perf.Cycles.Mean(), cb.Perf.Cycles.Mean())
+			ca.Perf.Cycles.Mean, cb.Perf.Cycles.Mean)
 	}
 }
 

@@ -22,9 +22,9 @@ type Profiler struct {
 type ServiceProfile struct {
 	Service isa.ServiceID
 	N       int64
-	Cycles  stats.Welford
-	Insts   stats.Welford
-	IPC     stats.Welford
+	Cycles  stats.Moments
+	Insts   stats.Moments
+	IPC     stats.Moments
 	Table   PLT // offline scaled clustering over (signature -> perf)
 
 	// Series holds per-invocation (insts, cycles) pairs for Figs 4 and 5.

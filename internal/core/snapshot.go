@@ -40,50 +40,8 @@ const (
 	maxOutlierID        = 30000 // nextOutID wraps here (see Learner.outlier)
 )
 
-// PerfState is the exported form of a cluster's Perf accumulators: the nine
-// per-metric moments the PLT records for prediction.
-type PerfState struct {
-	Cycles stats.Moments
-	L1IM   stats.Moments
-	L1DM   stats.Moments
-	L2M    stats.Moments
-	L1IA   stats.Moments
-	L1DA   stats.Moments
-	L2A    stats.Moments
-	L2WB   stats.Moments
-	IPC    stats.Moments
-}
-
-func (p *Perf) export() PerfState {
-	return PerfState{
-		Cycles: p.Cycles.Moments(),
-		L1IM:   p.L1IM.Moments(),
-		L1DM:   p.L1DM.Moments(),
-		L2M:    p.L2M.Moments(),
-		L1IA:   p.L1IA.Moments(),
-		L1DA:   p.L1DA.Moments(),
-		L2A:    p.L2A.Moments(),
-		L2WB:   p.L2WB.Moments(),
-		IPC:    p.IPC.Moments(),
-	}
-}
-
-func (ps PerfState) restore() Perf {
-	return Perf{
-		Cycles: stats.WelfordFromMoments(ps.Cycles),
-		L1IM:   stats.WelfordFromMoments(ps.L1IM),
-		L1DM:   stats.WelfordFromMoments(ps.L1DM),
-		L2M:    stats.WelfordFromMoments(ps.L2M),
-		L1IA:   stats.WelfordFromMoments(ps.L1IA),
-		L1DA:   stats.WelfordFromMoments(ps.L1DA),
-		L2A:    stats.WelfordFromMoments(ps.L2A),
-		L2WB:   stats.WelfordFromMoments(ps.L2WB),
-		IPC:    stats.WelfordFromMoments(ps.IPC),
-	}
-}
-
 // moments lists the nine accumulators for validation.
-func (ps PerfState) moments() []stats.Moments {
+func (ps Perf) moments() []stats.Moments {
 	return []stats.Moments{ps.Cycles, ps.L1IM, ps.L1DM, ps.L2M,
 		ps.L1IA, ps.L1DA, ps.L2A, ps.L2WB, ps.IPC}
 }
@@ -93,7 +51,7 @@ type ClusterState struct {
 	Centroid    float64
 	MixCentroid [3]float64
 	N           int64
-	Perf        PerfState
+	Perf        Perf
 }
 
 // OutlierState is the exported form of one outlier entry (the occurrence
@@ -203,7 +161,7 @@ func (l *Learner) export() LearnerState {
 		for _, c := range l.Table.Clusters {
 			ls.Clusters = append(ls.Clusters, ClusterState{
 				Centroid: c.Centroid, MixCentroid: c.MixCentroid, N: c.N,
-				Perf: c.Perf.export(),
+				Perf: c.Perf,
 			})
 		}
 	}
@@ -268,7 +226,7 @@ func (ls *LearnerState) restore(p Params) *Learner {
 	for _, cs := range ls.Clusters {
 		l.Table.Clusters = append(l.Table.Clusters, &Cluster{
 			Centroid: cs.Centroid, MixCentroid: cs.MixCentroid, N: cs.N,
-			Perf: cs.Perf.restore(),
+			Perf: cs.Perf,
 		})
 	}
 	return l

@@ -44,8 +44,8 @@ func Fig3(cfg Config) (*Result, error) {
 				continue
 			}
 			t.AddRowf(sp.Service.String(), bench, fmt.Sprint(sp.N),
-				f1(sp.Cycles.Mean()), f1(sp.Cycles.Std()),
-				f3(sp.IPC.Mean()), f3(sp.IPC.Std()))
+				f1(sp.Cycles.Mean), f1(sp.Cycles.Std()),
+				f3(sp.IPC.Mean), f3(sp.IPC.Std()))
 		}
 	}
 	return &Result{Table: t}, nil

@@ -53,7 +53,7 @@ func (s *Sampler) Report() Report {
 		DetCycles:    s.detCycles,
 	}
 	r.Intervals = r.Detailed + r.Extrapolated
-	pooledM := s.pooled.Moments()
+	pooledM := s.pooled
 	for i, c := range s.table.Clusters {
 		if i >= len(s.det) {
 			break

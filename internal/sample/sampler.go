@@ -34,7 +34,7 @@ type Sampler struct {
 	visits      []int64     // total intervals that landed in the stratum
 	nextCap     []uint64    // interval index at which the stratum is due a recapture
 
-	pooled stats.Welford // all detailed CPI samples (thin-stratum CI fallback)
+	pooled stats.Moments // all detailed CPI samples (thin-stratum CI fallback)
 
 	idx         uint64 // application intervals decided so far (drives the refresh pick)
 	last        int    // stratum of the previously closed interval (-1 before any)
@@ -276,11 +276,11 @@ func (s *Sampler) winPush(i int, v float64) {
 
 // winMoments returns the moments of stratum i's representative window.
 func (s *Sampler) winMoments(i int) stats.Moments {
-	var w stats.Welford
+	var w stats.Moments
 	for _, v := range s.win[i] {
 		w.Add(v)
 	}
-	return w.Moments()
+	return w
 }
 
 // estCPI returns the virtual-clock pacing CPI for a fast-forwarded interval:
@@ -299,7 +299,7 @@ func (s *Sampler) estCPI() float64 {
 		}
 	}
 	if math.IsInf(est, 1) {
-		if p := s.pooled.Mean(); p > 0 {
+		if p := s.pooled.Mean; p > 0 {
 			return p
 		}
 		return 1
@@ -392,13 +392,13 @@ func (s *Sampler) extrapolate(sig machine.Signature) *machine.Prediction {
 	p := &c.Perf
 	s.predScratch = machine.Prediction{
 		Cycles:       uint64(math.Round(cycles)),
-		L1IMisses:    uint64(math.Round(p.L1IM.Mean() * scale)),
-		L1DMisses:    uint64(math.Round(p.L1DM.Mean() * scale)),
-		L2Misses:     uint64(math.Round(p.L2M.Mean() * scale)),
-		L1IAccesses:  uint64(math.Round(p.L1IA.Mean() * scale)),
-		L1DAccesses:  uint64(math.Round(p.L1DA.Mean() * scale)),
-		L2Accesses:   uint64(math.Round(p.L2A.Mean() * scale)),
-		L2Writebacks: uint64(math.Round(p.L2WB.Mean() * scale)),
+		L1IMisses:    uint64(math.Round(p.L1IM.Mean * scale)),
+		L1DMisses:    uint64(math.Round(p.L1DM.Mean * scale)),
+		L2Misses:     uint64(math.Round(p.L2M.Mean * scale)),
+		L1IAccesses:  uint64(math.Round(p.L1IA.Mean * scale)),
+		L1DAccesses:  uint64(math.Round(p.L1DA.Mean * scale)),
+		L2Accesses:   uint64(math.Round(p.L2A.Mean * scale)),
+		L2Writebacks: uint64(math.Round(p.L2WB.Mean * scale)),
 	}
 	s.extraInsts[i] += insts
 	s.extraCycles[i] += cycles

@@ -72,12 +72,12 @@ func (h *Hist2D) NonEmpty() int { return len(h.cells) }
 const logHistBuckets = 64
 
 // LogHist is a fixed-size power-of-two-bucketed histogram over non-negative
-// values, with running mean/variance via Welford and explicit out-of-range
+// values, with running mean/variance (Moments) and explicit out-of-range
 // and overflow buckets. The observability layer uses it for metrics whose
 // values span orders of magnitude (interval cycle counts, queue depths)
 // where uniform bins would be useless. The zero value is ready to use.
 type LogHist struct {
-	w        Welford
+	w        Moments
 	buckets  [logHistBuckets]int64
 	oob      int64 // negative or NaN observations
 	overflow int64 // observations >= 2^63
@@ -92,10 +92,10 @@ func (h *LogHist) Add(v float64) {
 		h.oob++
 		return
 	}
-	if h.w.N() == 0 || v < h.min {
+	if h.w.N == 0 || v < h.min {
 		h.min = v
 	}
-	if h.w.N() == 0 || v > h.max {
+	if h.w.N == 0 || v > h.max {
 		h.max = v
 	}
 	h.w.Add(v)
@@ -108,10 +108,10 @@ func (h *LogHist) Add(v float64) {
 
 // N returns the number of in-range observations (overflow included,
 // out-of-range excluded).
-func (h *LogHist) N() int64 { return h.w.N() }
+func (h *LogHist) N() int64 { return h.w.N }
 
 // Mean returns the mean of in-range observations.
-func (h *LogHist) Mean() float64 { return h.w.Mean() }
+func (h *LogHist) Mean() float64 { return h.w.Mean }
 
 // Std returns the sample standard deviation of in-range observations.
 func (h *LogHist) Std() float64 { return h.w.Std() }

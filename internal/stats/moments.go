@@ -2,23 +2,32 @@ package stats
 
 import "math"
 
-// Moments is the exported, serialization-friendly form of a Welford
-// accumulator: observation count, sample mean, and the sum of squared
-// deviations from the mean (M2). It is the on-disk representation the PLT
+// Moments is a running mean/variance accumulator (Welford's online
+// algorithm): observation count, sample mean, and the sum of squared
+// deviations from the mean (M2). The zero value is ready to use. Its fields
+// are exported because they are also the on-disk representation the PLT
 // snapshot format stores for every cluster statistic, and the algebra the
-// warm-start path uses to fold a reloaded cluster's history with newly
-// observed members without losing variance.
+// warm-start and transfer paths use to fold a reloaded cluster's history
+// with newly observed members without losing variance.
 type Moments struct {
 	N    int64
 	Mean float64
 	M2   float64
 }
 
+// Add incorporates one observation.
+func (m *Moments) Add(x float64) {
+	m.N++
+	d := x - m.Mean
+	m.Mean += d / float64(m.N)
+	m.M2 += d * (x - m.Mean)
+}
+
 // Merge returns the moments of the union of the two underlying samples,
-// using the parallel-axis combination of Chan et al. — the same update
-// Welford.Merge applies in place. Merging with an empty side returns the
-// other side unchanged, so N=0 and N=1 accumulators (whose M2 is zero)
-// combine exactly: variance information is neither invented nor lost.
+// using the parallel-axis combination of Chan et al. Merging with an empty
+// side returns the other side unchanged, so N=0 and N=1 accumulators (whose
+// M2 is zero) combine exactly: variance information is neither invented nor
+// lost.
 func (m Moments) Merge(o Moments) Moments {
 	if o.N == 0 {
 		return m
@@ -46,13 +55,25 @@ func (m Moments) Scale(s float64) Moments {
 	return Moments{N: m.N, Mean: s * m.Mean, M2: s * s * m.M2}
 }
 
-// Var returns the unbiased sample variance (0 with fewer than 2 observations),
-// mirroring Welford.Var.
+// Var returns the unbiased sample variance (0 with fewer than 2 observations).
 func (m Moments) Var() float64 {
 	if m.N < 2 {
 		return 0
 	}
 	return m.M2 / float64(m.N-1)
+}
+
+// Std returns the sample standard deviation.
+func (m Moments) Std() float64 { return math.Sqrt(m.Var()) }
+
+// CV returns the coefficient of variation: standard deviation divided by the
+// mean. It is the cluster-uniformity metric of paper §4.2. A zero mean yields
+// CV 0 to keep aggregate averages well defined.
+func (m Moments) CV() float64 {
+	if m.Mean == 0 {
+		return 0
+	}
+	return math.Abs(m.Std() / m.Mean)
 }
 
 // CI95Half returns the half-width of the two-sided 95% confidence interval
@@ -71,11 +92,3 @@ func (m Moments) CI95Half() float64 {
 	}
 	return TTwoSided95(int(m.N-1)) * math.Sqrt(v/float64(m.N))
 }
-
-// Moments returns the accumulator's exported moments — the serializable view
-// of its (unexported) running state.
-func (w *Welford) Moments() Moments { return Moments{N: w.n, Mean: w.mean, M2: w.m2} }
-
-// WelfordFromMoments reconstructs an accumulator from exported moments; the
-// round trip w.Moments() -> WelfordFromMoments is exact.
-func WelfordFromMoments(m Moments) Welford { return Welford{n: m.N, mean: m.Mean, m2: m.M2} }

@@ -2,15 +2,17 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 func momentsOf(xs ...float64) Moments {
-	var w Welford
+	var m Moments
 	for _, x := range xs {
-		w.Add(x)
+		m.Add(x)
 	}
-	return w.Moments()
+	return m
 }
 
 func closeTo(a, b float64) bool {
@@ -19,6 +21,85 @@ func closeTo(a, b float64) bool {
 	}
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return math.Abs(a-b) <= 1e-9*scale
+}
+
+func TestWelfordBasics(t *testing.T) {
+	var m Moments
+	if m.Mean != 0 || m.Std() != 0 || m.CV() != 0 {
+		t.Fatal("zero value should report zeros")
+	}
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		m.Add(x)
+	}
+	if m.N != 8 {
+		t.Fatalf("N = %d", m.N)
+	}
+	if got := m.Mean; math.Abs(got-5) > 1e-12 {
+		t.Errorf("mean = %v, want 5", got)
+	}
+	// Sample std of this classic set: sqrt(32/7).
+	want := math.Sqrt(32.0 / 7.0)
+	if got := m.Std(); math.Abs(got-want) > 1e-12 {
+		t.Errorf("std = %v, want %v", got, want)
+	}
+	if got := m.CV(); math.Abs(got-want/5) > 1e-12 {
+		t.Errorf("cv = %v, want %v", got, want/5)
+	}
+}
+
+// TestWelfordMatchesNaive property-checks the online algorithm against the
+// two-pass formula on random data.
+func TestWelfordMatchesNaive(t *testing.T) {
+	f := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		k := int(n%50) + 2
+		xs := make([]float64, k)
+		var m Moments
+		for i := range xs {
+			xs[i] = rng.NormFloat64()*100 + 50
+			m.Add(xs[i])
+		}
+		var sum float64
+		for _, x := range xs {
+			sum += x
+		}
+		mean := sum / float64(k)
+		var ss float64
+		for _, x := range xs {
+			ss += (x - mean) * (x - mean)
+		}
+		variance := ss / float64(k-1)
+		return math.Abs(m.Mean-mean) < 1e-9 && math.Abs(m.Var()-variance) < 1e-6
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestWelfordMerge property-checks that merging two accumulators equals
+// accumulating the concatenation.
+func TestWelfordMerge(t *testing.T) {
+	f := func(seed int64, na, nb uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a, b, all := Moments{}, Moments{}, Moments{}
+		for i := 0; i < int(na%40)+1; i++ {
+			x := rng.Float64() * 1000
+			a.Add(x)
+			all.Add(x)
+		}
+		for i := 0; i < int(nb%40)+1; i++ {
+			x := rng.Float64() * 1000
+			b.Add(x)
+			all.Add(x)
+		}
+		a = a.Merge(b)
+		return a.N == all.N &&
+			math.Abs(a.Mean-all.Mean) < 1e-9 &&
+			math.Abs(a.Var()-all.Var()) < 1e-6
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestMomentsMergeMatchesDirectAccumulation is the parallel-axis contract:
@@ -67,30 +148,6 @@ func TestMomentsMergeEdgeCases(t *testing.T) {
 	// the between-sample term.
 	if momentsOf(5).M2 != 0 {
 		t.Error("single observation must have M2 == 0")
-	}
-}
-
-// TestMomentsWelfordRoundTrip asserts the exported-moments round trip is
-// exact, including the Merge equivalence with Welford.Merge.
-func TestMomentsWelfordRoundTrip(t *testing.T) {
-	var a, b Welford
-	for i := 0; i < 17; i++ {
-		a.Add(float64(i) * 1.25)
-	}
-	for i := 0; i < 5; i++ {
-		b.Add(float64(100 - 7*i))
-	}
-
-	ra := WelfordFromMoments(a.Moments())
-	if ra != a {
-		t.Errorf("round trip changed the accumulator: %+v vs %+v", ra, a)
-	}
-
-	merged := a.Moments().Merge(b.Moments())
-	wm := a // copy
-	wm.Merge(b)
-	if got := wm.Moments(); got.N != merged.N || !closeTo(got.Mean, merged.Mean) || !closeTo(got.M2, merged.M2) {
-		t.Errorf("Moments.Merge %+v disagrees with Welford.Merge %+v", merged, got)
 	}
 }
 
@@ -144,5 +201,76 @@ func TestMomentsScaleMergeCommute(t *testing.T) {
 	one := momentsOf(7)
 	if got := one.Scale(2); got.N != 1 || !closeTo(got.Mean, 14) || got.M2 != 0 {
 		t.Errorf("singleton scaled to %+v, want N=1 mean=14 M2=0", got)
+	}
+}
+
+// TestCI95HalfEdgeCases pins the confidence-interval contract the sampling
+// estimator leans on: CI95Half is well-defined — never NaN or Inf — for every
+// degenerate accumulator a stratum can produce (empty, single observation,
+// zero variance), and positive exactly when there is measurable spread over
+// at least two observations.
+func TestCI95HalfEdgeCases(t *testing.T) {
+	finite := func(name string, m Moments) float64 {
+		t.Helper()
+		h := m.CI95Half()
+		if math.IsNaN(h) || math.IsInf(h, 0) {
+			t.Fatalf("%s: CI95Half = %v, want finite", name, h)
+		}
+		if h < 0 {
+			t.Fatalf("%s: CI95Half = %v, want >= 0", name, h)
+		}
+		return h
+	}
+
+	if h := finite("empty", Moments{}); h != 0 {
+		t.Errorf("empty moments: CI95Half = %v, want 0", h)
+	}
+	if h := finite("single", momentsOf(42.5)); h != 0 {
+		t.Errorf("single observation: CI95Half = %v, want 0", h)
+	}
+	if h := finite("zero-variance", momentsOf(3.25, 3.25, 3.25, 3.25, 3.25, 3.25, 3.25, 3.25, 3.25, 3.25)); h != 0 {
+		t.Errorf("zero-variance stratum: CI95Half = %v, want 0", h)
+	}
+	if h := finite("spread", momentsOf(1, 2, 3, 4, 5)); h <= 0 {
+		t.Errorf("spread sample: CI95Half = %v, want > 0", h)
+	}
+	// Negative M2 can only arise from corrupt deserialized state; Var clamps
+	// at the N<2 guard but not above it, so verify the <=0 variance guard.
+	if h := finite("corrupt", Moments{N: 5, Mean: 1, M2: -4}); h != 0 {
+		t.Errorf("negative-M2 moments: CI95Half = %v, want 0", h)
+	}
+}
+
+// TestMergeEmptyPreservesCI verifies that merging with empty moments is the
+// identity in both directions — including for the derived CI — and that a
+// merge of two empties stays empty rather than inventing spread.
+func TestMergeEmptyPreservesCI(t *testing.T) {
+	m := momentsOf(2, 4, 6, 8)
+	for name, got := range map[string]Moments{
+		"m.Merge(empty)": m.Merge(Moments{}),
+		"empty.Merge(m)": (Moments{}).Merge(m),
+	} {
+		if got != m {
+			t.Errorf("%s = %+v, want %+v", name, got, m)
+		}
+		if got.CI95Half() != m.CI95Half() {
+			t.Errorf("%s: CI changed: %v vs %v", name, got.CI95Half(), m.CI95Half())
+		}
+	}
+	both := (Moments{}).Merge(Moments{})
+	if both.N != 0 || both.CI95Half() != 0 {
+		t.Errorf("empty.Merge(empty) = %+v (CI %v), want zero", both, both.CI95Half())
+	}
+	// Merging two single-observation accumulators must produce real variance:
+	// N=1 sides carry M2=0, and the parallel-axis term supplies the spread.
+	ab := momentsOf(1).Merge(momentsOf(3))
+	if ab.N != 2 || ab.Mean != 2 {
+		t.Fatalf("merge of singletons: %+v, want N=2 Mean=2", ab)
+	}
+	if v := ab.Var(); v != 2 {
+		t.Errorf("merge of singletons: Var = %v, want 2", v)
+	}
+	if h := ab.CI95Half(); math.IsNaN(h) || h <= 0 {
+		t.Errorf("merge of singletons: CI95Half = %v, want positive finite", h)
 	}
 }

@@ -7,65 +7,6 @@ package stats
 
 import "math"
 
-// Welford accumulates a running mean and variance using Welford's online
-// algorithm. The zero value is ready to use.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the sample mean (0 if empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the unbiased sample variance (0 with fewer than 2 observations).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// CV returns the coefficient of variation: standard deviation divided by the
-// mean. It is the cluster-uniformity metric of paper §4.2. A zero mean yields
-// CV 0 to keep aggregate averages well defined.
-func (w *Welford) CV() float64 {
-	if w.mean == 0 {
-		return 0
-	}
-	return math.Abs(w.Std() / w.mean)
-}
-
-// Merge combines another accumulator into w (Chan et al. parallel update).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.n = n
-}
-
 // AtLeastOnce returns the probability that an event with per-trial probability
 // p occurs at least once in n independent trials: 1 - (1-p)^n. This is the
 // closed form of paper Eq (2)/(3) summed over k >= 1.

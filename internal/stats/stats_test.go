@@ -2,89 +2,9 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestWelfordBasics(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Std() != 0 || w.CV() != 0 {
-		t.Fatal("zero value should report zeros")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Fatalf("N = %d", w.N())
-	}
-	if got := w.Mean(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("mean = %v, want 5", got)
-	}
-	// Sample std of this classic set: sqrt(32/7).
-	want := math.Sqrt(32.0 / 7.0)
-	if got := w.Std(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("std = %v, want %v", got, want)
-	}
-	if got := w.CV(); math.Abs(got-want/5) > 1e-12 {
-		t.Errorf("cv = %v, want %v", got, want/5)
-	}
-}
-
-// TestWelfordMatchesNaive property-checks the online algorithm against the
-// two-pass formula on random data.
-func TestWelfordMatchesNaive(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := int(n%50) + 2
-		xs := make([]float64, m)
-		var w Welford
-		for i := range xs {
-			xs[i] = rng.NormFloat64()*100 + 50
-			w.Add(xs[i])
-		}
-		var sum float64
-		for _, x := range xs {
-			sum += x
-		}
-		mean := sum / float64(m)
-		var ss float64
-		for _, x := range xs {
-			ss += (x - mean) * (x - mean)
-		}
-		variance := ss / float64(m-1)
-		return math.Abs(w.Mean()-mean) < 1e-9 && math.Abs(w.Var()-variance) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestWelfordMerge property-checks that merging two accumulators equals
-// accumulating the concatenation.
-func TestWelfordMerge(t *testing.T) {
-	f := func(seed int64, na, nb uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a, b, all := Welford{}, Welford{}, Welford{}
-		for i := 0; i < int(na%40)+1; i++ {
-			x := rng.Float64() * 1000
-			a.Add(x)
-			all.Add(x)
-		}
-		for i := 0; i < int(nb%40)+1; i++ {
-			x := rng.Float64() * 1000
-			b.Add(x)
-			all.Add(x)
-		}
-		a.Merge(b)
-		return a.N() == all.N() &&
-			math.Abs(a.Mean()-all.Mean()) < 1e-9 &&
-			math.Abs(a.Var()-all.Var()) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestAtLeastOnce(t *testing.T) {
 	cases := []struct {

@@ -239,11 +239,11 @@ func TestFitAnalyticL2Sweep(t *testing.T) {
 func donorState(t *testing.T) *core.AccelState {
 	t.Helper()
 	mk := func(mean float64, n int64) stats.Moments {
-		var w stats.Welford
+		var w stats.Moments
 		for i := int64(0); i < n; i++ {
 			w.Add(mean * (1 + 0.01*float64(i%5)))
 		}
-		return w.Moments()
+		return w
 	}
 	cluster := func(centroid, cyc, l2m float64) core.ClusterState {
 		const n = 50
@@ -251,7 +251,7 @@ func donorState(t *testing.T) *core.AccelState {
 			Centroid:    centroid,
 			MixCentroid: [3]float64{centroid * 0.3, centroid * 0.2, centroid * 0.1},
 			N:           n,
-			Perf: core.PerfState{
+			Perf: core.Perf{
 				Cycles: mk(cyc, n), L2M: mk(l2m, n),
 				L1IM: mk(20, n), L1DM: mk(35, n),
 				L1IA: mk(centroid, n), L1DA: mk(centroid*0.5, n),
@@ -373,11 +373,10 @@ func TestRescaleNoClusters(t *testing.T) {
 // TestCapMomentsKeepsVariance pins the prior-weight truncation: the capped
 // sample keeps the mean and the unbiased variance of the original.
 func TestCapMomentsKeepsVariance(t *testing.T) {
-	var w stats.Welford
+	var m stats.Moments
 	for i := 0; i < 100; i++ {
-		w.Add(float64(i % 7))
+		m.Add(float64(i % 7))
 	}
-	m := w.Moments()
 	c := capMoments(m)
 	if c.N != PriorWeight {
 		t.Fatalf("capped N %d, want %d", c.N, PriorWeight)

@@ -225,11 +225,11 @@ type Result struct {
 	Wall time.Duration
 }
 
-// Run builds and runs the named benchmark to completion. Panics anywhere in
-// setup or simulation are converted to errors rather than crashing the
-// caller, and a closed Options.Cancel channel aborts the run cooperatively;
-// in both cases the partially simulated machine state is still returned for
-// diagnostics.
+// Run builds and runs the named benchmark to completion: Assemble, the
+// benchmark's setup, then Sim.Run. Panics anywhere in setup or simulation
+// are converted to errors rather than crashing the caller, and a closed
+// Options.Cancel channel aborts the run cooperatively; in both cases the
+// partially simulated machine state is still returned for diagnostics.
 func Run(name string, opts Options) (res Result, err error) {
 	b, err := Lookup(name)
 	if err != nil {
@@ -245,13 +245,29 @@ func Run(name string, opts Options) (res Result, err error) {
 	if opts.Scale == 0 {
 		opts.Scale = 1.0
 	}
+	s := Assemble(opts)
+	res = Result{Machine: s.Machine, Kernel: s.Kernel, Trace: opts.Trace}
+	b.setup(s.Kernel, opts.Scale)
+	return s.Run()
+}
+
+// Sim is an assembled simulation awaiting its guest programs: the machine
+// with the run's recorder, sinks and observer attached, and the kernel built
+// on it. Benchmarks (Run) and custom systems (fssim.NewSystem) populate the
+// kernel, then call Run.
+type Sim struct {
+	Machine *machine.Machine
+	Kernel  *kernel.Kernel
+	opts    Options
+}
+
+// Assemble builds the machine and kernel opts describe. The recorder is
+// attached before kernel.New so the kernel (and everything after it)
+// resolves instruments against the run's registry.
+func Assemble(opts Options) *Sim {
 	m := machine.New(opts.Machine)
-	res.Machine = m
 	if opts.Trace != nil {
-		// Attach before kernel.New so the kernel (and everything after it)
-		// resolves instruments against the run's registry.
 		m.SetTrace(opts.Trace)
-		res.Trace = opts.Trace
 	}
 	type recorderSetter interface{ SetRecorder(*trace.Recorder) }
 	if opts.Sink != nil {
@@ -271,20 +287,15 @@ func Run(name string, opts Options) (res Result, err error) {
 	if opts.Observer != nil {
 		m.SetObserver(opts.Observer)
 	}
-	if opts.Cancel != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-opts.Cancel:
-				m.Cancel(nil) // default cause: machine.ErrCanceled
-			case <-stop:
-			}
-		}()
-	}
-	k := kernel.New(m, opts.Tunables)
-	res.Kernel = k
-	b.setup(k, opts.Scale)
+	return &Sim{Machine: m, Kernel: kernel.New(m, opts.Tunables), opts: opts}
+}
+
+// Run simulates the populated system until every thread exits and returns
+// its result (Wall is left to the caller). The error is the kernel's: a
+// guest-thread panic or a cancellation; the statistics then cover the
+// simulated prefix.
+func (s *Sim) Run() (Result, error) {
+	m, k, opts := s.Machine, s.Kernel, s.opts
 	// Workloads with a declared warm-up (the web benchmarks skip their first
 	// requests, iperf its first writes, as in the paper's §5.2) defer the
 	// acceleration engine and reset the statistics baseline at the warm
@@ -304,7 +315,6 @@ func Run(name string, opts Options) (res Result, err error) {
 			arms = append(arms, a.Arm)
 		}
 		if len(arms) > 0 {
-			arms := arms
 			m.SetWarmCallback(func() {
 				for _, f := range arms {
 					f()
@@ -315,11 +325,22 @@ func Run(name string, opts Options) (res Result, err error) {
 	if opts.Prepare != nil {
 		opts.Prepare(k)
 	}
-	err = k.Run()
+	if opts.Cancel != nil {
+		stop := make(chan struct{})
+		defer close(stop)
+		go func() {
+			select {
+			case <-opts.Cancel:
+				m.Cancel(nil) // default cause: machine.ErrCanceled
+			case <-stop:
+			}
+		}()
+	}
+	err := k.Run()
 	// Close the final user-mode stretch so sampled runs account every
 	// instruction to exactly one interval (no-op without a sampling sink).
 	m.FinishApp()
-	res.Stats = m.Stats()
+	res := Result{Machine: m, Kernel: k, Stats: m.Stats(), Trace: opts.Trace}
 	if opts.Trace.Enabled() {
 		res.Metrics = opts.Trace.Metrics().Snapshot()
 	}
