@@ -8,10 +8,10 @@
 //	fssim -bench du -mode apponly         # application-only baseline
 //	fssim -bench iperf -l2 2097152        # 2MB L2
 //	fssim -bench ab-rand -sample default  # stratified app-interval sampling
-//	fssim -bench ab-rand -mode accel -warm-dir warm   # persist + warm-start the PLT
+//	fssim -bench ab-rand -mode accel -warm-dir warm   # persist the PLT; replay on repeat
 //	fssim -bench ab-rand -mode accel -warm-dir warm -l2 2097152 -transfer
-//	                                      # no exact snapshot? import the nearest
-//	                                      # eligible neighbor config's PLT instead
+//	                                      # import the nearest eligible donor
+//	                                      # config's PLT, then simulate
 //	fssim -list                           # available benchmarks
 package main
 
@@ -44,8 +44,8 @@ func main() {
 	trace := flag.String("trace", "", "write every OS service interval as CSV to this file ('-' = stdout)")
 	tlb := flag.Bool("tlb", false, "enable TLB modeling (64-entry I/D TLBs, 30-cycle walks)")
 	prefetch := flag.Bool("prefetch", false, "enable the L2 next-line prefetcher")
-	warmDir := flag.String("warm-dir", "", "accel mode: import a persisted PLT snapshot from this directory before simulating, and persist the learned table after (empty = off; sampled runs never persist)")
-	transferOn := flag.Bool("transfer", false, "accel mode with -warm-dir: when no exact snapshot exists, warm-start the PLT from the nearest transfer-eligible donor configuration instead")
+	warmDir := flag.String("warm-dir", "", "accel mode: replay the run from this PLT snapshot directory when it recorded the same run, else simulate and persist the learned table (empty = off; sampled runs never replay or persist)")
+	transferOn := flag.Bool("transfer", false, "accel mode with -warm-dir: warm-start the PLT from the nearest transfer-eligible donor table in the store (the same config at another seed, or a neighbor) and simulate")
 	sampleSpec := flag.String("sample", "", "stratified app-interval sampling spec: a preset ("+strings.Join(sample.PresetNames(), ", ")+") or key=value list (empty = every app interval detailed)")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	flag.Parse()
@@ -122,7 +122,7 @@ func main() {
 	}
 	// A transfer is never silent: an ineligible or missing donor is reported
 	// and the run stays cold.
-	if rep.Accel != nil && *warmDir != "" && *transferOn && !rep.WarmStarted && rep.Transfer == nil {
+	if rep.Accel != nil && *warmDir != "" && *transferOn && !rep.Replayed && rep.Transfer == nil {
 		fmt.Fprintf(os.Stderr, "fssim: transfer: no eligible donor in %s; starting cold\n", *warmDir)
 	}
 	if rep.SaveErr != nil {
@@ -134,8 +134,11 @@ func main() {
 	fmt.Printf("instructions     %d (user %d, OS %d = %.1f%%)\n",
 		st.Insts, st.UserInsts, st.OSInsts, 100*float64(st.OSInsts)/float64(st.Insts))
 	fmt.Printf("cycles           %d (IPC %.3f)\n", st.Cycles, st.IPC())
-	fmt.Printf("OS intervals     %d (context switches %d, timer ticks %d)\n",
-		st.Intervals, rep.Kernel.ContextSwitches(), rep.Kernel.Ticks())
+	kernelNote := "" // a replay ran no kernel to count
+	if !rep.Replayed {
+		kernelNote = fmt.Sprintf(" (context switches %d, timer ticks %d)", rep.Kernel.ContextSwitches(), rep.Kernel.Ticks())
+	}
+	fmt.Printf("OS intervals     %d%s\n", st.Intervals, kernelNote)
 	if !*nocache {
 		l1i, l1d, l2r := st.MissRates()
 		fmt.Printf("miss rates       L1I %.3f%%  L1D %.3f%%  L2 %.3f%%  (DRAM %d)\n",
@@ -146,8 +149,8 @@ func main() {
 	if acc := rep.Accel; acc != nil {
 		sum := acc.Summary()
 		warmNote := ""
-		if rep.WarmStarted {
-			warmNote = " (warm-started)"
+		if rep.Replayed {
+			warmNote = " (replayed)"
 		}
 		fmt.Printf("acceleration     coverage %.1f%% of %d invocations; %d clusters over %d services; %d re-learns; %d outliers%s\n",
 			100*sum.Coverage(), sum.Learned+sum.Predicted, sum.Clusters, sum.Services,

@@ -53,7 +53,6 @@ import (
 	"fssim/internal/isa"
 	"fssim/internal/kernel"
 	"fssim/internal/machine"
-	"fssim/internal/pltstore"
 	"fssim/internal/sample"
 	"fssim/internal/server"
 	"fssim/internal/trace"
@@ -103,18 +102,11 @@ type (
 
 	// Accelerator is the paper's acceleration engine.
 	Accelerator = core.Accelerator
-	// Params are the scheme's tunables (p_min, DoC, cluster range, ...).
-	Params = core.Params
 	// Strategy selects the re-learning policy.
 	Strategy = core.Strategy
 	// Profiler performs the paper's §3 characterization of OS services.
 	Profiler = core.Profiler
 
-	// Sampler is the stratified application-interval sampler: it clusters
-	// user-mode stretches between OS services, simulates a budgeted number of
-	// representatives per stratum in detail, fast-forwards the rest, and
-	// extrapolates with per-stratum confidence intervals.
-	Sampler = sample.Sampler
 	// SampleSpec configures a sampling policy (parse with ParseSampleSpec).
 	SampleSpec = sample.Spec
 	// SampleReport is a sampled run's estimator output: strata, the
@@ -143,7 +135,8 @@ type Options struct {
 	Scale float64
 	// L2Size overrides the L2 capacity in bytes (default 1MB, paper §5.1).
 	L2Size int
-	// Seed fixes the simulation's randomness (default 1).
+	// Seed is the base seed (default 1): the machine seed is derived from it
+	// and the run's coordinates, as for fsbench -seed and fssimd's "seed".
 	Seed int64
 	// InOrder selects the in-order core model instead of out-of-order.
 	InOrder bool
@@ -161,21 +154,17 @@ type Options struct {
 	// figures with a 95% confidence interval (Report.Sample). Empty disables
 	// sampling.
 	Sample string
-	// WarmDir roots a PLT snapshot store (a directory; created on first
-	// save). Accelerated runs import a compatible persisted table before
-	// simulating — a warm start that skips the learning phase wherever the
-	// table already covers the service mix — and persist their learned table
-	// after. Compatibility is hash-gated on (benchmark, machine config,
-	// acceleration parameters, scale): a stale, mismatched or corrupt
-	// snapshot is ignored and the run starts cold; it never produces a wrong
-	// prediction. Sampled runs may warm-start but never persist: a table
-	// learned under sampling must not pose as the unsampled configuration's.
-	// Empty disables persistence.
+	// WarmDir roots a PLT snapshot store shared with fsbench and fssimd
+	// -warm-dir (created on first save). An Accelerated run the store has
+	// recorded, seed included, is replayed without simulating
+	// (Report.Replayed); any other simulates and saves its table. A stale or
+	// corrupt snapshot never gives a wrong result. Sampled runs neither
+	// replay nor save. Empty, or any other mode, disables persistence.
 	WarmDir string
-	// Transfer lets an Accelerated run with WarmDir that finds no exact
-	// snapshot import the nearest transfer-eligible donor table from a
-	// neighboring configuration instead, rescaled into low-confidence priors
-	// (Report.Transfer names the donor). No eligible donor leaves the run cold.
+	// Transfer imports the nearest transfer-eligible donor table in WarmDir
+	// (the same config at another seed, or a neighbor) as low-confidence
+	// priors before simulating; Report.Transfer names it. No eligible donor
+	// leaves the run cold.
 	Transfer bool
 	// Observer, if set, receives every completed OS service interval.
 	Observer func(IntervalRecord)
@@ -185,49 +174,22 @@ type Options struct {
 	Trace *Tracer
 }
 
-func (o Options) toWorkload() (workload.Options, *core.Accelerator, *sample.Sampler, error) {
-	opts := workload.DefaultOptions()
-	if o.Scale > 0 {
-		opts.Scale = o.Scale
-	}
-	opts.Machine.Mode = o.Mode
-	if o.Seed != 0 {
-		opts.Machine.Seed = o.Seed
-	}
-	if o.L2Size > 0 {
-		opts.Machine.Mem = opts.Machine.Mem.WithL2Size(o.L2Size)
-	}
-	if o.InOrder {
-		opts.Machine.Core = machine.CoreInOrder
-	}
-	if o.NoCaches {
-		opts.Machine.WithCaches = false
-	}
-	if o.TLB {
-		opts.Machine.Mem = opts.Machine.Mem.WithTLB()
-	}
-	if o.Prefetch {
-		opts.Machine.Mem = opts.Machine.Mem.WithPrefetch()
-	}
-	opts.Observer = o.Observer
-	opts.Trace = o.Trace
-	var acc *core.Accelerator
-	if o.Mode == machine.Accelerated {
-		params := core.DefaultParams()
-		params.Strategy = o.Strategy
-		acc = core.NewAccelerator(params)
-		opts.Sink = acc
-	}
-	var smp *sample.Sampler
+// key projects the options onto the run identity every front-end uses;
+// Observer and Trace, the only inputs left out, are experiments.Hooks.
+func (o Options) key(bench string) (experiments.RunKey, error) {
+	k := experiments.RunKey{Bench: bench, Mode: o.Mode, L2: max(o.L2Size, 0), Scale: o.Scale,
+		Seed: o.Seed, Strategy: o.Strategy,
+		InOrder: o.InOrder, NoCaches: o.NoCaches, TLB: o.TLB, Prefetch: o.Prefetch}
 	if o.Sample != "" {
-		spec, err := sample.ParseSpec(o.Sample)
-		if err != nil {
-			return opts, acc, nil, err
+		var err error
+		if k.Sample, err = sample.Canonical(o.Sample); err != nil {
+			return k, err
 		}
-		smp = sample.New(spec, opts.Machine.Seed)
-		opts.Sample = smp
 	}
-	return opts, acc, smp, nil
+	if o.Transfer {
+		k.Transfer = "store"
+	}
+	return k.Normalized(), nil
 }
 
 // Report is the outcome of a simulation run.
@@ -241,13 +203,13 @@ type Report struct {
 	// Options.Sample was set): strata, detailed/extrapolated split, and the
 	// 95% confidence half-width on the extrapolated cycles.
 	Sample *SampleReport
-	// Machine and Kernel expose the finished simulation for inspection.
+	// Machine and Kernel expose the finished simulation for inspection (nil
+	// on a replay).
 	Machine *Machine
 	Kernel  *Kernel
-	// WarmStarted reports that the run imported a persisted PLT from
-	// Options.WarmDir before simulating (false for cold starts, including
-	// every run whose snapshot was absent, stale or corrupt).
-	WarmStarted bool
+	// Replayed reports that the run was reconstructed from its snapshot in
+	// Options.WarmDir instead of simulated (Stats and Accel as recorded).
+	Replayed bool
 	// Transfer is the provenance of the donor table an Options.Transfer run
 	// imported (nil when none was imported).
 	Transfer *transfer.Provenance
@@ -283,69 +245,20 @@ func Benchmarks() []string { return workload.Names() }
 func OSIntensiveBenchmarks() []string { return workload.OSIntensiveNames() }
 
 // RunBenchmark builds and runs one of the named evaluation workloads. With
-// Options.WarmDir set, an Accelerated run warm-starts from (and, unless
-// sampled, persists to) the PLT snapshot store rooted there.
+// Options.WarmDir set, an Accelerated run replays from, or persists to, the
+// PLT snapshot store rooted there.
 func RunBenchmark(name string, o Options) (*Report, error) {
-	opts, acc, smp, err := o.toWorkload()
+	key, err := o.key(name)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Accel: acc}
-	var store *pltstore.Store
-	var params core.Params
-	var family uint64
-	var coords transfer.Coords
-	if acc != nil && o.WarmDir != "" {
-		store = pltstore.Open(o.WarmDir)
-		// Export on the fresh accelerator yields the exact Params it was
-		// built with, so the hashes gate on what this run would learn under.
-		params = acc.Export().Params
-		family = transfer.FamilyHash(name, opts.Machine, params, opts.Scale, "")
-		coords = transfer.FromConfig(opts.Machine)
-		learn := pltstore.LearnHash(name, opts.Machine, params, opts.Scale, "", "")
-		if snap, err := store.Load(name, learn); err == nil {
-			rep.WarmStarted = acc.Import(snap.State) == nil
-		}
-		if !rep.WarmStarted && o.Transfer {
-			if donor, err := pltstore.Nearest(store.Donors(), family, coords); err == nil {
-				if prior, prov, err := pltstore.DonorPrior(donor, coords, params); err == nil && acc.Import(prior) == nil {
-					rep.Transfer = prov
-				}
-			}
-		}
-	}
-	res, err := workload.Run(name, opts)
+	run, err := experiments.RunOnce(key, o.WarmDir, experiments.Hooks{Observer: o.Observer, Trace: o.Trace})
 	if err != nil {
 		return nil, err
 	}
-	rep.Stats, rep.Machine, rep.Kernel, rep.Sample = res.Stats, res.Machine, res.Kernel, sampleReport(smp)
-	// Sampled runs never persist, as in the experiment scheduler: their
-	// statistics depend on the sampler's estimator and the snapshot identity
-	// does not encode the sampling spec.
-	if store != nil && smp == nil {
-		// Transferred tables save under a distinct learn address and carry
-		// the TransferHash trailer, so they never overwrite — or later pose
-		// as — the cold-learned table of the same configuration (transferred
-		// snapshots are not donor-eligible: priors must not chain).
-		directive, xferHash := "", uint64(0)
-		if rep.Transfer != nil {
-			directive, xferHash = "store", rep.Transfer.Hash
-		}
-		learn := pltstore.LearnHash(name, opts.Machine, params, opts.Scale, "", directive)
-		key := "fssim:" + name
-		rep.SaveErr = store.Save(&pltstore.Snapshot{
-			LearnHash:    learn,
-			ReplayHash:   pltstore.ReplayHash(learn, key, opts.Machine.Seed, xferHash),
-			Benchmark:    name,
-			Key:          key,
-			Family:       family,
-			TransferHash: xferHash,
-			Coords:       coords,
-			Stats:        res.Stats,
-			State:        acc.Export(),
-		})
-	}
-	return rep, nil
+	return &Report{Stats: run.Result.Stats, Accel: run.Accel, Sample: run.Sample,
+		Machine: run.Result.Machine, Kernel: run.Result.Kernel,
+		Replayed: run.Replayed, Transfer: run.Transfer, SaveErr: run.SaveErr}, nil
 }
 
 func sampleReport(smp *sample.Sampler) *SampleReport {
@@ -360,7 +273,7 @@ func sampleReport(smp *sample.Sampler) *SampleReport {
 type System struct {
 	sim *workload.Sim
 	acc *Accelerator
-	smp *Sampler
+	smp *sample.Sampler
 }
 
 // NewSystem builds a simulated system for custom guest programs, assembled
@@ -368,11 +281,15 @@ type System struct {
 // (unlike RunBenchmark, there is no error return); validate specs with
 // ParseSampleSpec first when they are user-supplied.
 func NewSystem(o Options) *System {
-	opts, acc, smp, err := o.toWorkload()
+	key, err := o.key("")
+	var s System
+	if err == nil {
+		s.sim, s.acc, s.smp, err = experiments.Assemble(key, experiments.Hooks{Observer: o.Observer, Trace: o.Trace})
+	}
 	if err != nil {
 		panic("fssim: " + err.Error())
 	}
-	return &System{sim: workload.Assemble(opts), acc: acc, smp: smp}
+	return &s
 }
 
 // Machine returns the simulated hardware.
@@ -401,15 +318,6 @@ func (s *System) Run() *Report {
 		Machine: res.Machine, Kernel: res.Kernel, Err: err}
 }
 
-// DefaultParams returns the paper's acceleration parameters: Statistical
-// strategy, p_min = 3%, 95% confidence (learning window ~100), ±5% scaled
-// clusters, warm-up skip of 5.
-func DefaultParams() Params { return core.DefaultParams() }
-
-// NewAccelerator builds an acceleration engine with custom parameters; use
-// it with workload.Options directly for non-default configurations.
-func NewAccelerator(p Params) *Accelerator { return core.NewAccelerator(p) }
-
 // NewProfiler returns a §3 characterization profiler; attach its Observer.
 func NewProfiler() *Profiler { return core.NewProfiler() }
 
@@ -417,11 +325,6 @@ func NewProfiler() *Profiler { return core.NewProfiler() }
 // "fast", "precise") or a comma-separated key=value list (budget, min,
 // pilot, range, refresh, mix), e.g. "fast,budget=6".
 func ParseSampleSpec(s string) (SampleSpec, error) { return sample.ParseSpec(s) }
-
-// NewSampler builds an application-interval sampler for direct use with
-// workload.Options.Sample; RunBenchmark and NewSystem build one automatically
-// from Options.Sample.
-func NewSampler(spec SampleSpec, seed int64) *Sampler { return sample.New(spec, seed) }
 
 // NewTracer returns an observability recorder with default ring capacities,
 // ready to pass as Options.Trace.

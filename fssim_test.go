@@ -6,6 +6,7 @@ import (
 
 	"fssim"
 	"fssim/internal/core"
+	"fssim/internal/experiments"
 	"fssim/internal/machine"
 	"fssim/internal/pltstore"
 	"fssim/internal/transfer"
@@ -98,44 +99,135 @@ func TestPublicRunExperiment(t *testing.T) {
 	}
 }
 
+// TestPublicWarmStart: an identical run replays its own snapshot with equal
+// Stats, a change of configuration does not, and a run at another seed with
+// Transfer imports the recorded table as a distance-0 donor and skips the
+// learning window its cold twin pays.
 func TestPublicWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	opts := fssim.Options{Mode: fssim.Accelerated, Scale: 0.2, WarmDir: dir}
-
-	cold, err := fssim.RunBenchmark("ab-seq", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.WarmStarted {
-		t.Error("first run reported a warm start with an empty store")
-	}
-
-	warm, err := fssim.RunBenchmark("ab-seq", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.WarmStarted {
-		t.Fatal("second run did not warm-start from the persisted snapshot")
-	}
-	if warm.Coverage() <= cold.Coverage() {
-		t.Errorf("warm coverage %.3f not above cold %.3f (learning window not skipped)",
-			warm.Coverage(), cold.Coverage())
-	}
-	coldSum, warmSum := cold.Accel.Summary(), warm.Accel.Summary()
-	if warmSum.Learned-coldSum.Learned >= coldSum.Learned {
-		t.Errorf("warm run learned %d new instances vs %d cold (warm start saved nothing)",
-			warmSum.Learned-coldSum.Learned, coldSum.Learned)
+	run := func(o fssim.Options) *fssim.Report {
+		t.Helper()
+		rep, err := fssim.RunBenchmark("ab-seq", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
 
-	// A different configuration hashes elsewhere: cold again, no error.
+	cold := run(opts)
+	if cold.Replayed {
+		t.Error("first run replayed from an empty store")
+	}
+	again := run(opts)
+	if !again.Replayed {
+		t.Fatal("identical second run did not replay its snapshot")
+	}
+	if again.Stats != cold.Stats || again.Coverage() != cold.Coverage() {
+		t.Errorf("replay differs from the run it recorded: %+v vs %+v", again.Stats, cold.Stats)
+	}
+	if again.Machine != nil || again.Kernel != nil {
+		t.Error("replay exposes a machine or kernel it never ran")
+	}
+
+	// A different configuration hashes elsewhere: simulated, no error.
 	other := opts
 	other.Scale = 0.3
-	rerun, err := fssim.RunBenchmark("ab-seq", other)
+	if run(other).Replayed {
+		t.Error("scale change still replayed: hash gate missed a config field")
+	}
+
+	seed2 := opts
+	seed2.Seed, seed2.Transfer = 2, true
+	xfer := run(seed2)
+	if xfer.Replayed || xfer.Transfer == nil || xfer.Transfer.Distance != 0 {
+		t.Fatalf("seed 2: replayed %v, transfer %v; want the seed-1 table imported at distance 0",
+			xfer.Replayed, xfer.Transfer)
+	}
+	seed2.WarmDir, seed2.Transfer = "", false
+	twin := run(seed2)
+	if xfer.Coverage() <= twin.Coverage() {
+		t.Errorf("transferred coverage %.3f not above the cold seed-2 twin's %.3f",
+			xfer.Coverage(), twin.Coverage())
+	}
+	if x, c := xfer.Accel.Summary().Learned, twin.Accel.Summary().Learned; x >= c {
+		t.Errorf("transferred run learned %d instances, cold twin %d (learning window not skipped)", x, c)
+	}
+}
+
+// frontEndKey is the run key fssim.Options{Mode: mode, Strategy:
+// Statistical, Scale: 0.2} projects to for bench, spelled out independently.
+func frontEndKey(bench string, mode machine.SimMode) experiments.RunKey {
+	return experiments.RunKey{Bench: bench, Mode: mode, Scale: 0.2, Seed: 1,
+		Strategy: core.Statistical}.Normalized()
+}
+
+func newScheduler(warmDir string) *experiments.Scheduler {
+	cfg := experiments.DefaultConfig()
+	cfg.Parallelism, cfg.WarmDir = 1, warmDir
+	return experiments.NewScheduler(cfg)
+}
+
+// TestFrontEndsSameRun: RunBenchmark and the experiment scheduler simulate
+// the same run for the same options, in full-system and accelerated mode.
+func TestFrontEndsSameRun(t *testing.T) {
+	sched := newScheduler("")
+	for _, mode := range []machine.SimMode{fssim.FullSystem, fssim.Accelerated} {
+		rep, err := fssim.RunBenchmark("du", fssim.Options{Mode: mode, Strategy: fssim.Statistical, Scale: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sched.Get(frontEndKey("du", mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Stats != res.Stats {
+			t.Errorf("%s: library %+v, scheduler %+v", mode, rep.Stats, res.Stats)
+		}
+	}
+}
+
+// TestFrontEndsShareWarmStore: a table saved by RunBenchmark replays in a
+// fresh scheduler on the same directory, and one saved by a scheduler
+// replays in RunBenchmark — one snapshot, one meaning.
+func TestFrontEndsShareWarmStore(t *testing.T) {
+	opts := fssim.Options{Mode: fssim.Accelerated, Strategy: fssim.Statistical, Scale: 0.2}
+	key := frontEndKey("ab-seq", fssim.Accelerated)
+
+	libDir := t.TempDir()
+	o := opts
+	o.WarmDir = libDir
+	lib, err := fssim.RunBenchmark("ab-seq", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rerun.WarmStarted {
-		t.Error("scale change still warm-started: hash gate missed a config field")
+	sched := newScheduler(libDir)
+	res, err := sched.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sched.Stats(); st.WarmHits != 1 || st.WarmInvalid != 0 {
+		t.Errorf("scheduler on the library's store: %d warm hits, %d invalid; want 1, 0", st.WarmHits, st.WarmInvalid)
+	}
+	if res.Stats != lib.Stats {
+		t.Errorf("scheduler replay %+v, library run %+v", res.Stats, lib.Stats)
+	}
+
+	schedDir := t.TempDir()
+	res, err = newScheduler(schedDir).Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.WarmDir = schedDir
+	rep, err := fssim.RunBenchmark("ab-seq", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Replayed || rep.Kernel != nil {
+		t.Fatalf("library on the scheduler's store: replayed %v, kernel attached %v; want a replay", rep.Replayed, rep.Kernel != nil)
+	}
+	if rep.Stats != res.Stats {
+		t.Errorf("library replay %+v, scheduler run %+v", rep.Stats, res.Stats)
 	}
 }
 
@@ -180,8 +272,8 @@ func TestPublicSampledRunDoesNotPersist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.WarmStarted {
-		t.Error("unsampled run warm-started from a table learned under sampling")
+	if rep.Replayed {
+		t.Error("unsampled run replayed a table learned under sampling")
 	}
 }
 
@@ -208,8 +300,8 @@ func TestPublicTransfer(t *testing.T) {
 	near := t.TempDir()
 	run("ab-rand", withStore(near, 512<<10, false))
 	hit := run("ab-rand", withStore(near, 0, true))
-	if hit.Transfer == nil || hit.WarmStarted {
-		t.Fatalf("512KB donor: transfer %v, warm-started %v; want an imported donor", hit.Transfer, hit.WarmStarted)
+	if hit.Transfer == nil || hit.Replayed {
+		t.Fatalf("512KB donor: transfer %v, replayed %v; want an imported donor", hit.Transfer, hit.Replayed)
 	}
 	// A library-learned table records its family and coordinates: the donor
 	// is the ab-rand table one L2 doubling away.
@@ -223,8 +315,8 @@ func TestPublicTransfer(t *testing.T) {
 	far := t.TempDir()
 	run("ab-seq", withStore(far, 16<<20, false))
 	miss := run("ab-seq", withStore(far, 0, true))
-	if miss.Transfer != nil || miss.WarmStarted {
-		t.Fatalf("16MB donor: transfer %v, warm-started %v; want a cold run", miss.Transfer, miss.WarmStarted)
+	if miss.Transfer != nil || miss.Replayed {
+		t.Fatalf("16MB donor: transfer %v, replayed %v; want a cold run", miss.Transfer, miss.Replayed)
 	}
 	if cold := run("ab-seq", opts); miss.Stats != cold.Stats {
 		t.Errorf("rejected transfer diverged from its cold twin: %+v vs %+v", miss.Stats, cold.Stats)

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"strings"
 
 	"fssim/internal/core"
 	"fssim/internal/machine"
@@ -34,13 +35,15 @@ import (
 //	Strategy  |  x   |   x    | x  |   x   |   x    |   x
 //	Watchdog  |  x   |   x    | x  |   x   |   x    |   x
 //	Faults    |  x   |   x    | x  |   x   |   x    |   x
+//	variants  |  x   |   x    | x  |   x   |   x    |   x
 //	Sample    |  -   |   x    | x  |   -   |   x    |   -
 //	Transfer  |  -   |   x    | x  |   x   |   x    |   -
 //
+// The variants row stands for each of InOrder, NoCaches, TLB and Prefetch.
 // Strategy and Watchdog exist only on Accelerated keys: Normalized zeroes
 // them elsewhere, so on a full-system or app-only key they feed nothing.
 // The learn, replay and family addresses are only ever stored for
-// Accelerated keys (see Scheduler.warmEligible).
+// Accelerated keys (see warmStore.eligible).
 type RunKey struct {
 	Bench string
 	Mode  machine.SimMode
@@ -56,6 +59,9 @@ type RunKey struct {
 	// machine seed, so every mode and strategy of one config experiences
 	// the identical fault schedule and stays comparable.
 	Faults string
+	// Machine variants: the in-order core, ideal memory (no cache models),
+	// modeled I/D TLBs, and the L2 next-line prefetcher.
+	InOrder, NoCaches, TLB, Prefetch bool
 	// Sample is the canonical sample.Spec string of the application-interval
 	// stratified-sampling policy ("" = every app interval detailed). A
 	// sampled run replays the exact workload trajectory of its unsampled
@@ -105,6 +111,18 @@ func (k RunKey) opts() uint64 {
 	return w
 }
 
+// variants names the machine variants a key sets, comma-separated, in field
+// order ("" for the platform as the paper describes it).
+func (k RunKey) variants() string {
+	var v []string
+	for i, on := range []bool{k.InOrder, k.NoCaches, k.TLB, k.Prefetch} {
+		if on {
+			v = append(v, [...]string{"inorder", "nocaches", "tlb", "prefetch"}[i])
+		}
+	}
+	return strings.Join(v, ",")
+}
+
 // --- seed: DeriveSeed, AttemptSeed ------------------------------------------
 // Fed by every field but Sample and Transfer.
 
@@ -120,10 +138,13 @@ func (k RunKey) DeriveSeed() int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%d|%d|%x|%d|%d",
 		k.Bench, k.Mode, k.L2, math.Float64bits(k.Scale), k.Seed, k.opts())
-	// Appended only for faulted keys so unfaulted runs keep the seeds they
-	// had before fault injection existed.
+	// Appended only when set, so runs without them keep the seeds they had
+	// before fault injection and machine variants were part of the key.
 	if k.Faults != "" {
 		fmt.Fprintf(h, "|faults=%s", k.Faults)
+	}
+	if v := k.variants(); v != "" {
+		fmt.Fprintf(h, "|machine=%s", v)
 	}
 	return positive(h.Sum64())
 }
@@ -163,6 +184,9 @@ func (k RunKey) String() string {
 	}
 	if k.Faults != "" {
 		s += "/faults=" + k.Faults
+	}
+	if v := k.variants(); v != "" {
+		s += "/machine=" + v
 	}
 	if k.Sample != "" {
 		s += "/sample=" + k.Sample
@@ -225,6 +249,16 @@ func machineConfigFor(key RunKey) machine.Config {
 	mcfg.Seed = key.DeriveSeed()
 	if key.L2 > 0 {
 		mcfg.Mem = mcfg.Mem.WithL2Size(key.L2)
+	}
+	if key.InOrder {
+		mcfg.Core = machine.CoreInOrder
+	}
+	mcfg.WithCaches = !key.NoCaches
+	if key.TLB {
+		mcfg.Mem = mcfg.Mem.WithTLB()
+	}
+	if key.Prefetch {
+		mcfg.Mem = mcfg.Mem.WithPrefetch()
 	}
 	return mcfg
 }

@@ -15,7 +15,8 @@ import (
 // (when both were packed into an opts word): derived seeds, key strings,
 // the server's public run ids, and the learn, replay and family addresses of
 // Accelerated keys. Reproducing them is what keeps existing goldens, warm
-// directories and run ids valid.
+// directories and run ids valid. The machine-variant rows at the end were
+// computed when those fields joined the key; they pin the variant encoding.
 func TestRunKeyKnownAnswers(t *testing.T) {
 	smp, err := sample.Canonical("default")
 	if err != nil {
@@ -88,6 +89,18 @@ func TestRunKeyKnownAnswers(t *testing.T) {
 			Strategy: core.Eager, Watchdog: true, Faults: "storm", Transfer: "store"},
 			5730964935218643843, 4069103997022745185, "du/App+OS Pred/L2=0/scale=0.5/opts=258/faults=storm/transfer=store", "rdddd4bc85498d057",
 			"5ad0bc4b0183df91", "148351f8dc7df2bb", "6c03fde362859111", "7059680dc8338381"},
+		{"inorder", stat(func(k *RunKey) { k.InOrder = true }),
+			7909127825977035101, 8470548670747346656, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/machine=inorder", "refc07b96052f190a",
+			"f1b8a240cb10e9f8", "5260a498360a9924", "8203529e6b819822", "b94a346e76671e39"},
+		{"nocaches", stat(func(k *RunKey) { k.NoCaches = true }),
+			7567583633969731564, 5542877739441946124, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/machine=nocaches", "rabcefbc53167b17d",
+			"e4720e3ac9a8b0ee", "26b51e4ff4689c21", "525164dcf03ba96f", "0355793cfcde03c5"},
+		{"tlb", stat(func(k *RunKey) { k.TLB = true }),
+			2125052324072395586, 6564897364920517652, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/machine=tlb", "rb37f396e3884bf87",
+			"efe480e47a071c38", "bb9dc5ceff58df72", "442d56ecf67c4ea0", "5365d2edf9fb93ff"},
+		{"prefetch", stat(func(k *RunKey) { k.Prefetch = true }),
+			2375986139560108507, 1033720864726995548, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/machine=prefetch", "rffa6cdf1d86391c0",
+			"b0c5f7fdf9b7cbae", "3c9acd1e07562a88", "62492641fb8bdabe", "012775efb2eb0b53"},
 	} {
 		k := c.key.Normalized()
 		if k != c.key {
@@ -141,9 +154,14 @@ var feeds = map[string]string{
 	"Faults":   "key seed String ID learn replay family",
 	"Sample":   "key String ID replay",
 	"Transfer": "key String ID learn replay",
+	"InOrder":  "key seed String ID learn replay family",
+	"NoCaches": "key seed String ID learn replay family",
+	"TLB":      "key seed String ID learn replay family",
+	"Prefetch": "key seed String ID learn replay family",
 }
 
-var fields = []string{"Bench", "Mode", "L2", "Scale", "Seed", "Strategy", "Watchdog", "Faults", "Sample", "Transfer"}
+var fields = []string{"Bench", "Mode", "L2", "Scale", "Seed", "Strategy", "Watchdog", "Faults", "Sample", "Transfer",
+	"InOrder", "NoCaches", "TLB", "Prefetch"}
 
 // FuzzRunKeyProjections builds a normalized key, changes one field, and
 // checks that each projection moves if and only if the table on RunKey says
@@ -153,7 +171,7 @@ func FuzzRunKeyProjections(f *testing.F) {
 	for field := range fields {
 		for _, mode := range []uint8{uint8(machine.FullSystem), uint8(machine.Accelerated)} {
 			f.Add(uint8(0), mode, uint8(1), uint8(0), int64(0), uint8(3), false,
-				uint8(1), uint8(1), uint8(1), uint8(field), uint64(field))
+				uint8(1), uint8(1), uint8(1), uint8(field), uint64(field), uint8(field))
 		}
 	}
 	smpDefault, _ := sample.Canonical("default")
@@ -166,13 +184,15 @@ func FuzzRunKeyProjections(f *testing.F) {
 	directives := []string{"", "store", "l2=524288"}
 
 	f.Fuzz(func(t *testing.T, bench, mode, l2, scale uint8, seed int64, strat uint8, watchdog bool,
-		plan, smp, xfer, field uint8, pick uint64) {
+		plan, smp, xfer, field uint8, pick uint64, variants uint8) {
 		raw := RunKey{
 			Bench: benches[int(bench)%len(benches)], Mode: machine.SimMode(mode % 3),
 			L2: l2s[int(l2)%len(l2s)], Scale: scales[int(scale)%len(scales)], Seed: seed,
 			Strategy: core.Strategy(strat % 4), Watchdog: watchdog,
 			Faults: plans[int(plan)%len(plans)], Sample: samples[int(smp)%len(samples)],
 			Transfer: directives[int(xfer)%len(directives)],
+			InOrder:  variants&1 != 0, NoCaches: variants&2 != 0,
+			TLB: variants&4 != 0, Prefetch: variants&8 != 0,
 		}
 		base := raw.Normalized()
 		if base.Normalized() != base {
@@ -208,6 +228,14 @@ func FuzzRunKeyProjections(f *testing.F) {
 			mut.Sample = samples[choose(len(samples))]
 		case "Transfer":
 			mut.Transfer = directives[choose(len(directives))]
+		case "InOrder":
+			mut.InOrder = !mut.InOrder
+		case "NoCaches":
+			mut.NoCaches = !mut.NoCaches
+		case "TLB":
+			mut.TLB = !mut.TLB
+		case "Prefetch":
+			mut.Prefetch = !mut.Prefetch
 		}
 		if mut == base || (mut.Mode != machine.Accelerated && (name == "Strategy" || name == "Watchdog")) {
 			// Either the pick repeated the current value, or the field

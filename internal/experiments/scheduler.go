@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fssim/internal/core"
+	"fssim/internal/durable"
 	"fssim/internal/faults"
 	"fssim/internal/machine"
 	"fssim/internal/pltstore"
@@ -124,8 +125,8 @@ func (e *RunError) Unwrap() error { return e.Cause }
 // block on the same entry. A Scheduler is safe for concurrent use.
 type Scheduler struct {
 	cfg   Config
-	slots chan struct{}   // worker-pool semaphore; cap = parallelism
-	warm  *pltstore.Store // nil unless Config.WarmDir is set
+	slots chan struct{} // worker-pool semaphore; cap = parallelism
+	warm  *warmStore    // nil unless Config.WarmDir is set
 
 	mu      sync.Mutex
 	runs    map[RunKey]*runEntry
@@ -154,14 +155,6 @@ type Scheduler struct {
 
 	transferHits     atomic.Int64
 	transferRejected atomic.Int64
-
-	// donors is the transfer donor set for "store" directives, frozen at
-	// construction: every valid, cold-learned snapshot the warm directory
-	// held when the scheduler was built. Freezing makes store-driven donor
-	// resolution independent of scheduling order — snapshots saved *during*
-	// this invocation never become donors within it, so tables stay
-	// byte-identical at any -j.
-	donors []*pltstore.Snapshot
 }
 
 // NewScheduler builds a scheduler for cfg; cfg is normalized first, so a
@@ -174,23 +167,10 @@ func NewScheduler(cfg Config) *Scheduler {
 		runs:  make(map[RunKey]*runEntry),
 	}
 	if cfg.WarmDir != "" {
-		if cfg.warmFS != nil {
-			s.warm = pltstore.OpenFS(cfg.WarmDir, cfg.warmFS)
-		} else {
-			s.warm = pltstore.Open(cfg.WarmDir)
-		}
-		// Startup recovery sweep: delete orphan temps from crashed writers and
-		// quarantine torn/corrupt snapshots so a damaged store degrades to
-		// counted cold starts, never to a wedged or lying warm start.
-		// Best-effort — a sweep error leaves per-load verification as the
-		// safety net.
-		if rep, err := s.warm.Recover(); err == nil {
-			s.recOrphans.Store(int64(rep.Orphans))
-			s.recQuar.Store(int64(rep.Quarantined))
-		}
-		if cfg.Transfer {
-			s.donors = s.warm.Donors()
-		}
+		var rep pltstore.RecoveryReport
+		s.warm, rep = openWarm(cfg.WarmDir, cfg.warmFS, cfg.Transfer)
+		s.recOrphans.Store(int64(rep.Orphans))
+		s.recQuar.Store(int64(rep.Quarantined))
 	}
 	return s
 }
@@ -291,8 +271,17 @@ func (s *Scheduler) run(ctx context.Context, key RunKey, e *runEntry, st *expSta
 	// sibling-donor path runs (or joins) the donor simulation through the
 	// ordinary memo cache, which itself needs a slot — resolving first both
 	// orders every sweep so donors complete before their recipients and
-	// keeps -j 1 deadlock-free.
-	prior, prov := s.resolveTransfer(ctx, key, st)
+	// keeps -j 1 deadlock-free. A rejected directive is counted and the run
+	// proceeds cold: a directive is never silently ignored and a bad donor
+	// never imported.
+	prior, prov, err := s.warm.transferPrior(key, func(donor RunKey) (runOutput, error) {
+		return s.get(ctx, donor, st)
+	})
+	if err != nil {
+		s.transferRejected.Add(1)
+	} else if prior != nil {
+		s.transferHits.Add(1)
+	}
 	select {
 	case s.slots <- struct{}{}:
 	case <-ctx.Done():
@@ -472,11 +461,20 @@ func (s *Scheduler) finish(key RunKey, e *runEntry, st *expStats) {
 // exact-identity snapshot (same ReplayHash) replays the recorded result
 // without simulating at all — simulations are deterministic, so the replayed
 // result is byte-identical to what re-running would produce. Any other
-// outcome (no snapshot, stale hash, corrupt file) is counted and falls
-// through to a normal cold simulation, whose result is saved back.
+// outcome (no snapshot, stale hash, corrupt file) is counted as a miss or as
+// invalid and falls through to a simulation, whose result is saved back.
 func (s *Scheduler) execute(ctx context.Context, key RunKey, prior *core.AccelState, prov *transfer.Provenance) (runOutput, error) {
-	if out, ok := s.warmReplay(key, prov); ok {
-		return out, nil
+	if s.warm.eligible(key) {
+		out, err := s.warm.replay(key, prov)
+		switch {
+		case err == nil:
+			s.warmHits.Add(1)
+			return out, nil
+		case errors.Is(err, pltstore.ErrNotFound):
+			s.warmMisses.Add(1)
+		default:
+			s.warmInvalid.Add(1)
+		}
 	}
 	var lastErr error
 	var lastOut runOutput
@@ -484,7 +482,24 @@ func (s *Scheduler) execute(ctx context.Context, key RunKey, prior *core.AccelSt
 		if attempt > 0 {
 			s.retries.Add(1)
 		}
-		out, err := s.executeOnce(ctx, key, attempt, prior, prov)
+		// Each attempt is traced when Config.Trace is set, and full-system
+		// runs record the §3 profile as they go.
+		var h Hooks
+		if s.cfg.Trace {
+			h.Trace = trace.NewRecorder(trace.DefaultConfig())
+		}
+		var prof *core.Profiler
+		if key.Mode == machine.FullSystem {
+			prof = core.NewProfiler()
+			h.Observer = prof.Observer()
+		}
+		out, err := simulate(ctx, s.cfg.Timeout, key, attempt, prior, prov, h)
+		out.prof = prof
+		if prior != nil && out.acc != nil && out.transfer == nil {
+			// The accelerator refused the donor prior: the attempt ran cold.
+			s.transferHits.Add(-1)
+			s.transferRejected.Add(1)
+		}
 		if err == nil {
 			if out.acc != nil {
 				s.pltLearned.Add(out.acc.Summary().Learned)
@@ -495,7 +510,9 @@ func (s *Scheduler) execute(ctx context.Context, key RunKey, prior *core.AccelSt
 				s.sampleDet.Add(rep.Detailed)
 				s.sampleExtrap.Add(rep.Extrapolated)
 			}
-			s.warmSave(key, out)
+			if s.warm.eligible(key) && s.warm.Save(warmSnapshot(key, out)) == nil {
+				s.warmSaves.Add(1)
+			}
 			return out, nil
 		}
 		// Keep the failed attempt's partial output: its recorder holds the
@@ -521,70 +538,126 @@ func isTimeout(ctx context.Context, err error) bool {
 		(errors.Is(err, machine.ErrCanceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
-// executeOnce builds and runs one attempt of the simulation a key fully
-// describes. A panic escaping the workload's own recovery (e.g. out of a
-// Prepare hook) is converted to an error here, so a broken run can never
-// take down the scheduler's worker or the whole suite.
-func (s *Scheduler) executeOnce(ctx context.Context, key RunKey, attempt int, prior *core.AccelState, prov *transfer.Provenance) (out runOutput, err error) {
+// --- the single-run steps ---------------------------------------------------
+// Shared by the scheduler and RunOnce; the scheduler adds the memo cache,
+// retries, the sibling-donor form and counters.
+
+// Hooks are the inputs of a run outside its key. They observe without
+// changing the simulation, so no identity encodes them; a run with either
+// one attached is always simulated, never replayed.
+type Hooks struct {
+	Observer func(machine.IntervalRecord) // every completed OS service interval
+	Trace    *trace.Recorder              // the run's intervals and metrics
+}
+
+// Single is one run of RunOnce. Replayed reports that it was reconstructed
+// from its exact-identity snapshot: Result then holds the recorded Stats and
+// no Machine or Kernel. SaveErr is the best-effort snapshot save's error.
+type Single struct {
+	Outcome
+	Replayed bool
+	SaveErr  error
+}
+
+// RunOnce runs key once, outside any Scheduler, through the scheduler's own
+// steps, so a run of one key means the same thing on every front-end and
+// against the same warm store. With warmDir set (Accelerated keys only) it
+// opens the store with the recovery sweep, resolves a "store" directive to
+// its donor, replays an exact-identity snapshot, and otherwise simulates and
+// saves when eligible. There is no memoisation, retry or timeout; an "l2="
+// directive, whose donor is a sibling run, is rejected, and a rejected
+// directive leaves the run cold with a nil Transfer.
+func RunOnce(key RunKey, warmDir string, h Hooks) (Single, error) {
+	key = key.Normalized()
+	var w *warmStore
+	if warmDir != "" && key.Mode == machine.Accelerated {
+		w, _ = openWarm(warmDir, nil, key.Transfer != "")
+	}
+	prior, prov, _ := w.transferPrior(key, nil)
+	if h.Observer == nil && h.Trace == nil && w.eligible(key) {
+		if out, err := w.replay(key, prov); err == nil {
+			return Single{Outcome: out.outcome(), Replayed: true}, nil
+		}
+	}
+	out, err := simulate(context.Background(), 0, key, 0, prior, prov, h)
+	if err != nil {
+		return Single{}, err
+	}
+	run := Single{Outcome: out.outcome()}
+	if w.eligible(key) {
+		run.SaveErr = w.Save(warmSnapshot(key, out))
+	}
+	return run, nil
+}
+
+// Assemble builds key's machine and kernel, with the accelerator and sampler
+// a run of key attaches, for custom guest programs: no benchmark is set up.
+func Assemble(key RunKey, h Hooks) (*workload.Sim, *core.Accelerator, *sample.Sampler, error) {
+	opts, out, err := build(key.Normalized(), 0, nil, nil, nil, h)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return workload.Assemble(opts), out.acc, out.smp, nil
+}
+
+// simulate runs one attempt of key, bounded by timeout (0 = none). A panic
+// escaping the workload's own recovery (e.g. out of a Prepare hook) becomes
+// an error, so a broken run never takes down a worker or the suite.
+func simulate(ctx context.Context, timeout time.Duration, key RunKey, attempt int, prior *core.AccelState, prov *transfer.Provenance, h Hooks) (out runOutput, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("run %s: panic: %v\n%s", key, r, debug.Stack())
 		}
 	}()
-	runCtx := ctx
-	if s.cfg.Timeout > 0 {
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	opts, err := runOptions(key, attempt, runCtx.Done())
-	if err != nil {
+	var opts workload.Options
+	if opts, out, err = build(key, attempt, ctx.Done(), prior, prov, h); err != nil {
 		return out, err
 	}
-	if s.cfg.Trace {
-		out.rec = trace.NewRecorder(trace.DefaultConfig())
-		opts.Trace = out.rec
+	out.res, err = workload.Run(key.Bench, opts)
+	return out, err
+}
+
+// build is one attempt's workload configuration with hooks, accelerator and
+// sampler attached. A non-nil prior warm-starts the learners; if Import
+// refuses it the accelerator stays empty and out.transfer nil, so the run is
+// cold — never a silent half-import.
+func build(key RunKey, attempt int, done <-chan struct{}, prior *core.AccelState, prov *transfer.Provenance, h Hooks) (workload.Options, runOutput, error) {
+	opts, err := runOptions(key, attempt, done)
+	if err != nil {
+		return opts, runOutput{}, err
 	}
-	switch key.Mode {
-	case machine.FullSystem:
-		out.prof = core.NewProfiler()
-		opts.Observer = out.prof.Observer()
-	case machine.Accelerated:
+	opts.Observer, opts.Trace = h.Observer, h.Trace
+	out := runOutput{rec: h.Trace}
+	if key.Mode == machine.Accelerated {
 		out.acc = core.NewAccelerator(accelParamsFor(key))
-		if prior != nil {
-			// Warm-start the learners from the rescaled donor priors. Rescale
-			// already validated the state and Import re-validates; a failure
-			// here leaves the accelerator empty, so the run proceeds cold and
-			// the rejection is counted — never a silent half-import.
-			if ierr := out.acc.Import(prior); ierr == nil {
-				out.transfer = prov
-			} else {
-				s.transferHits.Add(-1)
-				s.transferRejected.Add(1)
-			}
+		if prior != nil && out.acc.Import(prior) == nil {
+			out.transfer = prov
 		}
 		opts.Sink = out.acc
 	}
 	if key.Sample != "" {
-		spec, serr := sample.ParseSpec(key.Sample)
-		if serr != nil {
-			return out, serr
+		spec, err := sample.ParseSpec(key.Sample)
+		if err != nil {
+			return opts, out, err
 		}
 		// Seeded by the attempt's machine seed: sampling decisions are a pure
 		// function of (key, attempt), like everything else about the run.
 		out.smp = sample.New(spec, opts.Machine.Seed)
 		opts.Sample = out.smp
 	}
-	res, err := workload.Run(key.Bench, opts)
-	out.res = res
-	return out, err
+	return opts, out, nil
 }
 
 // runOptions is the workload configuration of one attempt of key: the
 // key's machine with the attempt's derived seed, its workload scale, its
 // fault plan, and cancellation when done closes. Every simulation of a key —
-// the scheduler's attempts and the warmstart experiment's reruns — is built
-// here, so they are the same deterministic run.
+// the scheduler's attempts, RunOnce and the warmstart experiment's reruns —
+// is built here, so they are the same deterministic run.
 func runOptions(key RunKey, attempt int, done <-chan struct{}) (workload.Options, error) {
 	opts := workload.DefaultOptions()
 	opts.Scale = key.Scale
@@ -605,53 +678,44 @@ func runOptions(key RunKey, attempt int, done <-chan struct{}) (workload.Options
 
 // --- cross-config transfer --------------------------------------------------
 
-// resolveTransfer resolves a key's transfer directive into rescaled donor
-// priors plus their provenance, or (nil, nil) for keys without a directive
-// and for every rejection. Rejections — unparseable directive, wrong mode,
-// no eligible donor, failed donor run, or an invalid rescale — are counted
-// in TransferRejected and the run proceeds cold; a directive is never
-// silently ignored and a bad donor is never silently imported.
-//
-// The "l2=<bytes>" form resolves the donor through the memo cache (the
-// sibling run at that L2 in this invocation, simulated on demand), so sweep
-// run-sets are automatically ordered donor-first. The "store" form resolves
-// against the donor set frozen at construction from the warm directory.
-// Either way the donor becomes a snapshot and takes pltstore's one donor
-// path, the same one the fssim CLI takes.
-func (s *Scheduler) resolveTransfer(ctx context.Context, key RunKey, st *expStats) (*core.AccelState, *transfer.Provenance) {
+// transferPrior resolves key's transfer directive into rescaled donor priors
+// and their provenance: all nil without a directive, an error for every
+// rejection (unparseable directive, a key that is not Accelerated, no
+// eligible donor, a failed donor run, an invalid rescale). "store" takes the
+// nearest donor in the frozen set; "l2=<bytes>" the table of the sibling run
+// at that L2, which sibling supplies (nil rejects the form). Either way the
+// donor becomes a snapshot and takes pltstore's one donor path.
+func (w *warmStore) transferPrior(key RunKey, sibling func(RunKey) (runOutput, error)) (*core.AccelState, *transfer.Provenance, error) {
 	if key.Transfer == "" {
-		return nil, nil
-	}
-	reject := func() (*core.AccelState, *transfer.Provenance) {
-		s.transferRejected.Add(1)
-		return nil, nil
+		return nil, nil, nil
 	}
 	spec, err := transfer.ParseSpec(key.Transfer)
-	if err != nil || key.Mode != machine.Accelerated {
-		return reject()
+	if err != nil {
+		return nil, nil, err
+	}
+	if key.Mode != machine.Accelerated {
+		return nil, nil, fmt.Errorf("transfer: %s is not an accelerated run", key)
 	}
 	recip := transfer.FromConfig(machineConfigFor(key))
 	var donor *pltstore.Snapshot
-	if spec.Store {
-		if donor, err = pltstore.Nearest(s.donors, familyHash(key), recip); err != nil {
-			return reject()
+	switch {
+	case spec.Store && w != nil:
+		if donor, err = pltstore.Nearest(w.donors, familyHash(key), recip); err != nil {
+			return nil, nil, err
 		}
-	} else {
+	case !spec.Store && sibling != nil:
 		donorKey := key
 		donorKey.Transfer, donorKey.L2 = "", spec.L2
 		donorKey = donorKey.Normalized()
-		out, err := s.get(ctx, donorKey, st)
-		if err != nil || out.acc == nil {
-			return reject()
+		out, err := sibling(donorKey)
+		if err != nil {
+			return nil, nil, err
 		}
-		donor = warmSnapshot(donorKey, out)
+		donor = warmSnapshot(donorKey, out) // Accelerated, so out.acc is set
+	default:
+		return nil, nil, pltstore.ErrNotFound
 	}
-	prior, prov, err := pltstore.DonorPrior(donor, recip, accelParamsFor(key))
-	if err != nil {
-		return reject()
-	}
-	s.transferHits.Add(1)
-	return prior, prov
+	return pltstore.DonorPrior(donor, recip, accelParamsFor(key))
 }
 
 // TransferRecord pairs a completed run with its transfer provenance, for the
@@ -687,12 +751,39 @@ func (s *Scheduler) Transfers() []TransferRecord {
 
 // --- warm-start store -------------------------------------------------------
 
-// warmEligible: only Accelerated runs carry learned state worth persisting.
+// warmStore is an opened PLT snapshot store plus the donor set for "store"
+// directives, frozen at open: every valid, cold-learned snapshot the
+// directory held then. Snapshots saved *during* this invocation never donate
+// within it, so tables stay byte-identical at any -j. A nil *warmStore is no
+// store: nothing is eligible and every "store" directive is rejected.
+type warmStore struct {
+	*pltstore.Store
+	donors []*pltstore.Snapshot
+}
+
+// openWarm opens the store at dir on fsys (nil = the real filesystem) with
+// the startup recovery sweep: orphan temps are deleted and torn or corrupt
+// snapshots quarantined, so a damaged store degrades to counted cold starts.
+// The sweep is best-effort: if it fails, per-load verification remains.
+// withDonors loads the donor set.
+func openWarm(dir string, fsys durable.FS, withDonors bool) (*warmStore, pltstore.RecoveryReport) {
+	if fsys == nil {
+		fsys = durable.OS()
+	}
+	w := &warmStore{Store: pltstore.OpenFS(dir, fsys)}
+	rep, _ := w.Recover()
+	if withDonors {
+		w.donors = w.Donors()
+	}
+	return w, rep
+}
+
+// eligible: only Accelerated runs carry learned state worth persisting.
 // Sampled runs are excluded: their statistics depend on the sampler's
 // estimator, the snapshot identity does not encode the sampling spec, and a
 // stats-only replay would drop the run's Report (the error-bar contract).
-func (s *Scheduler) warmEligible(key RunKey) bool {
-	return s.warm != nil && key.Mode == machine.Accelerated && key.Sample == ""
+func (w *warmStore) eligible(key RunKey) bool {
+	return w != nil && key.Mode == machine.Accelerated && key.Sample == ""
 }
 
 // provHash is the provenance hash a run's replay address binds: the
@@ -704,53 +795,26 @@ func provHash(prov *transfer.Provenance) uint64 {
 	return prov.Hash
 }
 
-// warmReplay consults the warm store for an exact-identity snapshot of key.
-// On a hit it reconstructs the run's output — recorded machine statistics
-// plus an accelerator imported from the persisted learner state — without
-// executing anything. Every non-hit is counted (miss or invalid) and returns
-// ok=false: a stale or corrupt snapshot degrades to a cold start, never to a
-// wrong result. Replayed runs carry no trace recorder (nothing executed to
-// trace).
-func (s *Scheduler) warmReplay(key RunKey, prov *transfer.Provenance) (runOutput, bool) {
-	if !s.warmEligible(key) {
-		return runOutput{}, false
-	}
-	learn := warmLearnHash(key)
-	snap, err := s.warm.Load(key.Bench, learn)
+// replay reconstructs an eligible key's output from its exact-identity
+// snapshot — recorded Stats plus an accelerator imported from the persisted
+// state — without executing anything; prov is the donor the run resolved.
+// The error is pltstore.ErrNotFound when the configuration has no snapshot,
+// and another error when it has one that cannot stand in for this run
+// (corrupt, stale, another seed or donor): the run then simulates, never
+// returning a wrong result. Replays carry no trace recorder.
+func (w *warmStore) replay(key RunKey, prov *transfer.Provenance) (runOutput, error) {
+	snap, err := w.Load(key.Bench, warmLearnHash(key))
 	if err != nil {
-		if errors.Is(err, pltstore.ErrNotFound) {
-			s.warmMisses.Add(1)
-		} else {
-			s.warmInvalid.Add(1)
-		}
-		return runOutput{}, false
+		return runOutput{}, err
 	}
 	if snap.ReplayHash != warmReplayHash(key, provHash(prov)) {
-		// Compatible learned state, but not this exact run (different base
-		// seed, or a transferred snapshot recorded under a different donor
-		// than this invocation resolved): exact replay would be wrong, so
-		// simulate cold.
-		s.warmInvalid.Add(1)
-		return runOutput{}, false
+		return runOutput{}, errors.New("pltstore: snapshot records a different run")
 	}
 	acc := core.NewAccelerator(snap.State.Params)
 	if err := acc.Import(snap.State); err != nil {
-		s.warmInvalid.Add(1)
-		return runOutput{}, false
+		return runOutput{}, err
 	}
-	s.warmHits.Add(1)
-	return runOutput{res: workload.Result{Stats: snap.Stats}, acc: acc, transfer: prov}, true
-}
-
-// warmSave persists one successful run's snapshot, best-effort: a failed
-// write never fails the run that produced the result.
-func (s *Scheduler) warmSave(key RunKey, out runOutput) {
-	if !s.warmEligible(key) || out.acc == nil {
-		return
-	}
-	if s.warm.Save(warmSnapshot(key, out)) == nil {
-		s.warmSaves.Add(1)
-	}
+	return runOutput{res: workload.Result{Stats: snap.Stats}, acc: acc, transfer: prov}, nil
 }
 
 // warmSnapshot builds the (format v2) snapshot one successful run persists:
@@ -815,7 +879,7 @@ func (s *Scheduler) FlushWarmCtx(ctx context.Context) (int, error) {
 	// near-expired deadline still flushes all completed work.
 	var pending []RunKey
 	for key, e := range entries {
-		if !s.warmEligible(key) {
+		if !s.warm.eligible(key) {
 			continue
 		}
 		select {

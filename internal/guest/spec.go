@@ -44,13 +44,6 @@ func SetupSpec(k *kernel.Kernel, name string, cfg SpecConfig) {
 	t.SetEntry(entry)
 }
 
-func orDefault(v, def int) int {
-	if v <= 0 {
-		return def
-	}
-	return v
-}
-
 // scaledWork applies cfg to the kernel's default iteration count.
 func (cfg SpecConfig) scaledWork(def int) int {
 	if cfg.Work > 0 {

@@ -351,11 +351,10 @@ func (s *Scheduler) scheduleBody() {
 	e.Call(s.k.fn.schedule)
 	e.Load(s.k.varRunq, 8, 0)
 	e.Mix(18)
-	n := len(s.runq)
-	if n > 6 {
-		n = 6
-	}
-	for i := 0; i < n; i++ {
+	n := min(len(s.runq), 6)
+	// A load can fire device events that shrink the run queue mid-scan, so
+	// the scan also stops at its live length.
+	for i := 0; i < n && i < len(s.runq); i++ {
 		e.Load(s.runq[i].taskAddr, 8, 1)
 		e.Ops(4)
 	}

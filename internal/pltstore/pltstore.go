@@ -16,11 +16,14 @@
 //     never a wrong prediction.
 //   - ReplayHash additionally binds the exact run identity (the full RunKey
 //     string, the derived machine seed and, for a transferred run, the
-//     provenance hash of its donor). When it matches, the snapshot's
-//     recorded machine.Stats are the byte-identical result of re-running the
-//     simulation, so the scheduler can reconstruct the outcome without
-//     simulating at all; when only LearnHash matches, callers may still
-//     warm-start the learners and simulate.
+//     provenance hash of its donor). The key string is always
+//     experiments.RunKey.String: every front-end — fsbench, fssimd and the
+//     fssim library — saves and replays through the same key, so a snapshot
+//     means the same run whoever wrote it. When the hash matches, the
+//     snapshot's recorded machine.Stats are the byte-identical result of
+//     re-running the simulation, so the outcome is reconstructed without
+//     simulating at all; when only LearnHash matches, the run simulates (a
+//     table learned under another seed reaches it only as a transfer donor).
 //
 // Loading is strictly validated: the binary codec (codec.go) rejects
 // malformed bytes with a typed *FormatError, and the decoded learner state

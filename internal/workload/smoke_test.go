@@ -61,3 +61,18 @@ func TestSmokeAppOnly(t *testing.T) {
 			app.Stats.Cycles, full.Stats.Cycles)
 	}
 }
+
+// TestFullABSeqScale2Completes: at scale 2, a device event fired by one of
+// schedule()'s run-queue loads shrinks the run queue mid-scan. The scan must
+// follow the live queue rather than the length it started with.
+func TestFullABSeqScale2Completes(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Scale = 2
+	res, err := Run("ab-seq", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Insts == 0 || res.Stats.Cycles == 0 {
+		t.Fatalf("empty run: %+v", res.Stats)
+	}
+}
