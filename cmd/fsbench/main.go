@@ -110,12 +110,23 @@ func main() {
 
 	cfg := experiments.Config{
 		Scale: *scale, Seed: *seed, Parallelism: parallel,
-		Timeout: *timeout, Retries: *retries, FaultPlan: *faultPlan,
-		Sample:   *sampleSpec,
+		Timeout: *timeout, Retries: *retries,
 		Trace:    *traceOut != "" || *metricsOut != "",
 		WarmDir:  *warmDir,
 		Transfer: *transferOn,
 	}.WithContext(ctx)
+	// The spec flags are parsed here, once; nothing below parses a spec.
+	var err error
+	if *faultPlan != "" {
+		cfg.Faults, err = faults.Named(*faultPlan)
+	}
+	if err == nil && *sampleSpec != "" {
+		cfg.Sample, err = sample.ParseSpec(*sampleSpec)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fsbench: %v\n", err)
+		os.Exit(1)
+	}
 	if *pincosts {
 		mc := experiments.ReferenceModeCosts
 		cfg.ModeCosts = &mc
@@ -143,7 +154,7 @@ func main() {
 	// traces and metrics. One artifact failing does not skip the other.
 	if *traceOut != "" || *metricsOut != "" {
 		fctx, fcancel := context.WithTimeout(context.Background(), *drain)
-		werr := server.WriteArtifactsCtx(fctx, sched, *traceOut, *metricsOut)
+		werr := server.WriteArtifacts(fctx, sched, *traceOut, *metricsOut)
 		fcancel()
 		if werr != nil {
 			fmt.Fprintf(os.Stderr, "fsbench: %v\n", werr)
@@ -159,7 +170,7 @@ func main() {
 	// bounded by the same drain budget so a wedged run cannot hang exit.
 	if *warmDir != "" && *traceOut == "" && *metricsOut == "" {
 		fctx, fcancel := context.WithTimeout(context.Background(), *drain)
-		_, werr := sched.FlushWarmCtx(fctx)
+		_, werr := sched.FlushWarm(fctx)
 		fcancel()
 		if werr != nil {
 			fmt.Fprintf(os.Stderr, "fsbench: plt snapshot flush: %v\n", werr)

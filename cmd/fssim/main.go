@@ -70,7 +70,6 @@ func main() {
 		NoCaches: *nocache,
 		TLB:      *tlb,
 		Prefetch: *prefetch,
-		Sample:   *sampleSpec,
 		WarmDir:  *warmDir,
 		Transfer: *transferOn,
 	}
@@ -112,6 +111,11 @@ func main() {
 	}
 	if o.Strategy, err = core.ParseStrategy(*strategy); err != nil {
 		fail("%v", err)
+	}
+	if *sampleSpec != "" {
+		if o.Sample, err = fssim.ParseSampleSpec(*sampleSpec); err != nil {
+			fail("%v", err)
+		}
 	}
 
 	start := time.Now()

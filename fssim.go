@@ -147,13 +147,13 @@ type Options struct {
 	TLB bool
 	// Prefetch enables the L2 next-line prefetcher — likewise an extension.
 	Prefetch bool
-	// Sample attaches an application-interval stratified sampler: a preset
-	// name ("default", "fast", "precise") or a key=value spec (see
-	// sample.ParseSpec). Sampled runs simulate only budgeted representative
+	// Sample attaches an application-interval stratified sampler, parsed
+	// from a preset name ("default", "fast", "precise") or a key=value spec
+	// by ParseSampleSpec. Sampled runs simulate only budgeted representative
 	// app intervals in detail, fast-forward the rest, and report extrapolated
-	// figures with a 95% confidence interval (Report.Sample). Empty disables
-	// sampling.
-	Sample string
+	// figures with a 95% confidence interval (Report.Sample). The zero
+	// SampleSpec disables sampling.
+	Sample SampleSpec
 	// WarmDir roots a PLT snapshot store shared with fsbench and fssimd
 	// -warm-dir (created on first save). An Accelerated run the store has
 	// recorded, seed included, is replayed without simulating
@@ -176,20 +176,11 @@ type Options struct {
 
 // key projects the options onto the run identity every front-end uses;
 // Observer and Trace, the only inputs left out, are experiments.Hooks.
-func (o Options) key(bench string) (experiments.RunKey, error) {
-	k := experiments.RunKey{Bench: bench, Mode: o.Mode, L2: max(o.L2Size, 0), Scale: o.Scale,
+func (o Options) key(bench string) experiments.RunKey {
+	return experiments.RunKey{Bench: bench, Mode: o.Mode, L2: max(o.L2Size, 0), Scale: o.Scale,
 		Seed: o.Seed, Strategy: o.Strategy,
-		InOrder: o.InOrder, NoCaches: o.NoCaches, TLB: o.TLB, Prefetch: o.Prefetch}
-	if o.Sample != "" {
-		var err error
-		if k.Sample, err = sample.Canonical(o.Sample); err != nil {
-			return k, err
-		}
-	}
-	if o.Transfer {
-		k.Transfer = "store"
-	}
-	return k.Normalized(), nil
+		InOrder: o.InOrder, NoCaches: o.NoCaches, TLB: o.TLB, Prefetch: o.Prefetch,
+		Sample: o.Sample, Transfer: transfer.Spec{Store: o.Transfer}}.Normalized()
 }
 
 // Report is the outcome of a simulation run.
@@ -248,11 +239,7 @@ func OSIntensiveBenchmarks() []string { return workload.OSIntensiveNames() }
 // Options.WarmDir set, an Accelerated run replays from, or persists to, the
 // PLT snapshot store rooted there.
 func RunBenchmark(name string, o Options) (*Report, error) {
-	key, err := o.key(name)
-	if err != nil {
-		return nil, err
-	}
-	run, err := experiments.RunOnce(key, o.WarmDir, experiments.Hooks{Observer: o.Observer, Trace: o.Trace})
+	run, err := experiments.RunOnce(o.key(name), o.WarmDir, experiments.Hooks{Observer: o.Observer, Trace: o.Trace})
 	if err != nil {
 		return nil, err
 	}
@@ -277,18 +264,10 @@ type System struct {
 }
 
 // NewSystem builds a simulated system for custom guest programs, assembled
-// exactly as a benchmark's. An invalid Options.Sample spec panics here
-// (unlike RunBenchmark, there is no error return); validate specs with
-// ParseSampleSpec first when they are user-supplied.
+// exactly as a benchmark's.
 func NewSystem(o Options) *System {
-	key, err := o.key("")
 	var s System
-	if err == nil {
-		s.sim, s.acc, s.smp, err = experiments.Assemble(key, experiments.Hooks{Observer: o.Observer, Trace: o.Trace})
-	}
-	if err != nil {
-		panic("fssim: " + err.Error())
-	}
+	s.sim, s.acc, s.smp = experiments.Assemble(o.key(""), experiments.Hooks{Observer: o.Observer, Trace: o.Trace})
 	return &s
 }
 

@@ -260,14 +260,18 @@ func TestPublicWarmStartDonates(t *testing.T) {
 // and its unsampled twin on the same store starts cold.
 func TestPublicSampledRunDoesNotPersist(t *testing.T) {
 	dir := t.TempDir()
-	opts := fssim.Options{Mode: fssim.Accelerated, Scale: 0.2, WarmDir: dir, Sample: "default"}
+	smp, err := fssim.ParseSampleSpec("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := fssim.Options{Mode: fssim.Accelerated, Scale: 0.2, WarmDir: dir, Sample: smp}
 	if _, err := fssim.RunBenchmark("ab-seq", opts); err != nil {
 		t.Fatal(err)
 	}
 	if plts, _ := filepath.Glob(filepath.Join(dir, "*.plt")); len(plts) != 0 {
 		t.Errorf("sampled run persisted %v", plts)
 	}
-	opts.Sample = ""
+	opts.Sample = fssim.SampleSpec{}
 	rep, err := fssim.RunBenchmark("ab-seq", opts)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fssim/internal/machine"
+	"fssim/internal/sample"
 )
 
 // TestDeterminismAcrossParallelism is the contract the memo cache and the
@@ -54,7 +55,7 @@ func TestFaultedDeterminism(t *testing.T) {
 	render := func(parallelism int) string {
 		t.Helper()
 		mc := ReferenceModeCosts
-		cfg := Config{Scale: 0.1, Seed: 1, Parallelism: parallelism, ModeCosts: &mc, FaultPlan: "mild"}
+		cfg := Config{Scale: 0.1, Seed: 1, Parallelism: parallelism, ModeCosts: &mc, Faults: mustFaults(t, "mild")}
 		res, err := Run("fig11", cfg)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
@@ -80,7 +81,7 @@ func TestSampledDeterminism(t *testing.T) {
 	render := func(parallelism int) string {
 		t.Helper()
 		mc := ReferenceModeCosts
-		cfg := Config{Scale: 0.1, Seed: 1, Parallelism: parallelism, ModeCosts: &mc, Sample: "default"}
+		cfg := Config{Scale: 0.1, Seed: 1, Parallelism: parallelism, ModeCosts: &mc, Sample: mustSample(t, "default")}
 		res, err := Run("fig1", cfg)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
@@ -93,18 +94,18 @@ func TestSampledDeterminism(t *testing.T) {
 	}
 }
 
-// TestSampledSpellingSharesKeys pins spec canonicalization: two spellings of
-// one sampling policy must normalize to identical run keys, so they share
-// memo-cache entries, run ids, and byte-identical tables.
+// TestSampledSpellingSharesKeys pins spec parsing at the edge: two
+// spellings of one sampling policy must parse to identical run keys, so they
+// share memo-cache entries, run ids, and byte-identical tables.
 func TestSampledSpellingSharesKeys(t *testing.T) {
-	a := Config{Sample: "default"}.normalized()
-	b := Config{Sample: "budget=8,min=2,pilot=64,range=0.05,refresh=64"}.normalized()
+	a := Config{Sample: mustSample(t, "default")}.normalized()
+	b := Config{Sample: mustSample(t, "budget=8,min=2,pilot=64,range=0.05,refresh=64")}.normalized()
 	ka := a.benchKey("ab-rand", machine.FullSystem, 0)
 	kb := b.benchKey("ab-rand", machine.FullSystem, 0)
-	if ka != kb {
+	if ka != kb || ka.ID() != kb.ID() {
 		t.Errorf("spellings of one policy produced distinct keys:\n%s\n%s", ka, kb)
 	}
-	if ka.Sample == "" {
+	if ka.Sample == (sample.Spec{}) {
 		t.Error("normalized config lost its sampling spec")
 	}
 	// The sampled key must share its unsampled twin's derived seed (same

@@ -50,17 +50,16 @@ type Config struct {
 	// Retries is how many extra attempts a failed run gets, each with a
 	// fresh derived seed (RunKey.AttemptSeed). 0 means fail on first error.
 	Retries int
-	// FaultPlan names a faults.Named perturbation plan injected into every
-	// simulation ("" = none). Enabling it changes every RunKey, so faulted
-	// and unfaulted runs never share cache entries.
-	FaultPlan string
-	// Sample, when non-empty, attaches an application-interval stratified
-	// sampler (sample.ParseSpec syntax: a preset like "default"/"fast"/
-	// "precise" or a key=value list) to every simulation. It is normalized
-	// to canonical form, becomes part of every RunKey, and each result's
-	// extrapolated figures carry a variance-derived 95% confidence interval
-	// (Outcome.Sample). Empty disables sampling.
-	Sample string
+	// Faults is the faults.Named perturbation plan injected into every
+	// simulation (the zero Spec = none). Enabling it changes every RunKey,
+	// so faulted and unfaulted runs never share cache entries.
+	Faults faults.Spec
+	// Sample, when non-zero, attaches an application-interval stratified
+	// sampler (a sample.ParseSpec result) to every simulation. It becomes
+	// part of every RunKey, and each result's extrapolated figures carry a
+	// variance-derived 95% confidence interval (Outcome.Sample). The zero
+	// Spec disables sampling.
+	Sample sample.Spec
 	// Trace attaches a fresh trace.Recorder to every simulation the scheduler
 	// executes. Recorders observe without influencing: a traced run's tables
 	// and statistics are byte-identical to an untraced run's (asserted by
@@ -126,13 +125,6 @@ func (c Config) normalized() Config {
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if c.Sample != "" {
-		// validate() has already accepted the spec; canonicalize so every
-		// spelling of one policy produces identical keys and tables.
-		if canon, err := sample.Canonical(c.Sample); err == nil {
-			c.Sample = canon
-		}
-	}
 	return c
 }
 
@@ -149,16 +141,6 @@ func (c Config) validate() error {
 	// behaving like either extreme.
 	if c.Timeout < 0 {
 		return fmt.Errorf("experiments: timeout must be non-negative (0 = no deadline), got %v", c.Timeout)
-	}
-	if c.FaultPlan != "" {
-		if _, err := faults.Named(c.FaultPlan); err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
-	}
-	if c.Sample != "" {
-		if _, err := sample.Canonical(c.Sample); err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
 	}
 	if c.WarmDir != "" {
 		if fi, err := os.Stat(c.WarmDir); err == nil && !fi.IsDir() {

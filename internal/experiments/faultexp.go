@@ -18,7 +18,13 @@ import (
 // — to show the guardrail recovering accuracy that strategy otherwise loses.
 
 // faultsPlan is the preset injected by the faults experiment.
-const faultsPlan = "storm"
+var faultsPlan = func() faults.Spec {
+	spec, err := faults.Named("storm")
+	if err != nil {
+		panic("experiments: bad built-in fault plan: " + err.Error())
+	}
+	return spec
+}()
 
 // faultsBenches are the OS-intensive workloads the experiment perturbs: one
 // disk-heavy, one fork/exec-heavy, one network-heavy.
@@ -71,11 +77,9 @@ func faultsExpNeeds(cfg Config) []RunKey {
 // prediction coverage, and how often the learners re-learned or (for the
 // guarded variant) degraded back to detailed simulation.
 func FaultsExp(cfg Config) (*Result, error) {
-	spec, err := faults.Named(faultsPlan)
-	if err != nil {
-		return nil, err
-	}
-	plan := faults.NewPlan(cfg.Seed, spec.Scaled(cfg.Scale))
+	// Every run of this config injects one schedule, so any key's plan is
+	// the experiment's.
+	plan := faultPlanFor(faultsTruthKey(cfg, faultsBenches()[0]))
 
 	t := NewTable("benchmark", "variant", "coverage", "abs error", "relearns", "degrades")
 	type agg struct {

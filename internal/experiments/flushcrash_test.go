@@ -47,7 +47,7 @@ func TestFlushWarmCtxBoundedByDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	n, err := s.FlushWarmCtx(ctx)
+	n, err := s.FlushWarm(ctx)
 	elapsed := time.Since(start)
 	if elapsed > 10*time.Second {
 		t.Fatalf("flush took %v with a hung run; the deadline did not bound it", elapsed)
@@ -56,7 +56,7 @@ func TestFlushWarmCtxBoundedByDeadline(t *testing.T) {
 		t.Errorf("flushed %d snapshots, want the 1 completed run", n)
 	}
 	if err == nil || !strings.Contains(err.Error(), "flush deadline") {
-		t.Errorf("FlushWarmCtx error = %v, want a flush-deadline skip report", err)
+		t.Errorf("FlushWarm error = %v, want a flush-deadline skip report", err)
 	}
 	if paths, _ := store.List(""); len(paths) != 1 {
 		t.Errorf("completed run's snapshot not persisted: %d files", len(paths))
@@ -79,7 +79,7 @@ func TestCrashExplorerFlushWarm(t *testing.T) {
 	if _, err := s.Get(key); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := s.FlushWarm(); err != nil || n != 1 {
+	if n, err := s.FlushWarm(context.Background()); err != nil || n != 1 {
 		t.Fatalf("FlushWarm = (%d, %v), want (1, nil)", n, err)
 	}
 	learn := warmLearnHash(key)

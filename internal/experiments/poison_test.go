@@ -78,7 +78,7 @@ func TestPoisonedFaultedDeterminism(t *testing.T) {
 	render := func(parallelism int) string {
 		t.Helper()
 		mc := ReferenceModeCosts
-		cfg := Config{Scale: 0.1, Seed: 1, Parallelism: parallelism, ModeCosts: &mc, FaultPlan: "mild"}
+		cfg := Config{Scale: 0.1, Seed: 1, Parallelism: parallelism, ModeCosts: &mc, Faults: mustFaults(t, "mild")}
 		res, err := Run("fig11", cfg)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)

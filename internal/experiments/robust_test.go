@@ -157,7 +157,7 @@ func TestAttemptSeedDerivation(t *testing.T) {
 	// Faulted keys derive different seeds; unfaulted derivation is unchanged
 	// by the existence of the Faults field (byte-identity guarantee).
 	faulted := key
-	faulted.Faults = "mild"
+	faulted.Faults = mustFaults(t, "mild")
 	if faulted.DeriveSeed() == key.DeriveSeed() {
 		t.Error("fault plan does not separate derived seeds")
 	}
@@ -317,7 +317,7 @@ func TestLookupDetachedExecution(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // waiter gives up immediately
-	_, status, err := s.Lookup(ctx, key)
+	_, status, err := s.Lookup(ctx, key, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned waiter error = %v, want context.Canceled", err)
 	}
@@ -326,7 +326,7 @@ func TestLookupDetachedExecution(t *testing.T) {
 	}
 
 	// The detached run completes; a fresh waiter collects it.
-	out, status, err := s.Lookup(context.Background(), key)
+	out, status, err := s.Lookup(context.Background(), key, nil)
 	if err != nil {
 		t.Fatalf("second Lookup failed: %v", err)
 	}
@@ -343,8 +343,9 @@ func TestLookupDetachedExecution(t *testing.T) {
 
 // TestLookupNotifyOnceForCoalescedFailure pins the exactly-once completion
 // contract a serving front-end settles its run records on: three coalesced
-// LookupNotify calls on one failing key share a single execution, every
-// waiter sees the failure, and onDone fires exactly once in total.
+// Lookup calls with an onDone hook on one failing key share a single
+// execution, every waiter sees the failure, and onDone fires exactly once in
+// total.
 func TestLookupNotifyOnceForCoalescedFailure(t *testing.T) {
 	gate := make(chan struct{})
 	workload.Register(workload.Benchmark{
@@ -368,7 +369,7 @@ func TestLookupNotifyOnceForCoalescedFailure(t *testing.T) {
 	errs := make(chan error, 3)
 	for i := 0; i < 3; i++ {
 		go func() {
-			_, _, err := s.LookupNotify(context.Background(), key, onDone)
+			_, _, err := s.Lookup(context.Background(), key, onDone)
 			errs <- err
 		}()
 	}
@@ -418,10 +419,10 @@ func TestAbortedTraceFlush(t *testing.T) {
 		t.Fatalf("aborted run lost its recorder or error: %+v", aborted[0])
 	}
 	var chrome, metrics strings.Builder
-	if err := s.WriteChromeTrace(&chrome); err != nil {
+	if err := s.WriteChromeTrace(context.Background(), &chrome); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteRunMetrics(&metrics); err != nil {
+	if err := s.WriteRunMetrics(context.Background(), &metrics); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(chrome.String(), "!aborted") {

@@ -8,8 +8,10 @@ import (
 	"strings"
 
 	"fssim/internal/core"
+	"fssim/internal/faults"
 	"fssim/internal/machine"
 	"fssim/internal/pltstore"
+	"fssim/internal/sample"
 	"fssim/internal/transfer"
 	"fssim/internal/workload"
 )
@@ -25,25 +27,28 @@ import (
 // Keys are compared (and used as memo-cache map keys) only in Normalized
 // form. Which fields feed which identity:
 //
-//	field     | seed | String | ID | learn | replay | family
-//	----------+------+--------+----+-------+--------+-------
-//	Bench     |  x   |   x    | x  |   x   |   x    |   x
-//	Mode      |  x   |   x    | x  |   x   |   x    |   x
-//	L2        |  x   |   x    | x  |   x   |   x    |   -
-//	Scale     |  x   |   x    | x  |   x   |   x    |   x
-//	Seed      |  x   |   -    | x  |   -   |   x    |   -
-//	Strategy  |  x   |   x    | x  |   x   |   x    |   x
-//	Watchdog  |  x   |   x    | x  |   x   |   x    |   x
-//	Faults    |  x   |   x    | x  |   x   |   x    |   x
-//	variants  |  x   |   x    | x  |   x   |   x    |   x
-//	Sample    |  -   |   x    | x  |   -   |   x    |   -
-//	Transfer  |  -   |   x    | x  |   x   |   x    |   -
+//	field     | seed | String | ID | learn | replay | family | plan
+//	----------+------+--------+----+-------+--------+--------+-----
+//	Bench     |  x   |   x    | x  |   x   |   x    |   x    |  -
+//	Mode      |  x   |   x    | x  |   x   |   x    |   x    |  -
+//	L2        |  x   |   x    | x  |   x   |   x    |   -    |  -
+//	Scale     |  x   |   x    | x  |   x   |   x    |   x    |  x
+//	Seed      |  x   |   -    | x  |   -   |   x    |   -    |  x
+//	Strategy  |  x   |   x    | x  |   x   |   x    |   x    |  -
+//	Watchdog  |  x   |   x    | x  |   x   |   x    |   x    |  -
+//	Faults    |  x   |   x    | x  |   x   |   x    |   x    |  x
+//	variants  |  x   |   x    | x  |   x   |   x    |   x    |  -
+//	Sample    |  -   |   x    | x  |   -   |   x    |   -    |  -
+//	Transfer  |  -   |   x    | x  |   x   |   x    |   -    |  -
 //
 // The variants row stands for each of InOrder, NoCaches, TLB and Prefetch.
 // Strategy and Watchdog exist only on Accelerated keys: Normalized zeroes
 // them elsewhere, so on a full-system or app-only key they feed nothing.
-// The learn, replay and family addresses are only ever stored for
-// Accelerated keys (see warmStore.eligible).
+// Likewise Seed and Scale feed the plan only on keys with Faults. The learn,
+// replay and family addresses are only ever stored for Accelerated keys (see
+// warmStore.eligible). One input of the replay address lies outside the
+// key: the TransferHash of the donor a transferred run imported, which is
+// known only once the directive has resolved.
 type RunKey struct {
 	Bench string
 	Mode  machine.SimMode
@@ -54,25 +59,22 @@ type RunKey struct {
 	Strategy core.Strategy
 	// Watchdog arms the prediction-divergence watchdog on an Accelerated run.
 	Watchdog bool
-	// Faults names a faults.Named plan injected into the run ("" = none).
-	// The plan is derived from the config's base Seed, not the per-run
-	// machine seed, so every mode and strategy of one config experiences
-	// the identical fault schedule and stays comparable.
-	Faults string
+	// Faults is the faults.Named plan injected into the run (the zero Spec
+	// = none); identities use its Name. The schedule is faultPlanFor's.
+	Faults faults.Spec
 	// Machine variants: the in-order core, ideal memory (no cache models),
 	// modeled I/D TLBs, and the L2 next-line prefetcher.
 	InOrder, NoCaches, TLB, Prefetch bool
-	// Sample is the canonical sample.Spec string of the application-interval
-	// stratified-sampling policy ("" = every app interval detailed). A
-	// sampled run replays the exact workload trajectory of its unsampled
-	// twin, so comparing the two measures pure estimator error, not
-	// seed-to-seed variance.
-	Sample string
-	// Transfer is the canonical transfer.Spec directive for warm-starting
-	// this run's PLT from a neighbor configuration ("" = cold start). Like
-	// Sample it leaves the seed alone: the transferred run replays its cold
-	// twin's trajectory, so any divergence is the imported priors' doing.
-	Transfer string
+	// Sample is the application-interval stratified-sampling policy (the
+	// zero Spec = every app interval detailed). A sampled run replays the
+	// exact workload trajectory of its unsampled twin, so comparing the two
+	// measures pure estimator error, not seed-to-seed variance.
+	Sample sample.Spec
+	// Transfer is the directive for warm-starting this run's PLT from a
+	// neighbor configuration (the zero Spec = cold start). Like Sample it
+	// leaves the seed alone: the transferred run replays its cold twin's
+	// trajectory, so any divergence is the imported priors' doing.
+	Transfer transfer.Spec
 }
 
 // Normalized applies every default, so all spellings of one run are one
@@ -140,8 +142,8 @@ func (k RunKey) DeriveSeed() int64 {
 		k.Bench, k.Mode, k.L2, math.Float64bits(k.Scale), k.Seed, k.opts())
 	// Appended only when set, so runs without them keep the seeds they had
 	// before fault injection and machine variants were part of the key.
-	if k.Faults != "" {
-		fmt.Fprintf(h, "|faults=%s", k.Faults)
+	if k.Faults.Name != "" {
+		fmt.Fprintf(h, "|faults=%s", k.Faults.Name)
 	}
 	if v := k.variants(); v != "" {
 		fmt.Fprintf(h, "|machine=%s", v)
@@ -182,17 +184,17 @@ func (k RunKey) String() string {
 	if o := k.opts(); o != 0 {
 		s += fmt.Sprintf("/opts=%d", o)
 	}
-	if k.Faults != "" {
-		s += "/faults=" + k.Faults
+	if k.Faults.Name != "" {
+		s += "/faults=" + k.Faults.Name
 	}
 	if v := k.variants(); v != "" {
 		s += "/machine=" + v
 	}
-	if k.Sample != "" {
-		s += "/sample=" + k.Sample
+	if smp := k.Sample.String(); smp != "" {
+		s += "/sample=" + smp
 	}
-	if k.Transfer != "" {
-		s += "/transfer=" + k.Transfer
+	if xfer := k.Transfer.String(); xfer != "" {
+		s += "/transfer=" + xfer
 	}
 	return s
 }
@@ -216,16 +218,16 @@ func (k RunKey) ID() string {
 // the cold-learned table of the identical configuration.
 func warmLearnHash(key RunKey) uint64 {
 	return pltstore.LearnHash(key.Bench, machineConfigFor(key), accelParamsFor(key),
-		key.Scale, key.Faults, key.Transfer)
+		key.Scale, key.Faults.Name, key.Transfer.String())
 }
 
 // --- replay address: warmReplayHash -----------------------------------------
 // Fed by every field, plus the provenance hash of a transferred run.
 
-// warmReplayHash is the exact-replay address of key. transferHash is the
-// provenance hash of the donor and model a transferred run imported (0 for
-// a cold run), so a snapshot recorded under one donor never replays for an
-// invocation that resolved a different one.
+// warmReplayHash is the exact-replay address of key. transferHash, the one
+// input outside the key, is the provenance hash of the donor and model a
+// transferred run imported (0 for a cold run), so a snapshot recorded under
+// one donor never replays for an invocation that resolved a different one.
 func warmReplayHash(key RunKey, transferHash uint64) uint64 {
 	return pltstore.ReplayHash(warmLearnHash(key), key.String(), key.DeriveSeed(), transferHash)
 }
@@ -237,7 +239,21 @@ func warmReplayHash(key RunKey, transferHash uint64) uint64 {
 // swept machine coordinates (L2 among them) and the transfer directive.
 func familyHash(key RunKey) uint64 {
 	return transfer.FamilyHash(key.Bench, machineConfigFor(key), accelParamsFor(key),
-		key.Scale, key.Faults)
+		key.Scale, key.Faults.Name)
+}
+
+// --- fault plan: faultPlanFor -----------------------------------------------
+// Fed by Seed, Scale and Faults only.
+
+// faultPlanFor is the fault schedule a run of key injects (nil without
+// Faults). It is derived from the config's base Seed, not the per-run
+// machine seed, so every mode, strategy and retry attempt of one config
+// experiences the identical schedule and stays comparable.
+func faultPlanFor(key RunKey) *faults.Plan {
+	if key.Faults.Name == "" {
+		return nil
+	}
+	return faults.NewPlan(key.Seed, key.Faults.Scaled(key.Scale))
 }
 
 // machineConfigFor is the machine configuration a run of key uses (with the

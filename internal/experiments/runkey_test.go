@@ -6,9 +6,41 @@ import (
 	"testing"
 
 	"fssim/internal/core"
+	"fssim/internal/faults"
 	"fssim/internal/machine"
 	"fssim/internal/sample"
+	"fssim/internal/transfer"
 )
+
+// mustSample parses a sampling spec the way a front-end's edge does.
+func mustSample(t testing.TB, s string) sample.Spec {
+	t.Helper()
+	sp, err := sample.ParseSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+// mustFaults looks up a fault plan the way a front-end's edge does.
+func mustFaults(t testing.TB, name string) faults.Spec {
+	t.Helper()
+	sp, err := faults.Named(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+// planOf renders a key's fault schedule as its event count and first event
+// ("" without Faults).
+func planOf(k RunKey) string {
+	p := faultPlanFor(k)
+	if p == nil {
+		return ""
+	}
+	return fmt.Sprintf("%d %+v", len(p.Events), p.Events[0])
+}
 
 // TestRunKeyKnownAnswers pins every projection of a fixed table of keys to
 // literals computed before RunKey carried typed Strategy and Watchdog fields
@@ -17,10 +49,19 @@ import (
 // Accelerated keys. Reproducing them is what keeps existing goldens, warm
 // directories and run ids valid. The machine-variant rows at the end were
 // computed when those fields joined the key; they pin the variant encoding.
+// The faults-storm row and the plan column were computed when Faults, Sample
+// and Transfer were still strings (the plan then built in runOptions); they
+// pin the typed specs to the same identities and the same fault schedule.
 func TestRunKeyKnownAnswers(t *testing.T) {
-	smp, err := sample.Canonical("default")
-	if err != nil {
-		t.Fatal(err)
+	smp, mild, storm := mustSample(t, "default"), mustFaults(t, "mild"), mustFaults(t, "storm")
+	store, l2Donor := transfer.Spec{Store: true}, transfer.Spec{L2: 524288}
+	// Every config at seed 1 and scale 1 under one plan sees one schedule,
+	// whatever its benchmark, mode or strategy.
+	plans := map[string]string{
+		"faults-mild":      "128 {At:4234691 Kind:net-burst Dur:0 Mag:32768}",
+		"full-faults-mild": "128 {At:4234691 Kind:net-burst Dur:0 Mag:32768}",
+		"faults-storm":     "2052 {At:2119813 Kind:irq-burst Dur:0 Mag:121}",
+		"server-accel":     "2052 {At:1255855 Kind:disk-spike Dur:1250000 Mag:20}",
 	}
 	accel := func(s core.Strategy, edit func(*RunKey)) RunKey {
 		k := RunKey{Bench: "ab-rand", Mode: machine.Accelerated, Scale: 1, Seed: 1, Strategy: s}
@@ -56,10 +97,13 @@ func TestRunKeyKnownAnswers(t *testing.T) {
 		{"watchdog", stat(func(k *RunKey) { k.Watchdog = true }),
 			4478673180723930652, 9147027881472526576, "ab-rand/App+OS Pred/L2=0/scale=1/opts=260", "rbb13e464b8c048fc",
 			"1b2b078c405fefab", "3ef20ee5c1152fc2", "4447c67c5201d3b0", "5c974ec8ba348038"},
-		{"faults-mild", stat(func(k *RunKey) { k.Faults = "mild" }),
+		{"faults-mild", stat(func(k *RunKey) { k.Faults = mild }),
 			7423940730223700110, 1430908055718283150, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/faults=mild", "rdb4f35a01a6dab7f",
 			"a1a72ca35d856617", "8681056555def896", "bfdafcccad96b23c", "e9f0c8c566ae27f0"},
-		{"full-faults-mild", RunKey{Bench: "du", Mode: machine.FullSystem, Scale: 1, Seed: 1, Faults: "mild"},
+		{"faults-storm", stat(func(k *RunKey) { k.Faults = storm }),
+			1458536165161501933, 8109312867376865392, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/faults=storm", "r03dc1c782850d3c2",
+			"9becd7ab151d0178", "fc8a95a85665f632", "9260ca4a9724e6e0", "1f364911844fb0ff"},
+		{"full-faults-mild", RunKey{Bench: "du", Mode: machine.FullSystem, Scale: 1, Seed: 1, Faults: mild},
 			8711661962494965972, 8110673950047437829, "du/App+OS/L2=0/scale=1/faults=mild", "r6840d52c84f9d35a", "", "", "", ""},
 		{"sample-default", stat(func(k *RunKey) { k.Sample = smp }),
 			1430778068635313000, 1409716899654540484,
@@ -68,10 +112,10 @@ func TestRunKeyKnownAnswers(t *testing.T) {
 		{"full-sample-default", RunKey{Bench: "gzip", Mode: machine.FullSystem, Scale: 1, Seed: 1, Sample: smp},
 			7902029563080955783, 6432952084326646307,
 			"gzip/App+OS/L2=0/scale=1/sample=budget=8,min=2,pilot=64,range=0.05,refresh=64", "r42b6751642fdcc8f", "", "", "", ""},
-		{"transfer-l2", stat(func(k *RunKey) { k.Transfer = "l2=524288" }),
+		{"transfer-l2", stat(func(k *RunKey) { k.Transfer = l2Donor }),
 			1430778068635313000, 1409716899654540484, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/transfer=l2=524288", "r34e32d2dca346637",
 			"23b584fde28b9812", "903583a2b448c482", "149eacbf512ca1f0", "976fd7d1a66932e6"},
-		{"transfer-store", stat(func(k *RunKey) { k.Transfer = "store" }),
+		{"transfer-store", stat(func(k *RunKey) { k.Transfer = store }),
 			1430778068635313000, 1409716899654540484, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/transfer=store", "r35884ffdbbaf9768",
 			"55e0819a91e577d7", "11bef62404c24e87", "99da273b710b7b35", "976fd7d1a66932e6"},
 		{"l2-2mb", stat(func(k *RunKey) { k.L2 = 2 << 20 }),
@@ -86,7 +130,7 @@ func TestRunKeyKnownAnswers(t *testing.T) {
 			5328760094881150434, 7877311100882151799, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4", "r753c84e04e48b9de",
 			"f846b41eb2edd889", "2ad859e166bc1967", "eeec50f51a4ab115", "976fd7d1a66932e6"},
 		{"server-accel", RunKey{Bench: "du", Mode: machine.Accelerated, Scale: 0.5, Seed: 3,
-			Strategy: core.Eager, Watchdog: true, Faults: "storm", Transfer: "store"},
+			Strategy: core.Eager, Watchdog: true, Faults: storm, Transfer: store},
 			5730964935218643843, 4069103997022745185, "du/App+OS Pred/L2=0/scale=0.5/opts=258/faults=storm/transfer=store", "rdddd4bc85498d057",
 			"5ad0bc4b0183df91", "148351f8dc7df2bb", "6c03fde362859111", "7059680dc8338381"},
 		{"inorder", stat(func(k *RunKey) { k.InOrder = true }),
@@ -115,6 +159,7 @@ func TestRunKeyKnownAnswers(t *testing.T) {
 		check("AttemptSeed(1)", k.AttemptSeed(1), c.retry)
 		check("String", k.String(), c.str)
 		check("ID", k.ID(), c.id)
+		check("plan", planOf(k), plans[c.name])
 		if k.Mode != machine.Accelerated {
 			continue
 		}
@@ -139,19 +184,21 @@ var projections = []struct {
 	{"learn", func(k RunKey) string { return fmt.Sprint(warmLearnHash(k)) }},
 	{"replay", func(k RunKey) string { return fmt.Sprint(warmReplayHash(k, 0), warmReplayHash(k, 0xfeed)) }},
 	{"family", func(k RunKey) string { return fmt.Sprint(familyHash(k)) }},
+	{"plan", planOf},
 }
 
 // feeds is the table on RunKey as data: the projections each field moves.
-// On a key that is not Accelerated, Strategy and Watchdog move nothing.
+// On a key that is not Accelerated, Strategy and Watchdog move nothing; on a
+// key without Faults, Seed and Scale do not move the plan.
 var feeds = map[string]string{
 	"Bench":    "key seed String ID learn replay family",
 	"Mode":     "key seed String ID learn replay family",
 	"L2":       "key seed String ID learn replay",
-	"Scale":    "key seed String ID learn replay family",
-	"Seed":     "key seed ID replay",
+	"Scale":    "key seed String ID learn replay family plan",
+	"Seed":     "key seed ID replay plan",
 	"Strategy": "key seed String ID learn replay family",
 	"Watchdog": "key seed String ID learn replay family",
-	"Faults":   "key seed String ID learn replay family",
+	"Faults":   "key seed String ID learn replay family plan",
 	"Sample":   "key String ID replay",
 	"Transfer": "key String ID learn replay",
 	"InOrder":  "key seed String ID learn replay family",
@@ -174,14 +221,12 @@ func FuzzRunKeyProjections(f *testing.F) {
 				uint8(1), uint8(1), uint8(1), uint8(field), uint64(field), uint8(field))
 		}
 	}
-	smpDefault, _ := sample.Canonical("default")
-	smpFast, _ := sample.Canonical("fast")
 	benches := []string{"ab-rand", "du", "gzip", "iperf"}
 	l2s := []int{0, defaultL2(), 512 << 10, 2 << 20, 4 << 20}
 	scales := []float64{0, -1, 0.1, 0.25, 1, 2}
-	plans := []string{"", "mild", "storm"}
-	samples := []string{"", smpDefault, smpFast}
-	directives := []string{"", "store", "l2=524288"}
+	plans := []faults.Spec{{}, mustFaults(f, "mild"), mustFaults(f, "storm")}
+	samples := []sample.Spec{{}, mustSample(f, "default"), mustSample(f, "fast")}
+	directives := []transfer.Spec{{}, {Store: true}, {L2: 524288}}
 
 	f.Fuzz(func(t *testing.T, bench, mode, l2, scale uint8, seed int64, strat uint8, watchdog bool,
 		plan, smp, xfer, field uint8, pick uint64, variants uint8) {
@@ -255,6 +300,9 @@ func FuzzRunKeyProjections(f *testing.F) {
 			fed := false
 			for _, w := range want {
 				fed = fed || w == p.name
+			}
+			if p.name == "plan" && base.Faults.Name == "" && (name == "Seed" || name == "Scale") {
+				fed = false
 			}
 			if moved != fed {
 				t.Errorf("%s: %+v -> %+v: %s moved=%v, table says %v", name, base, mut, p.name, moved, fed)

@@ -42,7 +42,7 @@ func samplingScale(cfg Config) float64 {
 func samplingBase(cfg Config, name string) RunKey {
 	k := cfg.benchKey(name, machine.FullSystem, 0)
 	k.Scale = samplingScale(cfg)
-	k.Sample = ""
+	k.Sample = sample.Spec{}
 	return k
 }
 
@@ -52,13 +52,13 @@ func sampledKey(base RunKey, preset string) RunKey {
 	return base
 }
 
-// samplingSpec returns the canonical spec string of a preset.
-func samplingSpec(preset string) string {
+// samplingSpec returns the parsed spec of a built-in preset.
+func samplingSpec(preset string) sample.Spec {
 	sp, err := sample.ParseSpec(preset)
 	if err != nil {
 		panic("experiments: bad built-in sampling preset " + preset + ": " + err.Error())
 	}
-	return sp.String()
+	return sp
 }
 
 func samplingNeeds(cfg Config) []RunKey {

@@ -13,7 +13,6 @@ import (
 
 	"fssim/internal/core"
 	"fssim/internal/durable"
-	"fssim/internal/faults"
 	"fssim/internal/machine"
 	"fssim/internal/pltstore"
 	"fssim/internal/sample"
@@ -236,30 +235,87 @@ func (s *Scheduler) prefetch(st *expStats, keys ...RunKey) {
 // entry does not pin its error for the scheduler's remaining lifetime — a
 // later Get retries from scratch.
 func (s *Scheduler) get(ctx context.Context, key RunKey, st *expStats) (runOutput, error) {
+	e, created := s.claim(key, st)
+	if created {
+		s.run(ctx, key, e, st)
+	} else if err := wait(ctx, e); err != nil {
+		return runOutput{}, err
+	}
+	return e.out, e.err
+}
+
+// claim returns key's memo entry, creating it (created true) when there is
+// none, and counts the request as a miss or a hit — for st too, unless st
+// created the entry itself.
+func (s *Scheduler) claim(key RunKey, st *expStats) (e *runEntry, created bool) {
 	s.mu.Lock()
 	e, ok := s.runs[key]
-	if ok {
-		s.mu.Unlock()
-		s.hits.Add(1)
-		if st != nil && e.creator != st {
-			st.hits.Add(1)
+	if !ok {
+		e = &runEntry{done: make(chan struct{}), creator: st}
+		s.runs[key] = e
+	}
+	s.mu.Unlock()
+	if !ok {
+		s.misses.Add(1)
+		if st != nil {
+			st.misses.Add(1)
 		}
+		return e, true
+	}
+	s.hits.Add(1)
+	if st != nil && e.creator != st {
+		st.hits.Add(1)
+	}
+	return e, false
+}
+
+// wait blocks until e is final or ctx ends, returning ctx's error then.
+func wait(ctx context.Context, e *runEntry) error {
+	select {
+	case <-e.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// expired is a context that has already ended: settled under it visits only
+// the entries final at the call.
+var expired = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+// settled calls visit for each memoized entry whose key want accepts (nil
+// accepts all) once the entry is final: first every entry already final,
+// then each in-flight one as it finishes, until ctx ends. It returns how
+// many in-flight entries ctx's end left unvisited.
+func (s *Scheduler) settled(ctx context.Context, want func(RunKey) bool, visit func(RunKey, *runEntry)) (skipped int) {
+	s.mu.Lock()
+	entries := make(map[RunKey]*runEntry, len(s.runs))
+	for k, e := range s.runs {
+		if want == nil || want(k) {
+			entries[k] = e
+		}
+	}
+	s.mu.Unlock()
+	var pending []RunKey
+	for k, e := range entries {
 		select {
 		case <-e.done:
-		case <-ctx.Done():
-			return runOutput{}, ctx.Err()
+			visit(k, e)
+		default:
+			pending = append(pending, k)
 		}
-		return e.out, e.err
 	}
-	e = &runEntry{done: make(chan struct{}), creator: st}
-	s.runs[key] = e
-	s.mu.Unlock()
-	s.misses.Add(1)
-	if st != nil {
-		st.misses.Add(1)
+	for i, k := range pending {
+		if ctx.Err() != nil || wait(ctx, entries[k]) != nil {
+			return len(pending) - i
+		}
+		visit(k, entries[k])
 	}
-	s.run(ctx, key, e, st)
-	return e.out, e.err
+	return 0
 }
 
 // run executes the simulation behind a freshly created entry: it waits for a
@@ -351,52 +407,36 @@ type Outcome struct {
 // shared simulation running for other coalesced clients to collect. The
 // reported status tells the caller whether it started the run, joined an
 // in-flight one, or was served from the cache.
-func (s *Scheduler) Lookup(ctx context.Context, key RunKey) (Outcome, LookupStatus, error) {
-	return s.LookupNotify(ctx, key, nil)
-}
-
-// LookupNotify is Lookup with a completion hook for the detached execution:
-// when this call starts a fresh run (status LookupMiss), onDone is invoked
-// exactly once with the run's final outcome, after the entry resolves —
-// regardless of whether this caller's ctx expires first. Joined (coalesced or
-// hit) lookups never invoke onDone: each distinct execution notifies only its
-// creator, so a front-end settling run records from the hook sees every run
-// exactly once, even when all of its waiters abandoned it.
-func (s *Scheduler) LookupNotify(ctx context.Context, key RunKey, onDone func(Outcome, error)) (Outcome, LookupStatus, error) {
-	s.mu.Lock()
-	e, ok := s.runs[key]
-	if ok {
-		s.mu.Unlock()
-		s.hits.Add(1)
-		status := LookupCoalesced
+//
+// When this call starts a fresh run (status LookupMiss), a non-nil onDone is
+// invoked exactly once with the run's final outcome, after the entry
+// resolves — regardless of whether this caller's ctx expires first. Joined
+// (coalesced or hit) lookups never invoke onDone: each distinct execution
+// notifies only its creator, so a front-end settling run records from the
+// hook sees every run exactly once, even when all of its waiters abandoned
+// it.
+func (s *Scheduler) Lookup(ctx context.Context, key RunKey, onDone func(Outcome, error)) (Outcome, LookupStatus, error) {
+	e, created := s.claim(key, nil)
+	status := LookupMiss
+	if created {
+		go func() {
+			s.run(s.cfg.context(), key, e, nil)
+			if onDone != nil {
+				onDone(e.out.outcome(), e.err)
+			}
+		}()
+	} else {
+		status = LookupCoalesced
 		select {
 		case <-e.done:
 			status = LookupHit
 		default:
 		}
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return Outcome{}, status, ctx.Err()
-		}
-		return e.out.outcome(), status, e.err
 	}
-	e = &runEntry{done: make(chan struct{})}
-	s.runs[key] = e
-	s.mu.Unlock()
-	s.misses.Add(1)
-	go func() {
-		s.run(s.cfg.context(), key, e, nil)
-		if onDone != nil {
-			onDone(e.out.outcome(), e.err)
-		}
-	}()
-	select {
-	case <-e.done:
-	case <-ctx.Done():
-		return Outcome{}, LookupMiss, ctx.Err()
+	if err := wait(ctx, e); err != nil {
+		return Outcome{}, status, err
 	}
-	return e.out.outcome(), LookupMiss, e.err
+	return e.out.outcome(), status, e.err
 }
 
 // TraceOf returns the recorder of the completed memoized run for key, if the
@@ -571,7 +611,7 @@ func RunOnce(key RunKey, warmDir string, h Hooks) (Single, error) {
 	key = key.Normalized()
 	var w *warmStore
 	if warmDir != "" && key.Mode == machine.Accelerated {
-		w, _ = openWarm(warmDir, nil, key.Transfer != "")
+		w, _ = openWarm(warmDir, nil, key.Transfer.Store)
 	}
 	prior, prov, _ := w.transferPrior(key, nil)
 	if h.Observer == nil && h.Trace == nil && w.eligible(key) {
@@ -592,12 +632,9 @@ func RunOnce(key RunKey, warmDir string, h Hooks) (Single, error) {
 
 // Assemble builds key's machine and kernel, with the accelerator and sampler
 // a run of key attaches, for custom guest programs: no benchmark is set up.
-func Assemble(key RunKey, h Hooks) (*workload.Sim, *core.Accelerator, *sample.Sampler, error) {
-	opts, out, err := build(key.Normalized(), 0, nil, nil, nil, h)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return workload.Assemble(opts), out.acc, out.smp, nil
+func Assemble(key RunKey, h Hooks) (*workload.Sim, *core.Accelerator, *sample.Sampler) {
+	opts, out := build(key.Normalized(), 0, nil, nil, nil, h)
+	return workload.Assemble(opts), out.acc, out.smp
 }
 
 // simulate runs one attempt of key, bounded by timeout (0 = none). A panic
@@ -614,10 +651,7 @@ func simulate(ctx context.Context, timeout time.Duration, key RunKey, attempt in
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	var opts workload.Options
-	if opts, out, err = build(key, attempt, ctx.Done(), prior, prov, h); err != nil {
-		return out, err
-	}
+	opts, out := build(key, attempt, ctx.Done(), prior, prov, h)
 	out.res, err = workload.Run(key.Bench, opts)
 	return out, err
 }
@@ -626,11 +660,8 @@ func simulate(ctx context.Context, timeout time.Duration, key RunKey, attempt in
 // sampler attached. A non-nil prior warm-starts the learners; if Import
 // refuses it the accelerator stays empty and out.transfer nil, so the run is
 // cold — never a silent half-import.
-func build(key RunKey, attempt int, done <-chan struct{}, prior *core.AccelState, prov *transfer.Provenance, h Hooks) (workload.Options, runOutput, error) {
-	opts, err := runOptions(key, attempt, done)
-	if err != nil {
-		return opts, runOutput{}, err
-	}
+func build(key RunKey, attempt int, done <-chan struct{}, prior *core.AccelState, prov *transfer.Provenance, h Hooks) (workload.Options, runOutput) {
+	opts := runOptions(key, attempt, done)
 	opts.Observer, opts.Trace = h.Observer, h.Trace
 	out := runOutput{rec: h.Trace}
 	if key.Mode == machine.Accelerated {
@@ -640,17 +671,13 @@ func build(key RunKey, attempt int, done <-chan struct{}, prior *core.AccelState
 		}
 		opts.Sink = out.acc
 	}
-	if key.Sample != "" {
-		spec, err := sample.ParseSpec(key.Sample)
-		if err != nil {
-			return opts, out, err
-		}
+	if key.Sample != (sample.Spec{}) {
 		// Seeded by the attempt's machine seed: sampling decisions are a pure
 		// function of (key, attempt), like everything else about the run.
-		out.smp = sample.New(spec, opts.Machine.Seed)
+		out.smp = sample.New(key.Sample, opts.Machine.Seed)
 		opts.Sample = out.smp
 	}
-	return opts, out, nil
+	return opts, out
 }
 
 // runOptions is the workload configuration of one attempt of key: the
@@ -658,46 +685,38 @@ func build(key RunKey, attempt int, done <-chan struct{}, prior *core.AccelState
 // fault plan, and cancellation when done closes. Every simulation of a key —
 // the scheduler's attempts, RunOnce and the warmstart experiment's reruns —
 // is built here, so they are the same deterministic run.
-func runOptions(key RunKey, attempt int, done <-chan struct{}) (workload.Options, error) {
+func runOptions(key RunKey, attempt int, done <-chan struct{}) workload.Options {
 	opts := workload.DefaultOptions()
 	opts.Scale = key.Scale
 	opts.Machine = machineConfigFor(key)
 	opts.Machine.Seed = key.AttemptSeed(attempt)
 	opts.Cancel = done
-	if key.Faults != "" {
-		spec, err := faults.Named(key.Faults)
-		if err != nil {
-			return opts, err
-		}
-		// Seeded by the config's base seed: every run of this config sees
-		// the same schedule regardless of mode, strategy or retry attempt.
-		opts.Prepare = faults.NewPlan(key.Seed, spec.Scaled(key.Scale)).Install
+	if plan := faultPlanFor(key); plan != nil {
+		opts.Prepare = plan.Install
 	}
-	return opts, nil
+	return opts
 }
 
 // --- cross-config transfer --------------------------------------------------
 
 // transferPrior resolves key's transfer directive into rescaled donor priors
 // and their provenance: all nil without a directive, an error for every
-// rejection (unparseable directive, a key that is not Accelerated, no
-// eligible donor, a failed donor run, an invalid rescale). "store" takes the
-// nearest donor in the frozen set; "l2=<bytes>" the table of the sibling run
-// at that L2, which sibling supplies (nil rejects the form). Either way the
-// donor becomes a snapshot and takes pltstore's one donor path.
+// rejection (a key that is not Accelerated, no eligible donor, a failed
+// donor run, an invalid rescale). "store" takes the nearest donor in the
+// frozen set; "l2=<bytes>" the table of the sibling run at that L2, which
+// sibling supplies (nil rejects the form). Either way the donor becomes a
+// snapshot and takes pltstore's one donor path.
 func (w *warmStore) transferPrior(key RunKey, sibling func(RunKey) (runOutput, error)) (*core.AccelState, *transfer.Provenance, error) {
-	if key.Transfer == "" {
+	spec := key.Transfer
+	if spec == (transfer.Spec{}) {
 		return nil, nil, nil
-	}
-	spec, err := transfer.ParseSpec(key.Transfer)
-	if err != nil {
-		return nil, nil, err
 	}
 	if key.Mode != machine.Accelerated {
 		return nil, nil, fmt.Errorf("transfer: %s is not an accelerated run", key)
 	}
 	recip := transfer.FromConfig(machineConfigFor(key))
 	var donor *pltstore.Snapshot
+	var err error
 	switch {
 	case spec.Store && w != nil:
 		if donor, err = pltstore.Nearest(w.donors, familyHash(key), recip); err != nil {
@@ -705,7 +724,7 @@ func (w *warmStore) transferPrior(key RunKey, sibling func(RunKey) (runOutput, e
 		}
 	case !spec.Store && sibling != nil:
 		donorKey := key
-		donorKey.Transfer, donorKey.L2 = "", spec.L2
+		donorKey.Transfer, donorKey.L2 = transfer.Spec{}, spec.L2
 		donorKey = donorKey.Normalized()
 		out, err := sibling(donorKey)
 		if err != nil {
@@ -728,23 +747,12 @@ type TransferRecord struct {
 // Transfers lists the completed runs that imported donor priors, sorted by
 // key for deterministic output.
 func (s *Scheduler) Transfers() []TransferRecord {
-	s.mu.Lock()
-	entries := make(map[RunKey]*runEntry, len(s.runs))
-	for k, e := range s.runs {
-		entries[k] = e
-	}
-	s.mu.Unlock()
 	var out []TransferRecord
-	for k, e := range entries {
-		select {
-		case <-e.done:
-		default:
-			continue
-		}
+	s.settled(expired, nil, func(k RunKey, e *runEntry) {
 		if e.err == nil && e.out.transfer != nil {
 			out = append(out, TransferRecord{Key: k, Prov: *e.out.transfer})
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
 	return out
 }
@@ -783,7 +791,7 @@ func openWarm(dir string, fsys durable.FS, withDonors bool) (*warmStore, pltstor
 // estimator, the snapshot identity does not encode the sampling spec, and a
 // stats-only replay would drop the run's Report (the error-bar contract).
 func (w *warmStore) eligible(key RunKey) bool {
-	return w != nil && key.Mode == machine.Accelerated && key.Sample == ""
+	return w != nil && key.Mode == machine.Accelerated && key.Sample == (sample.Spec{})
 }
 
 // provHash is the provenance hash a run's replay address binds: the
@@ -839,32 +847,20 @@ func warmSnapshot(key RunKey, out runOutput) *pltstore.Snapshot {
 
 // FlushWarm sweeps every completed successful accelerated run into the warm
 // store — the authoritative drain-time save (server.WriteArtifacts calls it),
-// catching any run whose best-effort per-run save failed. It waits for
-// in-flight runs to finish. A scheduler without a warm store is a no-op.
-// The returned count is how many snapshots were written by this sweep.
-func (s *Scheduler) FlushWarm() (int, error) {
-	return s.FlushWarmCtx(context.Background())
-}
-
-// FlushWarmCtx is FlushWarm bounded by ctx: already-completed runs are saved
-// first (each save independently atomic, so every snapshot written is whole
-// progress that survives whatever happens next), then in-flight runs are
-// waited on only until the deadline. Runs still in flight when ctx expires
-// are skipped and reported in the error; everything saved before that stays
-// saved.
-func (s *Scheduler) FlushWarmCtx(ctx context.Context) (int, error) {
+// catching any run whose best-effort per-run save failed. Already-completed
+// runs are saved first (each save independently atomic, so every snapshot
+// written is whole progress that survives whatever happens next), then
+// in-flight runs are waited on only until ctx ends. Runs still in flight
+// then are skipped and reported in the error; everything saved before that
+// stays saved. A scheduler without a warm store is a no-op. The returned
+// count is how many snapshots were written by this sweep.
+func (s *Scheduler) FlushWarm(ctx context.Context) (int, error) {
 	if s.warm == nil {
 		return 0, nil
 	}
-	s.mu.Lock()
-	entries := make(map[RunKey]*runEntry, len(s.runs))
-	for k, e := range s.runs {
-		entries[k] = e
-	}
-	s.mu.Unlock()
 	saved := 0
 	var errs []error
-	save := func(key RunKey, e *runEntry) {
+	skipped := s.settled(ctx, s.warm.eligible, func(key RunKey, e *runEntry) {
 		if e.err != nil || e.out.acc == nil {
 			return
 		}
@@ -874,32 +870,10 @@ func (s *Scheduler) FlushWarmCtx(ctx context.Context) (int, error) {
 		}
 		s.warmSaves.Add(1)
 		saved++
-	}
-	// Pass 1: everything already finished is saved unconditionally — a
-	// near-expired deadline still flushes all completed work.
-	var pending []RunKey
-	for key, e := range entries {
-		if !s.warm.eligible(key) {
-			continue
-		}
-		select {
-		case <-e.done:
-			save(key, e)
-		default:
-			pending = append(pending, key)
-		}
-	}
-	// Pass 2: wait for in-flight runs, but only as long as ctx allows.
-	for i, key := range pending {
-		e := entries[key]
-		select {
-		case <-e.done:
-			save(key, e)
-		case <-ctx.Done():
-			errs = append(errs, fmt.Errorf("flush deadline: %d in-flight run(s) skipped: %w",
-				len(pending)-i, ctx.Err()))
-			return saved, errors.Join(errs...)
-		}
+	})
+	if skipped > 0 {
+		errs = append(errs, fmt.Errorf("flush deadline: %d in-flight run(s) skipped: %w",
+			skipped, ctx.Err()))
 	}
 	return saved, errors.Join(errs...)
 }
@@ -968,7 +942,7 @@ func (s *Scheduler) modeCosts() ModeCosts {
 // given L2 size (0 or the platform default both normalize to 0).
 func (c Config) benchKey(name string, mode machine.SimMode, l2 int) RunKey {
 	return RunKey{Bench: name, Mode: mode, L2: l2, Scale: c.Scale, Seed: c.Seed,
-		Faults: c.FaultPlan, Sample: c.Sample}.Normalized()
+		Faults: c.Faults, Sample: c.Sample}.Normalized()
 }
 
 // accelKey is the cache key for an Accelerated run under the given
@@ -980,7 +954,7 @@ func (c Config) accelKey(name string, strat core.Strategy, l2 int) RunKey {
 	// nearest store donor; rejections (no eligible donor) are counted and
 	// fall back to cold, so the flag is safe on an empty store.
 	if c.Transfer {
-		k.Transfer = "store"
+		k.Transfer = transfer.Spec{Store: true}
 	}
 	return k
 }

@@ -38,21 +38,19 @@ func sweepBenches() []string { return warmstartBenches() }
 
 // sweepDirective is the transfer directive pairing every recipient with the
 // sweep's donor point.
-func sweepDirective() string {
-	return transfer.Spec{L2: sweepDonorL2}.String()
-}
+var sweepDirective = transfer.Spec{L2: sweepDonorL2}
 
 // sweepKeys builds one benchmark's run set: the cold donor, then a cold and a
 // transferred twin per recipient point. Keys are built explicitly (not through
 // accelKey alone) so the cold twins stay cold even under a -transfer Config.
 func sweepKeys(cfg Config, name string) (donor RunKey, cold, warm []RunKey) {
 	donor = cfg.accelKey(name, core.Statistical, sweepDonorL2)
-	donor.Transfer = ""
+	donor.Transfer = transfer.Spec{}
 	for _, l2 := range sweepPoints {
 		k := cfg.accelKey(name, core.Statistical, l2)
-		k.Transfer = ""
+		k.Transfer = transfer.Spec{}
 		cold = append(cold, k)
-		k.Transfer = sweepDirective()
+		k.Transfer = sweepDirective
 		warm = append(warm, k)
 	}
 	return donor, cold, warm

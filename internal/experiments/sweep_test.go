@@ -93,10 +93,10 @@ func TestStoreTransferWarmStartsFromDonor(t *testing.T) {
 	tcfg.Transfer = true
 	s := NewScheduler(tcfg)
 	key := tcfg.accelKey("ab-rand", core.Statistical, 0)
-	if key.Transfer != "store" {
+	if !key.Transfer.Store {
 		t.Fatalf("accelKey under Transfer config carries directive %q, want \"store\"", key.Transfer)
 	}
-	out, _, err := s.Lookup(context.Background(), key)
+	out, _, err := s.Lookup(context.Background(), key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestStoreTransferWarmStartsFromDonor(t *testing.T) {
 	// Replay pass: the transferred run's own snapshot replays under the same
 	// resolved donor, with no new simulation.
 	s2 := NewScheduler(tcfg)
-	out2, _, err := s2.Lookup(context.Background(), key)
+	out2, _, err := s2.Lookup(context.Background(), key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestStoreTransferRejectsIneligibleDonor(t *testing.T) {
 	tcfg := cfg
 	tcfg.Transfer = true
 	s := NewScheduler(tcfg)
-	out, _, err := s.Lookup(context.Background(), tcfg.accelKey("ab-rand", core.Statistical, 0))
+	out, _, err := s.Lookup(context.Background(), tcfg.accelKey("ab-rand", core.Statistical, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

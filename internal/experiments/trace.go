@@ -19,50 +19,18 @@ type TracedRun struct {
 }
 
 // TracedRuns returns every traced simulation the scheduler has executed,
-// sorted by key string. It waits for in-flight runs to finish (failed and
-// untraced runs are omitted), so the listing — and everything exported from
-// it — is a pure function of the run set, independent of parallelism.
-func (s *Scheduler) TracedRuns() []TracedRun {
-	return s.TracedRunsCtx(context.Background())
-}
-
-// TracedRunsCtx is TracedRuns bounded by ctx: completed runs are always
-// listed, while in-flight runs are waited on only until the deadline — runs
-// still executing when ctx expires are omitted rather than blocking a drain
-// forever. With an unexpired ctx the listing is identical to TracedRuns.
-func (s *Scheduler) TracedRunsCtx(ctx context.Context) []TracedRun {
-	s.mu.Lock()
-	entries := make(map[RunKey]*runEntry, len(s.runs))
-	for k, e := range s.runs {
-		entries[k] = e
-	}
-	s.mu.Unlock()
-
-	out := make([]TracedRun, 0, len(entries))
-	collect := func(k RunKey, e *runEntry) {
+// sorted by key string (failed and untraced runs are omitted). It waits for
+// in-flight runs to finish until ctx ends, so with an unexpired ctx the
+// listing — and everything exported from it — is a pure function of the run
+// set, independent of parallelism; runs still executing when ctx expires are
+// omitted rather than blocking a drain forever.
+func (s *Scheduler) TracedRuns(ctx context.Context) []TracedRun {
+	var out []TracedRun
+	s.settled(ctx, nil, func(k RunKey, e *runEntry) {
 		if e.err == nil && e.out.rec != nil {
 			out = append(out, TracedRun{Key: k, Rec: e.out.rec})
 		}
-	}
-	var pending []RunKey
-	for k, e := range entries {
-		select {
-		case <-e.done:
-			collect(k, e)
-		default:
-			pending = append(pending, k)
-		}
-	}
-	for _, k := range pending {
-		e := entries[k]
-		select {
-		case <-e.done:
-			collect(k, e)
-		case <-ctx.Done():
-			sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
-			return out
-		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
 	return out
 }
@@ -88,16 +56,11 @@ func abortedLabel(tr TracedRun) string { return tr.Key.String() + " !aborted" }
 // WriteChromeTrace exports every traced run as one Chrome trace-event JSON
 // document: one process (pid) per simulation, one thread (tid) per OS
 // service. Aborted runs' partial traces follow the completed ones, labeled
-// "!aborted". The file loads directly in Perfetto or chrome://tracing.
-func (s *Scheduler) WriteChromeTrace(w io.Writer) error {
-	return s.WriteChromeTraceCtx(context.Background(), w)
-}
-
-// WriteChromeTraceCtx is WriteChromeTrace bounded by ctx: runs still
-// executing at the deadline are omitted instead of blocking the export.
-func (s *Scheduler) WriteChromeTraceCtx(ctx context.Context, w io.Writer) error {
+// "!aborted". The file loads directly in Perfetto or chrome://tracing. Runs
+// still executing when ctx ends are omitted instead of blocking the export.
+func (s *Scheduler) WriteChromeTrace(ctx context.Context, w io.Writer) error {
 	x := trace.NewChromeExporter(w)
-	for _, tr := range s.TracedRunsCtx(ctx) {
+	for _, tr := range s.TracedRuns(ctx) {
 		if err := x.AddProcess(tr.Key.String(), tr.Rec); err != nil {
 			return err
 		}
@@ -111,15 +74,10 @@ func (s *Scheduler) WriteChromeTraceCtx(ctx context.Context, w io.Writer) error 
 }
 
 // WriteJSONLTrace exports every traced run's spans and instants as compact
-// JSON lines tagged with the run key (aborted runs tagged "!aborted").
-func (s *Scheduler) WriteJSONLTrace(w io.Writer) error {
-	return s.WriteJSONLTraceCtx(context.Background(), w)
-}
-
-// WriteJSONLTraceCtx is WriteJSONLTrace bounded by ctx (in-flight runs at
-// the deadline are omitted).
-func (s *Scheduler) WriteJSONLTraceCtx(ctx context.Context, w io.Writer) error {
-	for _, tr := range s.TracedRunsCtx(ctx) {
+// JSON lines tagged with the run key (aborted runs tagged "!aborted"). Runs
+// still executing when ctx ends are omitted.
+func (s *Scheduler) WriteJSONLTrace(ctx context.Context, w io.Writer) error {
+	for _, tr := range s.TracedRuns(ctx) {
 		if err := trace.WriteJSONL(w, tr.Key.String(), tr.Rec); err != nil {
 			return err
 		}
@@ -136,15 +94,9 @@ func (s *Scheduler) WriteJSONLTraceCtx(ctx context.Context, w io.Writer) error {
 // /metrics-style dump, one "# run <key>" section per simulation. The output
 // is deterministic: sections sort by key and each snapshot renders
 // name-sorted (simulated quantities only — host timings live in
-// WriteHarnessMetrics).
-func (s *Scheduler) WriteRunMetrics(w io.Writer) error {
-	return s.WriteRunMetricsCtx(context.Background(), w)
-}
-
-// WriteRunMetricsCtx is WriteRunMetrics bounded by ctx (in-flight runs at
-// the deadline are omitted).
-func (s *Scheduler) WriteRunMetricsCtx(ctx context.Context, w io.Writer) error {
-	for _, tr := range s.TracedRunsCtx(ctx) {
+// WriteHarnessMetrics). Runs still executing when ctx ends are omitted.
+func (s *Scheduler) WriteRunMetrics(ctx context.Context, w io.Writer) error {
+	for _, tr := range s.TracedRuns(ctx) {
 		if _, err := fmt.Fprintf(w, "# run %s\n", tr.Key); err != nil {
 			return err
 		}

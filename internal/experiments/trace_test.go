@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -17,13 +18,13 @@ func tracedFig1(t *testing.T, parallelism int) (render, chrome, jsonl, metrics s
 		t.Fatalf("parallelism %d: %v", parallelism, err)
 	}
 	var c, j, m bytes.Buffer
-	if err := s.WriteChromeTrace(&c); err != nil {
+	if err := s.WriteChromeTrace(context.Background(), &c); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteJSONLTrace(&j); err != nil {
+	if err := s.WriteJSONLTrace(context.Background(), &j); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteRunMetrics(&m); err != nil {
+	if err := s.WriteRunMetrics(context.Background(), &m); err != nil {
 		t.Fatal(err)
 	}
 	return res.StableRender(), c.String(), j.String(), m.String()
@@ -91,17 +92,17 @@ func TestUntracedSchedulerExportsNothing(t *testing.T) {
 	if _, err := s.Get(s.cfg.benchKey("gzip", 1, 0)); err != nil { // AppOnly gzip: cheapest run
 		t.Fatal(err)
 	}
-	if runs := s.TracedRuns(); len(runs) != 0 {
+	if runs := s.TracedRuns(context.Background()); len(runs) != 0 {
 		t.Errorf("untraced scheduler reported traced runs: %v", runs)
 	}
 	var c, m bytes.Buffer
-	if err := s.WriteChromeTrace(&c); err != nil {
+	if err := s.WriteChromeTrace(context.Background(), &c); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(c.String(), "traceEvents") {
 		t.Errorf("empty Chrome export invalid: %s", c.String())
 	}
-	if err := s.WriteRunMetrics(&m); err != nil {
+	if err := s.WriteRunMetrics(context.Background(), &m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Len() != 0 {

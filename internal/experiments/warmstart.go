@@ -96,10 +96,7 @@ func WarmstartExp(cfg Config) (*Result, error) {
 		if err := warmAcc.Import(restored.State); err != nil {
 			return nil, fmt.Errorf("warmstart: %s: import of decoded state: %w", name, err)
 		}
-		opts, err := runOptions(key, 0, cfg.context().Done())
-		if err != nil {
-			return nil, err
-		}
+		opts := runOptions(key, 0, cfg.context().Done())
 		contOpts, warmOpts := opts, opts
 		contOpts.Sink = contAcc
 		warmOpts.Sink = warmAcc

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -258,7 +259,7 @@ func TestFlushWarm(t *testing.T) {
 	if err := os.Remove(paths[0]); err != nil {
 		t.Fatal(err)
 	}
-	n, err := s.FlushWarm()
+	n, err := s.FlushWarm(context.Background())
 	if err != nil || n != 1 {
 		t.Fatalf("FlushWarm = (%d, %v), want (1, nil)", n, err)
 	}
@@ -266,7 +267,7 @@ func TestFlushWarm(t *testing.T) {
 		t.Errorf("flush left %d snapshots, want 1", len(paths))
 	}
 	// A scheduler without a warm store is a no-op.
-	if n, err := NewScheduler(Config{Scale: 0.1}).FlushWarm(); n != 0 || err != nil {
+	if n, err := NewScheduler(Config{Scale: 0.1}).FlushWarm(context.Background()); n != 0 || err != nil {
 		t.Errorf("FlushWarm without store = (%d, %v), want (0, nil)", n, err)
 	}
 }

@@ -25,10 +25,11 @@ import (
 	"strings"
 )
 
-// Spec configures one sampling policy. The zero value is invalid; use
-// DefaultSpec or ParseSpec. The canonical String() form of a Spec is part of
-// the run's cache key (experiments.RunKey.Sample), so two textual spellings
-// of the same policy share one simulation and one byte-identical table.
+// Spec configures one sampling policy; build one with DefaultSpec or
+// ParseSpec. The zero value is "no sampling": it renders as "" and no
+// sampler runs it. A Spec is comparable and is part of the run's cache key
+// (experiments.RunKey.Sample), so two textual spellings of the same policy
+// parse to one value and share one simulation and one byte-identical table.
 type Spec struct {
 	// Budget is how many representatives per stratum are simulated in detail
 	// before the stratum's remaining members are extrapolated.
@@ -79,8 +80,8 @@ func PresetNames() []string {
 // ParseSpec parses a sampling spec: a preset name ("default", "fast",
 // "precise"), a comma-separated key=value list (budget, min, pilot, range,
 // refresh, mix), or a preset followed by overrides ("fast,budget=6"). The
-// empty string is rejected — callers represent "no sampling" by not calling
-// ParseSpec at all.
+// empty string is rejected — callers represent "no sampling" by the zero
+// Spec, without calling ParseSpec at all.
 func ParseSpec(s string) (Spec, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -145,7 +146,9 @@ func (s Spec) Validate() error {
 	if s.Pilot < 1 {
 		return fmt.Errorf("sample: pilot must be >= 1, got %d", s.Pilot)
 	}
-	if s.RangeFrac <= 0 || s.RangeFrac > 0.5 {
+	// Written to fail on NaN, which compares false both ways: a NaN range
+	// would also make the spec unequal to itself as a cache key.
+	if !(s.RangeFrac > 0 && s.RangeFrac <= 0.5) {
 		return fmt.Errorf("sample: range must be in (0, 0.5], got %g", s.RangeFrac)
 	}
 	if s.Refresh < 0 {
@@ -155,9 +158,12 @@ func (s Spec) Validate() error {
 }
 
 // String renders the spec in canonical form: all fields, fixed order, so any
-// two spellings of one policy produce identical cache keys, run ids and
-// derived seeds.
+// two spellings of one policy produce identical key strings and run ids. The
+// zero Spec renders as "", and ParseSpec(s.String()) == s for every valid s.
 func (s Spec) String() string {
+	if s == (Spec{}) {
+		return ""
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "budget=%d,min=%d,pilot=%d,range=%s,refresh=%d",
 		s.Budget, s.MinPerStratum, s.Pilot,
@@ -166,13 +172,4 @@ func (s Spec) String() string {
 		b.WriteString(",mix=true")
 	}
 	return b.String()
-}
-
-// Canonical normalizes a user-supplied spec string to its canonical form.
-func Canonical(s string) (string, error) {
-	sp, err := ParseSpec(s)
-	if err != nil {
-		return "", err
-	}
-	return sp.String(), nil
 }

@@ -27,33 +27,29 @@ import (
 // snapshot is also swept to disk here — the authoritative save that backs up
 // the per-run best-effort writes, so a drained process always leaves its
 // learned state behind.
-func WriteArtifacts(sched *experiments.Scheduler, tracePath, metricsPath string) error {
-	return WriteArtifactsCtx(context.Background(), sched, tracePath, metricsPath)
-}
-
-// WriteArtifactsCtx is WriteArtifacts bounded by ctx: completed runs always
-// flush, but waits on still-executing runs end at the deadline — their
-// snapshots and traces are skipped (and reported) rather than wedging a
-// shutdown forever. Partial progress is kept: everything flushed before the
-// deadline stays flushed.
-func WriteArtifactsCtx(ctx context.Context, sched *experiments.Scheduler, tracePath, metricsPath string) error {
+//
+// ctx bounds the flush: completed runs always flush, but waits on
+// still-executing runs end at the deadline — their snapshots and traces are
+// skipped (and reported) rather than wedging a shutdown forever. Partial
+// progress is kept: everything flushed before the deadline stays flushed.
+func WriteArtifacts(ctx context.Context, sched *experiments.Scheduler, tracePath, metricsPath string) error {
 	var errs []error
-	if _, err := sched.FlushWarmCtx(ctx); err != nil {
+	if _, err := sched.FlushWarm(ctx); err != nil {
 		errs = append(errs, fmt.Errorf("plt snapshot flush: %w", err))
 	}
 	if tracePath != "" {
 		if err := writeFile(tracePath, func(w io.Writer) error {
 			if strings.HasSuffix(tracePath, ".jsonl") {
-				return sched.WriteJSONLTraceCtx(ctx, w)
+				return sched.WriteJSONLTrace(ctx, w)
 			}
-			return sched.WriteChromeTraceCtx(ctx, w)
+			return sched.WriteChromeTrace(ctx, w)
 		}); err != nil {
 			errs = append(errs, fmt.Errorf("trace export: %w", err))
 		}
 	}
 	if metricsPath != "" {
 		if err := writeFile(metricsPath, func(w io.Writer) error {
-			if err := sched.WriteRunMetricsCtx(ctx, w); err != nil {
+			if err := sched.WriteRunMetrics(ctx, w); err != nil {
 				return err
 			}
 			return sched.WriteHarnessMetrics(w)

@@ -9,8 +9,8 @@ import (
 // FuzzRunRequestDecode hammers the request decoder with arbitrary bytes: it
 // must never panic, and any request it accepts must survive validation and
 // key derivation without panicking either — the full untrusted path a
-// malicious POST body can reach — and the key it builds must be normalized
-// and deterministic.
+// malicious POST body can reach — and the key it builds must be normalized,
+// deterministic, and equal to itself (a memo-cache map key).
 func FuzzRunRequestDecode(f *testing.F) {
 	seeds := []string{
 		``,
@@ -26,6 +26,7 @@ func FuzzRunRequestDecode(f *testing.F) {
 		`{"benchmark":"ab-rand","bogus":true}`,
 		strings.Repeat(`{"benchmark":`, 100),
 		`{"benchmark":"ab-rand","scale":NaN}`,
+		`{"benchmark":"ab-rand","sample":"range=NaN"}`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -35,14 +36,14 @@ func FuzzRunRequestDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := req.Validate(); err != nil {
-			return
-		}
 		// Accepted requests must produce a stable, normalized key and a sane
 		// deadline.
 		key, err := req.key(1.0, 1)
 		if err != nil {
 			return
+		}
+		if key != key {
+			t.Fatalf("request key %v is not equal to itself: %q", key, body)
 		}
 		if key.String() == "" || key.ID() == "" {
 			t.Fatalf("valid request produced empty key or id: %q", body)

@@ -46,8 +46,8 @@ type RunRequest struct {
 	Faults string `json:"faults,omitempty"`
 	// Sample attaches an application-interval stratified sampler: a preset
 	// ("default", "fast", "precise") or a key=value spec ("" = no sampling).
-	// The spec is canonicalized before keying, so any spelling of one policy
-	// shares one simulation and one byte-identical response.
+	// The spec is parsed before keying, so any spelling of one policy shares
+	// one simulation and one byte-identical response.
 	Sample string `json:"sample,omitempty"`
 	// Transfer warm-starts the run's PLT from a neighbor configuration:
 	// "store" (nearest eligible donor in the server's warm store) or
@@ -76,83 +76,50 @@ func decodeRunRequest(r io.Reader) (RunRequest, error) {
 	return q, nil
 }
 
-// Validate rejects requests no simulation can serve. The returned error is
-// client-facing (a 400 body), so it names the offending field.
-func (q RunRequest) Validate() error {
+// key validates the request and maps it onto the scheduler's normalized run
+// key, applying the server's defaults for unset fields. Each spec field is
+// parsed here, once; the error is client-facing (a 400 body), so it names
+// the offending field. Accelerated runs always arm the divergence watchdog,
+// whose verdict the response's degraded flag reports.
+func (q RunRequest) key(defaultScale float64, defaultSeed int64) (k experiments.RunKey, err error) {
 	if strings.TrimSpace(q.Benchmark) == "" {
-		return fmt.Errorf("benchmark is required (have %s)", strings.Join(workload.Names(), ", "))
+		return k, fmt.Errorf("benchmark is required (have %s)", strings.Join(workload.Names(), ", "))
 	}
 	if _, err := workload.Lookup(q.Benchmark); err != nil {
-		return err
+		return k, err
 	}
-	mode, err := machine.ParseMode(q.Mode)
-	if err != nil {
-		return err
-	}
-	if _, err := core.ParseStrategy(q.Strategy); err != nil {
-		return err
-	}
-	if q.L2 < 0 {
-		return fmt.Errorf("l2 must be non-negative bytes, got %d", q.L2)
-	}
-	if q.Scale < 0 || q.Scale > maxScale {
-		return fmt.Errorf("scale must be in (0, %g] (0 = server default), got %g", maxScale, q.Scale)
-	}
-	if q.Seed < 0 {
-		return fmt.Errorf("seed must be non-negative, got %d", q.Seed)
-	}
-	if q.Faults != "" {
-		if _, err := faults.Named(q.Faults); err != nil {
-			return err
-		}
-	}
-	if q.Sample != "" {
-		if _, err := sample.Canonical(q.Sample); err != nil {
-			return err
-		}
-	}
-	if q.Transfer != "" {
-		if _, err := transfer.ParseSpec(q.Transfer); err != nil {
-			return err
-		}
-		if mode != machine.Accelerated {
-			return fmt.Errorf("transfer requires accel mode, got %q", q.Mode)
-		}
-	}
-	if q.DeadlineMS < 0 {
-		return fmt.Errorf("deadline_ms must be non-negative, got %d", q.DeadlineMS)
-	}
-	return nil
-}
-
-// key maps the validated request onto the scheduler's normalized run key,
-// applying the server's defaults for unset fields. Accelerated runs always
-// arm the divergence watchdog, whose verdict the response's degraded flag
-// reports.
-func (q RunRequest) key(defaultScale float64, defaultSeed int64) (experiments.RunKey, error) {
-	mode, err := machine.ParseMode(q.Mode)
-	if err != nil {
+	k = experiments.RunKey{Bench: q.Benchmark, L2: q.L2, Scale: q.Scale, Seed: q.Seed}
+	if k.Mode, err = machine.ParseMode(q.Mode); err != nil {
 		return experiments.RunKey{}, err
 	}
-	strat, err := core.ParseStrategy(q.Strategy)
-	if err != nil {
+	if k.Strategy, err = core.ParseStrategy(q.Strategy); err != nil {
 		return experiments.RunKey{}, err
 	}
-	k := experiments.RunKey{Bench: q.Benchmark, Mode: mode, L2: q.L2, Scale: q.Scale, Seed: q.Seed,
-		Strategy: strat, Watchdog: mode == machine.Accelerated, Faults: q.Faults}
-	if q.Sample != "" {
-		if k.Sample, err = sample.Canonical(q.Sample); err != nil {
-			return experiments.RunKey{}, err
+	k.Watchdog = k.Mode == machine.Accelerated
+	switch {
+	case q.L2 < 0:
+		err = fmt.Errorf("l2 must be non-negative bytes, got %d", q.L2)
+	case q.Scale < 0 || q.Scale > maxScale:
+		err = fmt.Errorf("scale must be in (0, %g] (0 = server default), got %g", maxScale, q.Scale)
+	case q.Seed < 0:
+		err = fmt.Errorf("seed must be non-negative, got %d", q.Seed)
+	}
+	if err == nil && q.Faults != "" {
+		k.Faults, err = faults.Named(q.Faults)
+	}
+	if err == nil && q.Sample != "" {
+		k.Sample, err = sample.ParseSpec(q.Sample)
+	}
+	if err == nil && q.Transfer != "" {
+		if k.Transfer, err = transfer.ParseSpec(q.Transfer); err == nil && k.Mode != machine.Accelerated {
+			err = fmt.Errorf("transfer requires accel mode, got %q", q.Mode)
 		}
 	}
-	if q.Transfer != "" {
-		// Canonicalize through the parsed form so every spelling of one
-		// directive shares a cache key.
-		ts, err := transfer.ParseSpec(q.Transfer)
-		if err != nil {
-			return experiments.RunKey{}, err
-		}
-		k.Transfer = ts.String()
+	if err == nil && q.DeadlineMS < 0 {
+		err = fmt.Errorf("deadline_ms must be non-negative, got %d", q.DeadlineMS)
+	}
+	if err != nil {
+		return experiments.RunKey{}, err
 	}
 	if k.Scale <= 0 {
 		k.Scale = defaultScale

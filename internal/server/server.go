@@ -356,10 +356,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errBody{err.Error()})
 		return
 	}
-	if err := req.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errBody{err.Error()})
-		return
-	}
 	key, err := req.key(s.cfg.Scale, s.cfg.Seed)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody{err.Error()})
@@ -411,7 +407,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// exactly once per distinct execution — not from this waiter — so an
 	// abandoned run's record still flips to done/failed for later GETs.
 	start := time.Now()
-	out, status, err := s.sched.LookupNotify(ctx, key, func(out experiments.Outcome, err error) {
+	out, status, err := s.sched.Lookup(ctx, key, func(out experiments.Outcome, err error) {
 		s.completeRun(rec, out, err)
 	})
 	s.observeLatency(time.Since(start))
@@ -679,21 +675,16 @@ func (s *Server) Drain(ctx context.Context) error {
 		fctx, cancel = context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 		defer cancel()
 	}
-	return s.FlushArtifactsCtx(fctx)
+	return s.FlushArtifacts(fctx)
 }
 
 // FlushArtifacts writes the configured trace and metrics artifacts (no-op
 // when neither path is set). Aborted runs' partial traces are included, so
-// an interrupted server still leaves usable diagnostics.
-func (s *Server) FlushArtifacts() error {
-	return s.FlushArtifactsCtx(context.Background())
-}
-
-// FlushArtifactsCtx is FlushArtifacts bounded by ctx: runs still executing
-// at the deadline are skipped (and reported) instead of wedging the flush;
-// everything already completed is persisted regardless.
-func (s *Server) FlushArtifactsCtx(ctx context.Context) error {
-	return WriteArtifactsCtx(ctx, s.sched, s.cfg.TracePath, s.cfg.MetricsPath)
+// an interrupted server still leaves usable diagnostics. Runs still
+// executing when ctx ends are skipped (and reported) instead of wedging the
+// flush; everything already completed is persisted regardless.
+func (s *Server) FlushArtifacts(ctx context.Context) error {
+	return WriteArtifacts(ctx, s.sched, s.cfg.TracePath, s.cfg.MetricsPath)
 }
 
 // Addr returns the bound listen address once Serve is up (useful with ":0").

@@ -530,6 +530,7 @@ func TestBadRequests(t *testing.T) {
 		"unknown strategy": `{"benchmark":"srv-ok","mode":"accel","strategy":"vibes"}`,
 		"unknown faults":   `{"benchmark":"srv-ok","faults":"apocalypse"}`,
 		"bad sample spec":  `{"benchmark":"srv-ok","sample":"budget=0"}`,
+		"NaN sample range": `{"benchmark":"srv-ok","sample":"range=NaN"}`,
 		"bad transfer":     `{"benchmark":"srv-ok","mode":"accel","transfer":"l2=nope"}`,
 		"transfer nonacc":  `{"benchmark":"srv-ok","mode":"full","transfer":"store"}`,
 		"huge scale":       `{"benchmark":"srv-ok","scale":1000}`,

@@ -139,20 +139,22 @@ func Distance(a, b Coords) float64 {
 // Eligible reports whether a donor at the given distance may be imported.
 func Eligible(d float64) bool { return d <= MaxDistance }
 
-// Spec is a parsed transfer directive. Exactly one form is set:
+// Spec is a parsed transfer directive. At most one form is set:
 //
 //   - Store: take the nearest eligible donor from the warm store's family
 //     index (fsbench -transfer, fssimd -transfer).
 //   - L2 > 0: take the in-invocation sibling run whose L2 capacity is L2
 //     bytes as the donor (the sweep experiment's explicit pairing).
+//
+// The zero Spec is no directive (a cold start) and renders as "".
 type Spec struct {
 	Store bool
 	L2    int
 }
 
 // ParseSpec parses a transfer directive: "store" or "l2=<bytes>". The empty
-// string is not a directive (callers treat it as "no transfer") and is
-// rejected here so it can never round-trip into a run key.
+// string is not a directive (callers represent "no transfer" by the zero
+// Spec) and is rejected here.
 func ParseSpec(s string) (Spec, error) {
 	switch {
 	case s == "store":
@@ -168,10 +170,14 @@ func ParseSpec(s string) (Spec, error) {
 	}
 }
 
-// String renders the canonical directive form: ParseSpec(s.String()) == s.
+// String renders the canonical directive form: ParseSpec(s.String()) == s
+// for every directive, and "" for the zero Spec.
 func (s Spec) String() string {
-	if s.Store {
+	switch {
+	case s.Store:
 		return "store"
+	case s.L2 > 0:
+		return "l2=" + strconv.Itoa(s.L2)
 	}
-	return "l2=" + strconv.Itoa(s.L2)
+	return ""
 }
