@@ -32,9 +32,8 @@ import (
 
 // Config scales and seeds the experiment runs.
 type Config struct {
-	Scale   float64 // workload size multiplier (1.0 = defaults)
-	Seed    int64   // base seed; per-run seeds are derived (RunKey.DeriveSeed)
-	Verbose bool
+	Scale float64 // workload size multiplier (1.0 = defaults)
+	Seed  int64   // base seed; per-run seeds are derived (RunKey.DeriveSeed)
 	// Parallelism bounds how many simulations run concurrently; <= 0 means
 	// GOMAXPROCS. Results are independent of the value.
 	Parallelism int

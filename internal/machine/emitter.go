@@ -121,11 +121,11 @@ func (sh *ffShape) slots(s, x, y int) uint64 {
 func (e Emitter) ffRun(sh *ffShape, n int, start uint64, step func(x int)) {
 	m, p := e.m, sh.period
 	for x := 0; x < n; x++ {
-		if mode := m.ffState(); mode != ffNone {
+		if iv := m.ffState(); iv != nil {
 			m.AbortIfCanceled()
 			if k := m.ffSpan(n - x); k > 0 {
 				y := x + k
-				m.ffCount(mode, uint64(k), sh.slots(sh.load, x, y), sh.slots(sh.store, x, y), sh.slots(sh.branch, x, y))
+				m.ffCount(iv, uint64(k), sh.slots(sh.load, x, y), sh.slots(sh.store, x, y), sh.slots(sh.branch, x, y))
 				loop, last := sh.branch >= 0, y-1
 				switch head := last - last%p; {
 				case loop && last%p == sh.branch && y < n:
@@ -155,7 +155,7 @@ var fopsPattern = [4]isa.Inst{{Op: isa.FPU}, {Op: isa.FPU}, {Op: isa.FPU}, {Op: 
 
 // Ops emits n independent single-cycle integer operations.
 func (e Emitter) Ops(n int) {
-	if e.m.ffState() != ffNone {
+	if e.m.ffState() != nil {
 		e.ffRun(&ffStraight, n, 0, func(int) { e.emit(isa.Inst{Op: isa.ALU}) })
 		return
 	}
@@ -167,7 +167,7 @@ func (e Emitter) Ops(n int) {
 // Chain emits n serially dependent integer operations (a dependence chain,
 // e.g. an address calculation or reduction).
 func (e Emitter) Chain(n int) {
-	if e.m.ffState() != ffNone {
+	if e.m.ffState() != nil {
 		e.ffRun(&ffStraight, n, 0, func(int) { e.emit(isa.Inst{Op: isa.ALU, Dep: 1}) })
 		return
 	}
@@ -180,7 +180,7 @@ func (e Emitter) Chain(n int) {
 // scattered short dependence chains and an occasional multiply — the filler
 // between the memory operations that dominate timing.
 func (e Emitter) Mix(n int) {
-	if e.m.ffState() != ffNone {
+	if e.m.ffState() != nil {
 		e.ffRun(&ffStraight, n, 0, func(i int) { e.emit(mixPattern[i&7]) })
 		return
 	}
@@ -191,7 +191,7 @@ func (e Emitter) Mix(n int) {
 
 // FOps emits n floating-point operations with moderate dependence.
 func (e Emitter) FOps(n int) {
-	if e.m.ffState() != ffNone {
+	if e.m.ffState() != nil {
 		e.ffRun(&ffStraight, n, 0, func(i int) { e.emit(fopsPattern[i&3]) })
 		return
 	}
@@ -279,7 +279,7 @@ func (e Emitter) Loop(iters int, body func(i int)) {
 // are independent (addresses come from the induction variable), so the
 // out-of-order core overlaps their misses the way real memcpy does.
 func (e Emitter) CopyLines(dst, src uint64, n int) {
-	if n > 0 && e.m.ffState() != ffNone {
+	if n > 0 && e.m.ffState() != nil {
 		start := e.m.cursor.PC
 		e.ffRun(&ffCopy, 4*n, start, func(x int) {
 			i := x / 4
@@ -311,7 +311,7 @@ func (e Emitter) ScanLines(addr uint64, n int, stride uint64) {
 	if stride == 0 {
 		stride = 64
 	}
-	if n > 0 && e.m.ffState() != ffNone {
+	if n > 0 && e.m.ffState() != nil {
 		start := e.m.cursor.PC
 		e.ffRun(&ffScan, 4*n, start, func(x int) {
 			i := x / 4
@@ -340,7 +340,7 @@ func (e Emitter) WriteLines(addr uint64, n int, stride uint64) {
 	if stride == 0 {
 		stride = 64
 	}
-	if n > 0 && e.m.ffState() != ffNone {
+	if n > 0 && e.m.ffState() != nil {
 		start := e.m.cursor.PC
 		e.ffRun(&ffWrite, 3*n, start, func(x int) {
 			i := x / 3
@@ -368,7 +368,7 @@ func (e Emitter) WriteLines(addr uint64, n int, stride uint64) {
 // iteration's load therefore names the producer three instructions back.
 func (e Emitter) ChaseList(nodes []uint64) {
 	start := e.m.cursor.PC
-	if len(nodes) > 0 && e.m.ffState() != ffNone {
+	if len(nodes) > 0 && e.m.ffState() != nil {
 		e.ffRun(&ffChase, 3*len(nodes), start, func(x int) {
 			i := x / 3
 			switch x % 3 {

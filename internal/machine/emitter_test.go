@@ -22,11 +22,11 @@ func TestEmitterOpcodeCounts(t *testing.T) {
 	e.Store(0x200, 8)
 	e.Branch(true, 0x1000)
 	want := uint64(3 + 2 + 8 + 4 + 1 + 1 + 1 + 1 + 1)
-	if m.curSig.Insts != want {
-		t.Fatalf("emitted %d instructions, want %d", m.curSig.Insts, want)
+	if m.os.sig.Insts != want {
+		t.Fatalf("emitted %d instructions, want %d", m.os.sig.Insts, want)
 	}
-	if m.curSig.Loads != 1 || m.curSig.Stores != 1 || m.curSig.Branches != 1 {
-		t.Fatalf("mix %+v", m.curSig)
+	if m.os.sig.Loads != 1 || m.os.sig.Stores != 1 || m.os.sig.Branches != 1 {
+		t.Fatalf("mix %+v", m.os.sig)
 	}
 	e.Iret()
 	m.KExit()

@@ -219,9 +219,7 @@ func (m *Machine) AdvanceIdle() bool {
 	// wait time no per-instruction estimator could predict. App intervals are
 	// therefore maximal user-mode stretches *between* idle gaps; a new one
 	// opens at the next user-mode instruction.
-	if m.appOpen {
-		m.closeAppInterval()
-	}
+	m.FinishApp()
 	at := m.events[0].at
 	if at > m.core.Now() {
 		m.core.SkipTo(at)

@@ -256,7 +256,7 @@ func runFFScenario(seed int64, prog []byte, ref bool) ffRunResult {
 
 	var handler EventOp
 	handler = m.RegisterOp(func(kind, b uint64) {
-		if m.ffState() != ffNone {
+		if m.ffState() != nil {
 			res.ffFires++
 		}
 		res.log = append(res.log, fmt.Sprintf("fire kind=%d b=%d insts=%d pc=%#x now=%d depth=%d",
@@ -340,30 +340,24 @@ func runFFScenario(seed int64, prog []byte, ref bool) ffRunResult {
 
 // ffMachineState is every counter and register the bulk paths touch.
 type ffMachineState struct {
-	Stats                            Stats
-	CurSig, AppSig                   Signature
-	Total, User, OS                  uint64
-	EmuInsts, EmuTotal               uint64
-	AppEmuInsts, AppEmuTotal         uint64
-	AppIntervals, AppEmulated        uint64
-	PC                               uint64
-	Stack                            []uint64
-	Now                              uint64
-	VirtFrac                         uint64 // float bits: rounding must match exactly
-	Depth                            int
-	Emulating, AppEmulating, AppOpen bool
+	Stats           Stats
+	OSIval, AppIval interval
+	OSOpen, AppOpen bool
+	Total, User, OS uint64
+	PC              uint64
+	Stack           []uint64
+	Now             uint64
+	VirtFrac        uint64 // float bits: rounding must match exactly
+	Depth           int
 }
 
 func ffStateOf(m *Machine) ffMachineState {
 	return ffMachineState{
-		Stats: m.Stats(), CurSig: m.curSig, AppSig: m.appSig,
+		Stats: m.Stats(), OSIval: m.os, AppIval: m.app,
+		OSOpen: m.cur == &m.os, AppOpen: m.cur == &m.app,
 		Total: m.totalInsts, User: m.userInsts, OS: m.osInsts,
-		EmuInsts: m.emuInsts, EmuTotal: m.emuTotal,
-		AppEmuInsts: m.appEmuInsts, AppEmuTotal: m.appEmuTotal,
-		AppIntervals: m.appIntervals, AppEmulated: m.appEmulated,
 		PC: m.cursor.PC, Stack: m.cursor.stack, Now: m.Now(),
 		VirtFrac: math.Float64bits(m.virtFrac), Depth: m.depth,
-		Emulating: m.emulating, AppEmulating: m.appEmulating, AppOpen: m.appOpen,
 	}
 }
 
@@ -408,8 +402,8 @@ func TestFastForwardEquivalence(t *testing.T) {
 		rng.Read(prog)
 		res := checkFFScenario(t, seed, prog)
 		ffFires += uint64(res.ffFires)
-		emu += res.m.emuTotal
-		appEmu += res.m.appEmuTotal
+		emu += res.m.os.emuTotal
+		appEmu += res.m.app.emuTotal
 	}
 	t.Logf("corpus: %d OS-emulated insts, %d app-emulated insts, %d events fired mid fast-forward", emu, appEmu, ffFires)
 	// The corpus must actually exercise what it claims to.
@@ -463,7 +457,7 @@ func TestFastForwardCancelPrompt(t *testing.T) {
 					m.SetSink(cpiSink{cpi})
 					m.KEnter(isa.Sys(isa.SysRead))
 				}
-				if m.ffState() == ffNone {
+				if m.ffState() == nil {
 					t.Fatalf("%s app=%v: machine not fast-forwarding", name, app)
 				}
 				var at uint64

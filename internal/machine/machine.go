@@ -164,15 +164,18 @@ type IntervalSink interface {
 }
 
 // AppSink is the stratified-sampling subsystem's hook into the machine — the
-// application-side mirror of IntervalSink. An application interval is one
-// user-mode execution stretch (kernel depth 0) between OS service intervals.
-// OnAppStart is called when such a stretch begins and decides whether it is
-// simulated in detail or fast-forwarded; for fast-forwarded intervals it also
-// supplies the estimated CPI driving the virtual clock, exactly as the OS
-// path does. OnAppEnd is called when the stretch ends (an OS service opens,
-// or the run finishes): with the detailed measurement when the interval was
-// simulated, or with meas == nil when it was fast-forwarded — in which case
-// it must return the extrapolated Prediction (nil falls back to IPC 1).
+// application-side twin of IntervalSink. An application interval is one
+// user-mode execution stretch (kernel depth 0) between OS service intervals;
+// it shares the machine's one interval path with them, so it is opened,
+// counted, fast-forwarded under the virtual clock, and predicted or measured
+// exactly as an OS service interval is. OnAppStart is called when such a
+// stretch begins and decides whether it is simulated in detail or
+// fast-forwarded; for fast-forwarded intervals it also supplies the estimated
+// CPI driving the virtual clock. OnAppEnd is called when the stretch ends (an
+// OS service opens, the CPU idles, or the run finishes): with the detailed
+// measurement when the interval was simulated, or with meas == nil when it was
+// fast-forwarded — in which case it must return the extrapolated Prediction
+// (nil falls back to IPC 1).
 //
 // Memory contract: identical to IntervalSink — the *Measurement points into
 // the per-machine scratch buffer and the returned *Prediction is consumed
@@ -196,6 +199,27 @@ type IntervalRecord struct {
 	Emulated  bool
 	Predicted *Prediction // non-nil when Emulated
 	Meas      *Measurement
+}
+
+// interval is the state of one interval kind — the OS service interval or
+// the application interval. Both kinds open, count, close and are predicted
+// through the same Machine methods; what differs per kind is the sink they
+// consult, and that only OS intervals reach the observer and fire due events
+// at close.
+type interval struct {
+	svc       isa.ServiceID // the service (isa.App() for app intervals)
+	cause     trace.Cause
+	sig       Signature // emulation-observable counters of the open interval
+	emulating bool      // the interval is fast-forwarded
+
+	startInsts  uint64
+	startCycles uint64
+	startMem    memsys.Snapshot
+	emuInsts    uint64 // the interval's fast-forwarded instructions
+
+	opened   uint64 // intervals of this kind opened
+	emulated uint64 // of which fast-forwarded
+	emuTotal uint64 // total instructions fast-forwarded in this kind
 }
 
 // Machine is one simulated system.
@@ -222,7 +246,7 @@ type Machine struct {
 	inst isa.Inst
 
 	// measScratch and predScratch are the per-machine interval buffers:
-	// closeInterval publishes each detailed measurement and each degenerate
+	// close publishes each detailed measurement and each degenerate
 	// fallback prediction through these instead of allocating per interval.
 	// IntervalSink and observer callbacks receive pointers into them and
 	// must not retain them past the call (both contracts are documented on
@@ -231,11 +255,6 @@ type Machine struct {
 	predScratch Prediction
 
 	depth      int // current context's kernel nesting depth
-	inInterval bool
-	curSvc     isa.ServiceID
-	curSig     Signature // emulation-observable counters of the open interval
-	curCause   trace.Cause
-	emulating  bool
 	delivering bool
 
 	sink     IntervalSink
@@ -244,24 +263,15 @@ type Machine struct {
 	rec      *trace.Recorder     // nil unless tracing is enabled for the run
 	irq      func(vector uint16) // kernel's interrupt entry
 
-	startInsts  uint64
-	startCycles uint64
-	startMem    memsys.Snapshot
-
-	// Application-interval state (stratified sampling). An app interval opens
-	// lazily at the first user-mode instruction after the previous OS interval
-	// closed — never eagerly — so idle stretches with no user work produce no
-	// zero-instruction intervals.
-	appOpen        bool
-	appEmulating   bool
-	appSig         Signature
-	appStartInsts  uint64
-	appStartCycles uint64
-	appStartMem    memsys.Snapshot
-	appEmuInsts    uint64 // current app interval's fast-forwarded instructions
-	appEmuTotal    uint64 // total app instructions fast-forwarded
-	appIntervals   uint64
-	appEmulated    uint64
+	// The two interval kinds, and the one that is open (nil between
+	// intervals). os is the OS service interval; app is the application
+	// interval (stratified sampling), which opens lazily at the first
+	// user-mode instruction after the previous OS interval closed — never
+	// eagerly — so idle stretches with no user work produce no
+	// zero-instruction intervals. The two never overlap: an opening OS
+	// interval closes the app interval first.
+	os, app interval
+	cur     *interval
 
 	// Virtual-clock state for emulated intervals: estimated cycles per
 	// instruction and the fractional accumulator applied in chunks.
@@ -296,12 +306,8 @@ type Machine struct {
 	totalInsts uint64
 	userInsts  uint64
 	osInsts    uint64
-	emuInsts   uint64 // current interval's emulated instruction count
-	emuTotal   uint64 // total instructions fast-forwarded in emulation mode
 	predCycles uint64 // total cycles added by prediction
 	pred       Prediction
-	intervals  uint64
-	emulated   uint64
 }
 
 // New builds a machine from cfg.
@@ -375,16 +381,6 @@ func (m *Machine) InKernel() bool { return m.depth > 0 }
 
 // Depth returns the current kernel nesting depth.
 func (m *Machine) Depth() int { return m.depth }
-
-// Emulating reports whether the current interval is being fast-forwarded.
-func (m *Machine) Emulating() bool { return m.emulating }
-
-// skipTiming reports whether the current instruction bypasses the timing
-// models: fast-forwarded OS and application intervals (ffState), and all
-// kernel-mode work in App-Only simulation.
-func (m *Machine) skipTiming() bool {
-	return m.ffState() != ffNone || m.cfg.Mode == AppOnly && m.depth > 0
-}
 
 // cancelReason wraps the cancellation cause behind one pointer so the hot
 // path needs a single atomic load to test for it.
@@ -463,49 +459,35 @@ func (m *Machine) Exec(in *isa.Inst) {
 		owner = cache.OwnerOS
 	} else {
 		m.userInsts++
-		if m.appSink != nil && !m.appOpen {
+		if m.appSink != nil && m.cur == nil {
 			m.openAppInterval()
 		}
 	}
-	if m.inInterval {
-		m.curSig.Insts++
+	iv := m.cur
+	if iv != nil {
+		iv.sig.Insts++
 		switch in.Op {
 		case isa.LOAD:
-			m.curSig.Loads++
+			iv.sig.Loads++
 		case isa.STORE:
-			m.curSig.Stores++
+			iv.sig.Stores++
 		case isa.BRANCH:
-			m.curSig.Branches++
-		}
-	} else if m.appOpen && m.depth == 0 {
-		m.appSig.Insts++
-		switch in.Op {
-		case isa.LOAD:
-			m.appSig.Loads++
-		case isa.STORE:
-			m.appSig.Stores++
-		case isa.BRANCH:
-			m.appSig.Branches++
+			iv.sig.Branches++
 		}
 	}
 	var now uint64
-	if m.skipTiming() {
-		if m.emulating {
-			m.emuInsts++
-			m.emuTotal++
-			// Advance the virtual clock so events scheduled inside the
-			// fast-forwarded interval see approximately correct time. The
-			// estimate is deliberately conservative (90% of the service's
-			// mean CPI): the cluster prediction tops up the remainder at
-			// interval close, whereas an overshoot could not be taken back.
-			m.advanceVirtual()
-		} else if m.appEmulating && m.depth == 0 {
-			m.appEmuInsts++
-			m.appEmuTotal++
-			// Same conservative virtual clock as OS emulation: the sampler's
-			// prediction tops up the remainder when the app interval closes.
-			m.advanceVirtual()
-		}
+	if iv != nil && iv.emulating {
+		iv.emuInsts++
+		iv.emuTotal++
+		// Advance the virtual clock so events scheduled inside the
+		// fast-forwarded interval see approximately correct time. The
+		// estimate is deliberately conservative (90% of the sink's CPI
+		// estimate): the prediction tops up the remainder at interval
+		// close, whereas an overshoot could not be taken back.
+		m.advanceVirtual()
+		now = m.core.Now()
+	} else if m.cfg.Mode == AppOnly && m.depth > 0 {
+		// App-Only simulation runs kernel work functionally, at no cost.
 		now = m.core.Now()
 	} else {
 		now = m.core.Exec(in, owner)
@@ -527,28 +509,15 @@ func (m *Machine) advanceVirtual() {
 	}
 }
 
-// ffMode names the interval kind whose counters a fast-forwarded instruction
-// bumps.
-type ffMode uint8
-
-const (
-	ffNone ffMode = iota // the next instruction must take Exec
-	ffOS                 // emulated OS service interval
-	ffApp                // emulated application interval
-)
-
-// ffState reports whether the next instruction would be fast-forwarded by
-// Exec with no effect beyond counting and the virtual clock, and for which
-// interval kind. Emitter.ffRun applies instructions in bulk only in these
-// states.
-func (m *Machine) ffState() ffMode {
-	switch {
-	case m.emulating && m.inInterval:
-		return ffOS
-	case m.appEmulating && m.depth == 0:
-		return ffApp
+// ffState returns the open interval when it is fast-forwarded — the next
+// instruction would then be applied by Exec with no effect beyond counting
+// into that interval and the virtual clock — and nil otherwise.
+// Emitter.ffRun applies instructions in bulk only while it is non-nil.
+func (m *Machine) ffState() *interval {
+	if iv := m.cur; iv != nil && iv.emulating {
+		return iv
 	}
-	return ffNone
+	return nil
 }
 
 // ffSpan returns how many of the next n fast-forwarded instructions can be
@@ -571,25 +540,22 @@ func (m *Machine) ffSpan(n int) int {
 	return k
 }
 
-// ffCount adds k fast-forwarded instructions, of which loads, stores and
-// branches are the signature's classes, to the counters Exec would bump.
-func (m *Machine) ffCount(mode ffMode, k, loads, stores, branches uint64) {
+// ffCount adds k instructions fast-forwarded in interval iv, of which loads,
+// stores and branches are the signature's classes, to the counters Exec
+// would bump.
+func (m *Machine) ffCount(iv *interval, k, loads, stores, branches uint64) {
 	m.totalInsts += k
-	sig := &m.curSig
-	if mode == ffOS {
+	if m.depth > 0 {
 		m.osInsts += k
-		m.emuInsts += k
-		m.emuTotal += k
 	} else {
-		sig = &m.appSig
 		m.userInsts += k
-		m.appEmuInsts += k
-		m.appEmuTotal += k
 	}
-	sig.Insts += k
-	sig.Loads += loads
-	sig.Stores += stores
-	sig.Branches += branches
+	iv.emuInsts += k
+	iv.emuTotal += k
+	iv.sig.Insts += k
+	iv.sig.Loads += loads
+	iv.sig.Stores += stores
+	iv.sig.Branches += branches
 }
 
 // KEnter records entry into kernel mode for service svc. The first-level
@@ -598,7 +564,7 @@ func (m *Machine) ffCount(mode ffMode, k, loads, stores, branches uint64) {
 // per the paper's interval definition.
 func (m *Machine) KEnter(svc isa.ServiceID) {
 	m.depth++
-	if m.depth == 1 && !m.inInterval {
+	if m.depth == 1 && m.cur != &m.os {
 		m.openInterval(svc, trace.CauseOf(svc))
 	}
 }
@@ -610,8 +576,8 @@ func (m *Machine) KExit() {
 		panic("machine: KExit without matching KEnter")
 	}
 	m.depth--
-	if m.depth == 0 && m.inInterval {
-		m.closeInterval()
+	if m.depth == 0 && m.cur == &m.os {
+		m.close()
 	}
 }
 
@@ -624,70 +590,96 @@ func (m *Machine) KExit() {
 // kernel-blocked context from the idle loop re-enters privileged mode,
 // opening a fresh interval typed by the service the context was executing.
 func (m *Machine) SetDepth(d int, svc isa.ServiceID) {
-	if m.depth > 0 && d == 0 && m.inInterval {
-		m.closeInterval()
+	if m.depth > 0 && d == 0 && m.cur == &m.os {
+		m.close()
 	}
-	if m.depth == 0 && d > 0 && !m.inInterval {
+	if m.depth == 0 && d > 0 && m.cur != &m.os {
 		m.openInterval(svc, trace.CauseResume)
 	}
 	m.depth = d
 }
 
+// openInterval opens an OS service interval. It ends the open application
+// interval first: the two never overlap, and the app prediction's SkipTo
+// lands before the OS interval snapshots its start cycle.
 func (m *Machine) openInterval(svc isa.ServiceID, cause trace.Cause) {
-	// An opening OS service interval ends the current application interval:
-	// the two never overlap, and the app prediction's SkipTo lands before the
-	// OS interval snapshots its start cycle.
-	if m.appOpen {
-		m.closeAppInterval()
-	}
-	m.inInterval = true
-	m.curSvc = svc
-	m.curCause = cause
-	m.intervals++
-	m.startInsts = m.totalInsts
-	m.startCycles = m.core.Now()
-	if m.mem != nil {
-		m.startMem = m.mem.Stats()
-	}
-	m.emuInsts = 0
-	m.emulating = false
-	m.virtFrac = 0
-	m.curSig = Signature{}
+	m.FinishApp()
+	m.open(&m.os, svc, cause, m.totalInsts)
 	if m.cfg.Mode == Accelerated && m.sink != nil {
-		detailed, cpi := m.sink.OnServiceStart(svc)
-		m.emulating = !detailed
-		if m.emulating {
-			m.emulated++
-			if cpi <= 0 {
-				cpi = 1
-			}
-			m.virtCPI = cpi * 0.9
-		}
+		m.decide(m.sink.OnServiceStart(svc))
 	}
 }
 
-func (m *Machine) closeInterval() {
-	m.inInterval = false
-	rec := IntervalRecord{Service: m.curSvc, Emulated: m.emulating, Sig: m.curSig}
-	if m.emulating {
-		insts := m.emuInsts
-		rec.Insts = insts
-		var pred *Prediction
-		if m.sink != nil {
-			pred = m.sink.OnServiceEnd(m.curSvc, m.curSig, nil)
-		}
+// openAppInterval opens an application interval at the current user-mode
+// instruction. Exec has already counted that instruction (totalInsts++
+// happens before the lazy open), and the interval owns it — hence the -1.
+func (m *Machine) openAppInterval() {
+	m.open(&m.app, isa.App(), trace.CauseApp, m.totalInsts-1)
+	m.decide(m.appSink.OnAppStart())
+}
+
+// open makes iv the open interval, starting at instruction count start and
+// the current cycle and cache statistics. It runs in detail until decide
+// says otherwise.
+func (m *Machine) open(iv *interval, svc isa.ServiceID, cause trace.Cause, start uint64) {
+	m.cur = iv
+	iv.svc, iv.cause = svc, cause
+	iv.opened++
+	iv.sig = Signature{}
+	iv.emulating = false
+	iv.startInsts = start
+	iv.startCycles = m.core.Now()
+	if m.mem != nil {
+		iv.startMem = m.mem.Stats()
+	}
+	iv.emuInsts = 0
+	m.virtFrac = 0
+}
+
+// decide applies a sink's decision for the interval just opened: a
+// fast-forwarded interval paces the virtual clock at 90% of the sink's CPI
+// estimate (1 when it gives none).
+func (m *Machine) decide(detailed bool, estCPI float64) {
+	if detailed {
+		return
+	}
+	m.cur.emulating = true
+	m.cur.emulated++
+	if estCPI <= 0 {
+		estCPI = 1
+	}
+	m.virtCPI = estCPI * 0.9
+}
+
+// close ends the open interval. A fast-forwarded interval takes its sink's
+// prediction (IPC 1 without one): the remainder of the predicted duration is
+// skipped, the predicted cache activity accumulates into Stats.Pred, and the
+// interval's cache pollution and bus occupancy are replayed. A detailed
+// interval is measured and the measurement handed to its sink. OS intervals
+// then reach the observer and fire the events that came due while they were
+// fast-forwarded. App intervals leave those to the next Exec, within a few
+// instructions: their common closer is openInterval (an OS service is about
+// to start), and delivering an interrupt from under a half-opened interval
+// would nest mode switches incorrectly.
+func (m *Machine) close() {
+	iv := m.cur
+	m.cur = nil
+	rec := IntervalRecord{Service: iv.svc, Emulated: iv.emulating, Sig: iv.sig}
+	if iv.emulating {
+		rec.Insts = iv.emuInsts
+		pred := m.end(iv, nil)
 		if pred == nil {
 			// Degenerate fallback (IPC 1), staged in the machine's scratch
 			// so the no-sink path allocates nothing per interval.
-			m.predScratch = Prediction{Cycles: insts}
+			m.predScratch = Prediction{Cycles: rec.Insts}
 			pred = &m.predScratch
 		}
-		// The cluster's recorded cycles include any I/O or idle wait the
-		// service experienced. Simulated time may already have advanced
-		// during the fast-forwarded interval (device waits execute at real
-		// event times even in emulation), so only the remainder of the
-		// predicted duration is applied.
-		elapsed := m.core.Now() - m.startCycles
+		// The prediction includes any I/O or idle wait the interval
+		// experienced. Simulated time may already have advanced during the
+		// fast-forward (device waits execute at real event times even in
+		// emulation), so only the remainder of the predicted duration is
+		// applied.
+		elapsed := m.core.Now() - iv.startCycles
 		add := uint64(0)
 		if pred.Cycles > elapsed {
 			add = pred.Cycles - elapsed
@@ -701,16 +693,17 @@ func (m *Machine) closeInterval() {
 		m.pred.L1IAccesses += pred.L1IAccesses
 		m.pred.L1DAccesses += pred.L1DAccesses
 		m.pred.L2Accesses += pred.L2Accesses
+		m.pred.L2Writebacks += pred.L2Writebacks
 		if m.mem != nil {
 			if !m.cfg.NoPollution {
-				m.mem.TouchPhantoms(m.phantomBase(m.curSvc),
+				m.mem.TouchPhantoms(m.phantomBase(iv.svc),
 					int(pred.L1IMisses), int(pred.L1DMisses), int(pred.L2Misses))
 			}
 			if !m.cfg.NoBusInjection {
-				// The service's DRAM traffic also occupied the memory bus;
+				// The interval's DRAM traffic also occupied the memory bus;
 				// replay that occupancy so subsequent detailed accesses see
-				// the contention the skipped service would have caused.
-				m.mem.InjectBusTraffic(int(pred.L2Misses+pred.L2Writebacks), m.startCycles)
+				// the contention the skipped interval would have caused.
+				m.mem.InjectBusTraffic(int(pred.L2Misses+pred.L2Writebacks), iv.startCycles)
 			}
 		}
 		rec.Cycles = pred.Cycles
@@ -718,23 +711,27 @@ func (m *Machine) closeInterval() {
 	} else {
 		// The measurement lives in the machine's scratch buffer: sink and
 		// observer consume it synchronously, so no per-interval allocation.
-		m.measScratch = m.measureInterval()
+		m.measScratch = Measurement{
+			Insts:  m.totalInsts - iv.startInsts,
+			Cycles: m.core.Now() - iv.startCycles,
+		}
+		if m.mem != nil {
+			d := m.mem.Stats().Sub(iv.startMem)
+			m.measScratch.L1I, m.measScratch.L1D, m.measScratch.L2 = d.L1I, d.L1D, d.L2
+		}
 		rec.Insts = m.measScratch.Insts
 		rec.Cycles = m.measScratch.Cycles
 		rec.Meas = &m.measScratch
-		if m.cfg.Mode == Accelerated && m.sink != nil {
-			m.sink.OnServiceEnd(m.curSvc, m.curSig, &m.measScratch)
-		}
+		m.end(iv, &m.measScratch)
 	}
-	m.emulating = false
 	if m.rec != nil {
-		// The sink's OnServiceEnd (above) may have staged a cluster
-		// annotation via Annotate; Interval consumes it here. For emulated
-		// intervals the span duration is the predicted cycles — the machine
-		// advanced Now to at most start+pred.Cycles, so spans never overlap.
-		m.rec.Interval(m.curSvc, m.curCause, m.startCycles, rec.Cycles, rec.Insts, rec.Emulated)
+		// The sink's end call (above) may have staged an annotation via
+		// Annotate; Interval consumes it here. For emulated intervals the
+		// span duration is the predicted cycles — the machine advanced Now
+		// to at most start+pred.Cycles, so spans never overlap.
+		m.rec.Interval(iv.svc, iv.cause, iv.startCycles, rec.Cycles, rec.Insts, rec.Emulated)
 	}
-	if m.observer != nil {
+	if iv == &m.os && m.observer != nil {
 		m.observer(rec)
 	}
 	if PoisonPools {
@@ -743,130 +740,39 @@ func (m *Machine) closeInterval() {
 		m.measScratch = Measurement{Insts: PoisonPattern, Cycles: PoisonPattern}
 		m.predScratch = Prediction{Cycles: PoisonPattern, L2Misses: PoisonPattern}
 	}
-	// Events that came due while the interval was fast-forwarded fire now.
-	if m.core.Now() >= m.next {
+	if iv == &m.os && m.core.Now() >= m.next {
 		m.pollEvents()
 	}
 }
 
-// openAppInterval starts an application interval at the current user-mode
-// instruction and asks the sampling sink whether to simulate it in detail or
-// fast-forward it under the virtual clock.
-func (m *Machine) openAppInterval() {
-	m.appOpen = true
-	m.appIntervals++
-	m.appSig = Signature{}
-	m.appEmuInsts = 0
-	// Exec has already counted the opening instruction (totalInsts++ happens
-	// before the lazy open), and the interval owns it — hence the -1.
-	m.appStartInsts = m.totalInsts - 1
-	m.appStartCycles = m.core.Now()
-	if m.mem != nil {
-		m.appStartMem = m.mem.Stats()
+// end hands the closing interval iv to its sink: the detailed measurement,
+// or meas == nil for a fast-forwarded interval, whose prediction the sink
+// returns. OS intervals have a sink only in Accelerated mode.
+func (m *Machine) end(iv *interval, meas *Measurement) *Prediction {
+	switch {
+	case iv == &m.app && m.appSink != nil:
+		return m.appSink.OnAppEnd(iv.sig, meas)
+	case iv == &m.os && m.cfg.Mode == Accelerated && m.sink != nil:
+		return m.sink.OnServiceEnd(iv.svc, iv.sig, meas)
 	}
-	detailed, cpi := m.appSink.OnAppStart()
-	m.appEmulating = !detailed
-	if m.appEmulating {
-		m.appEmulated++
-		if cpi <= 0 {
-			cpi = 1
-		}
-		m.virtCPI = cpi * 0.9
-		m.virtFrac = 0
-	}
+	return nil
 }
 
-// closeAppInterval ends the open application interval: a fast-forwarded
-// interval receives the sampler's extrapolated prediction (remaining cycles
-// applied via SkipTo, cache pollution + bus occupancy replayed exactly like
-// an emulated OS service); a detailed one is measured and fed back as a
-// stratum representative. Events that came due during the skip are NOT
-// polled here: the common call site is openInterval (an OS service is about
-// to start), and delivering an interrupt from under a half-opened interval
-// would nest mode switches incorrectly. The next Exec polls them within a
-// few instructions, deterministically.
-func (m *Machine) closeAppInterval() {
-	if !m.appOpen {
-		return
-	}
-	m.appOpen = false
-	emulated := m.appEmulating
-	m.appEmulating = false
-	if emulated {
-		insts := m.appEmuInsts
-		var pred *Prediction
-		if m.appSink != nil {
-			pred = m.appSink.OnAppEnd(m.appSig, nil)
-		}
-		if pred == nil {
-			// Degenerate fallback (IPC 1), staged in the machine's scratch.
-			m.predScratch = Prediction{Cycles: insts}
-			pred = &m.predScratch
-		}
-		// As with OS emulation, simulated time may already have advanced
-		// during the fast-forward (device events fire at real times), so only
-		// the remainder of the predicted duration is applied.
-		elapsed := m.core.Now() - m.appStartCycles
-		add := uint64(0)
-		if pred.Cycles > elapsed {
-			add = pred.Cycles - elapsed
-		}
-		m.core.SkipTo(m.core.Now() + add)
-		m.predCycles += add
-		m.pred.Cycles += pred.Cycles
-		m.pred.L1IMisses += pred.L1IMisses
-		m.pred.L1DMisses += pred.L1DMisses
-		m.pred.L2Misses += pred.L2Misses
-		m.pred.L1IAccesses += pred.L1IAccesses
-		m.pred.L1DAccesses += pred.L1DAccesses
-		m.pred.L2Accesses += pred.L2Accesses
-		if m.mem != nil {
-			if !m.cfg.NoPollution {
-				m.mem.TouchPhantoms(m.phantomBase(isa.App()),
-					int(pred.L1IMisses), int(pred.L1DMisses), int(pred.L2Misses))
-			}
-			if !m.cfg.NoBusInjection {
-				m.mem.InjectBusTraffic(int(pred.L2Misses+pred.L2Writebacks), m.appStartCycles)
-			}
-		}
-		if m.rec != nil {
-			m.rec.Interval(isa.App(), trace.CauseApp, m.appStartCycles, pred.Cycles, insts, true)
-		}
-	} else {
-		m.measScratch = Measurement{
-			Insts:  m.totalInsts - m.appStartInsts,
-			Cycles: m.core.Now() - m.appStartCycles,
-		}
-		if m.mem != nil {
-			d := m.mem.Stats().Sub(m.appStartMem)
-			m.measScratch.L1I, m.measScratch.L1D, m.measScratch.L2 = d.L1I, d.L1D, d.L2
-		}
-		if m.appSink != nil {
-			m.appSink.OnAppEnd(m.appSig, &m.measScratch)
-		}
-		if m.rec != nil {
-			m.rec.Interval(isa.App(), trace.CauseApp, m.appStartCycles,
-				m.measScratch.Cycles, m.measScratch.Insts, false)
-		}
-	}
-	if PoisonPools {
-		// Same scrub as closeInterval: retained scratch pointers read loud
-		// garbage in the poison suites.
-		m.measScratch = Measurement{Insts: PoisonPattern, Cycles: PoisonPattern}
-		m.predScratch = Prediction{Cycles: PoisonPattern, L2Misses: PoisonPattern}
+// FinishApp closes the open application interval, if any: the machine calls
+// it when an OS service opens and when the CPU idles, and the workload runner
+// once after the kernel exits, so the final user-mode stretch is measured or
+// extrapolated like any other. Without an attached AppSink it is a no-op.
+func (m *Machine) FinishApp() {
+	if m.cur == &m.app {
+		m.close()
 	}
 }
-
-// FinishApp closes any open application interval. The workload runner calls
-// it once after the kernel exits so the final user-mode stretch is measured
-// or extrapolated like any other; without an attached AppSink it is a no-op.
-func (m *Machine) FinishApp() { m.closeAppInterval() }
 
 // AppIntervalStats reports the application-interval counters: total app
 // intervals opened, how many were fast-forwarded, and the total instructions
 // fast-forwarded on the application side.
 func (m *Machine) AppIntervalStats() (intervals, emulated, emuInsts uint64) {
-	return m.appIntervals, m.appEmulated, m.appEmuTotal
+	return m.app.opened, m.app.emulated, m.app.emuTotal
 }
 
 // phantomBase returns the service's stable phantom working-set base,
@@ -883,18 +789,6 @@ func (m *Machine) phantomBase(svc isa.ServiceID) uint64 {
 		m.phantoms[svc] = base
 	}
 	return base
-}
-
-func (m *Machine) measureInterval() Measurement {
-	meas := Measurement{
-		Insts:  m.totalInsts - m.startInsts,
-		Cycles: m.core.Now() - m.startCycles,
-	}
-	if m.mem != nil {
-		d := m.mem.Stats().Sub(m.startMem)
-		meas.L1I, meas.L1D, meas.L2 = d.L1I, d.L1D, d.L2
-	}
-	return meas
 }
 
 // Stats is the machine-level aggregate view used by the experiment harness.
@@ -976,9 +870,9 @@ func (m *Machine) statsRaw() Stats {
 		Insts:      m.totalInsts,
 		UserInsts:  m.userInsts,
 		OSInsts:    m.osInsts,
-		Intervals:  m.intervals,
-		Emulated:   m.emulated,
-		EmuInsts:   m.emuTotal,
+		Intervals:  m.os.opened,
+		Emulated:   m.os.emulated,
+		EmuInsts:   m.os.emuTotal,
 		PredCycles: m.predCycles,
 		Pred:       m.pred,
 	}

@@ -133,6 +133,47 @@ func TestAcceleratedEmulation(t *testing.T) {
 	}
 }
 
+// emulateAllSink fast-forwards every OS and application interval and
+// predicts the same record for each.
+type emulateAllSink struct{ pred Prediction }
+
+func (s *emulateAllSink) OnServiceStart(isa.ServiceID) (bool, float64) { return false, 1 }
+func (s *emulateAllSink) OnServiceEnd(isa.ServiceID, Signature, *Measurement) *Prediction {
+	return &s.pred
+}
+func (s *emulateAllSink) OnAppStart() (bool, float64)                  { return false, 1 }
+func (s *emulateAllSink) OnAppEnd(Signature, *Measurement) *Prediction { return &s.pred }
+
+// TestPredictionAccumulatesEveryField checks that Stats.Pred sums every field
+// of every emulated interval's prediction, OS and application alike.
+func TestPredictionAccumulatesEveryField(t *testing.T) {
+	m := newTestMachine(Accelerated)
+	sink := &emulateAllSink{pred: Prediction{Cycles: 5000, L1IMisses: 1, L1DMisses: 2, L2Misses: 3,
+		L1IAccesses: 4, L1DAccesses: 5, L2Accesses: 6, L2Writebacks: 7}}
+	m.SetSink(sink)
+	m.SetAppSink(sink)
+	e := m.Emitter()
+	for i := 0; i < 3; i++ {
+		e.Ops(100) // an emulated app interval
+		m.KEnter(isa.Sys(isa.SysRead))
+		e.Ops(100) // an emulated OS interval
+		m.KExit()
+	}
+	m.FinishApp() // no user instruction since: no app interval is open
+
+	st := m.Stats()
+	ai, ae, _ := m.AppIntervalStats()
+	if st.Emulated != 3 || ai != 3 || ae != 3 {
+		t.Fatalf("emulated %d OS, %d/%d app intervals, want 3 and 3/3", st.Emulated, ae, ai)
+	}
+	p := sink.pred
+	want := Prediction{6 * p.Cycles, 6 * p.L1IMisses, 6 * p.L1DMisses, 6 * p.L2Misses,
+		6 * p.L1IAccesses, 6 * p.L1DAccesses, 6 * p.L2Accesses, 6 * p.L2Writebacks}
+	if st.Pred != want {
+		t.Errorf("Stats.Pred = %+v, want %+v", st.Pred, want)
+	}
+}
+
 // TestSignatureMixCounting checks the emulation-observable mix counters.
 func TestSignatureMixCounting(t *testing.T) {
 	m := newTestMachine(Accelerated)

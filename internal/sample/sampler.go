@@ -31,28 +31,12 @@ type Sampler struct {
 	winN        []int64     // total CPI samples ever pushed into the ring
 	extraInsts  []float64   // instructions extrapolated in the stratum
 	extraCycles []float64   // cycles extrapolated in the stratum
-	visits      []int64     // total intervals that landed in the stratum
 	nextCap     []uint64    // interval index at which the stratum is due a recapture
 
 	pooled stats.Moments // all detailed CPI samples (thin-stratum CI fallback)
 
 	idx         uint64 // application intervals decided so far (drives the refresh pick)
-	last        int    // stratum of the previously closed interval (-1 before any)
 	lastOutlier bool   // previous emulated interval matched no stratum range
-
-	// succ is the second-order Markov successor table: succ[key(a,b)][j]
-	// counts how often the stratum pair (a, b) — the two most recently closed
-	// intervals — was followed by an interval in stratum j. App interval
-	// sequences are strongly periodic (request loops interleave the same
-	// user-mode stretches in the same order), so the pair context pins the
-	// position inside the loop and predicts the coming interval's stratum
-	// before its signature exists — the information the detailed/emulated
-	// decision needs. A single-stratum context is not enough: the
-	// one-instruction boundary stretches between back-to-back syscalls form a
-	// hub stratum that dilutes every first-order transition.
-	succ map[int][]int64
-	c1   int // second-to-last closed stratum (-1 before any)
-	c2   int // last closed stratum (-1 before any)
 
 	// bigSucc is a first-order Markov successor table over *big* strata only
 	// (intervals of at least bigMin instructions): bigSucc[i][j] counts how
@@ -94,8 +78,7 @@ type Sampler struct {
 // (experiments.RunKey.DeriveSeed), making every sampling decision a pure
 // function of the run's cache key.
 func New(spec Spec, seed int64) *Sampler {
-	return &Sampler{spec: spec, seed: seed, last: -1, c1: -1, c2: -1,
-		succ: make(map[int][]int64), ctxBig: -1, capFor: -1}
+	return &Sampler{spec: spec, seed: seed, ctxBig: -1, capFor: -1}
 }
 
 // bigMin is the instruction count below which an interval is a boundary
@@ -123,9 +106,10 @@ func (s *Sampler) Arm() { s.deferred = false }
 
 // OnAppStart decides the simulation mode of the opening application
 // interval. The signature is not yet known (it is the product of executing
-// the interval), so the decision leans on two predictions: the pair-context
-// Markov argmax for the coming interval's CPI estimate, and the big-stratum
-// Markov successor for capture scheduling. Detailed when any of:
+// the interval), so the decision leans on the big-stratum Markov successor
+// for capture scheduling, and a fast-forwarded interval's CPI estimate is
+// the floor estCPI returns, not a prediction of its stratum. Detailed when
+// any of:
 //   - the pilot phase is still running (first Pilot intervals),
 //   - the previous interval was an outlier (a new behavior may be starting
 //     — the detailed follow-up can found its stratum),
@@ -164,11 +148,6 @@ func (s *Sampler) OnAppStart() (detailed bool, estCPI float64) {
 	return false, s.estCPI()
 }
 
-// ctxKey packs the (second-to-last, last) stratum pair into one successor
-// table key. Stratum indices are small (tens at most); 1<<16 keeps pairs
-// collision-free far beyond any real table.
-func ctxKey(a, b int) int { return a<<16 | b }
-
 // capturePeriod returns how many intervals stratum i's representative window
 // stays fresh: the spec refresh period, stretched for strata whose recent
 // representatives agree (nothing to learn from re-measuring a flat stratum)
@@ -196,19 +175,6 @@ func (s *Sampler) capturePeriod(i int) uint64 {
 	return uint64(p)
 }
 
-// predictNext returns the most likely stratum of the coming interval — the
-// argmax successor of the current pair context (lowest index on ties, so
-// prediction is deterministic) — or -1 when the context is unseen.
-func (s *Sampler) predictNext() int {
-	best, bestN := -1, int64(0)
-	for j, n := range s.succ[ctxKey(s.c1, s.c2)] {
-		if n > bestN {
-			best, bestN = j, n
-		}
-	}
-	return best
-}
-
 // predictNextBig returns the most likely *next big* stratum — the argmax of
 // the big-Markov successor row of the last big interval — or -1 without
 // history. On the periodic interval sequences this subsystem targets, this
@@ -226,24 +192,11 @@ func (s *Sampler) predictNextBig() int {
 	return best
 }
 
-// noteClose records the transition (c1, c2) → i in the pair successor table,
-// shifts the pair context forward, and — for big intervals — does the same
-// for the big-stratum Markov chain.
+// noteClose records a big interval closing in stratum i: the transition from
+// the last big stratum in the big-stratum Markov chain, and i as the new
+// context. Boundary intervals (below bigMin) leave the chain untouched.
 func (s *Sampler) noteClose(i int, sig machine.Signature) {
-	if i < 0 {
-		return
-	}
-	if s.c2 >= 0 {
-		k := ctxKey(s.c1, s.c2)
-		row := s.succ[k]
-		for len(row) <= i {
-			row = append(row, 0)
-		}
-		row[i]++
-		s.succ[k] = row
-	}
-	s.c1, s.c2 = s.c2, i
-	if sig.Insts < bigMin {
+	if i < 0 || sig.Insts < bigMin {
 		return
 	}
 	if s.ctxBig >= 0 {
@@ -327,7 +280,6 @@ func (s *Sampler) observe(sig machine.Signature, meas *machine.Measurement) {
 	i := s.table.Index(c)
 	s.ensure(i)
 	s.det[i]++
-	s.visits[i]++
 	if meas.Insts > 0 {
 		v := float64(meas.Cycles) / float64(meas.Insts)
 		s.winPush(i, v)
@@ -347,7 +299,7 @@ func (s *Sampler) observe(sig machine.Signature, meas *machine.Measurement) {
 		}
 	}
 	s.noteClose(i, sig)
-	s.last, s.lastOutlier = i, false
+	s.lastOutlier = false
 	s.trc.observed(i, len(s.table.Clusters))
 }
 
@@ -366,14 +318,13 @@ func (s *Sampler) extrapolate(sig machine.Signature) *machine.Prediction {
 	if c == nil {
 		// Pathological: no stratum exists at all (possible only if the pilot
 		// phase observed zero app intervals). Fall back to IPC 1.
-		s.last, s.lastOutlier = -1, true
+		s.lastOutlier = true
 		s.predScratch = machine.Prediction{Cycles: sig.Insts}
 		s.trc.extrapolatedHook(-1, true)
 		return &s.predScratch
 	}
 	i := s.table.Index(c)
 	s.ensure(i)
-	s.visits[i]++
 	m := s.winMoments(i)
 	cpi := m.Mean
 	if m.N < int64(s.spec.MinPerStratum) || cpi <= 0 {
@@ -403,7 +354,7 @@ func (s *Sampler) extrapolate(sig machine.Signature) *machine.Prediction {
 	s.extraInsts[i] += insts
 	s.extraCycles[i] += cycles
 	s.noteClose(i, sig)
-	s.last, s.lastOutlier = i, outlier
+	s.lastOutlier = outlier
 	s.trc.extrapolatedHook(i, outlier)
 	return &s.predScratch
 }
@@ -447,7 +398,6 @@ func (s *Sampler) ensure(i int) {
 		s.winN = append(s.winN, 0)
 		s.extraInsts = append(s.extraInsts, 0)
 		s.extraCycles = append(s.extraCycles, 0)
-		s.visits = append(s.visits, 0)
 		s.nextCap = append(s.nextCap, 0)
 	}
 }

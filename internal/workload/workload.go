@@ -266,26 +266,19 @@ type Sim struct {
 // resolves instruments against the run's registry.
 func Assemble(opts Options) *Sim {
 	m := machine.New(opts.Machine)
+	m.SetSink(opts.Sink)
+	m.SetAppSink(opts.Sample)
+	m.SetObserver(opts.Observer)
 	if opts.Trace != nil {
 		m.SetTrace(opts.Trace)
-	}
-	type recorderSetter interface{ SetRecorder(*trace.Recorder) }
-	if opts.Sink != nil {
-		m.SetSink(opts.Sink)
-		// An acceleration engine that understands recorders (the Accelerator
-		// does) annotates spans with PLT outcomes and emits phase instants.
-		if rs, ok := opts.Sink.(recorderSetter); ok && opts.Trace != nil {
-			rs.SetRecorder(opts.Trace)
+		// Sinks that understand recorders (the Accelerator and the Sampler
+		// do) annotate spans with their outcomes and emit phase instants.
+		type recorderSetter interface{ SetRecorder(*trace.Recorder) }
+		for _, h := range []any{opts.Sink, opts.Sample} {
+			if rs, ok := h.(recorderSetter); ok {
+				rs.SetRecorder(opts.Trace)
+			}
 		}
-	}
-	if opts.Sample != nil {
-		m.SetAppSink(opts.Sample)
-		if rs, ok := opts.Sample.(recorderSetter); ok && opts.Trace != nil {
-			rs.SetRecorder(opts.Trace)
-		}
-	}
-	if opts.Observer != nil {
-		m.SetObserver(opts.Observer)
 	}
 	return &Sim{Machine: m, Kernel: kernel.New(m, opts.Tunables), opts: opts}
 }
