@@ -99,6 +99,17 @@ type Cache struct {
 	blkShift uint
 	setMask  uint64
 	stats    Stats
+
+	// memo is the key (block number | flagValid) of the line the last
+	// Access left MRU, and memoSlot its way slot; 0 when no such line is
+	// known. A repeat access to it is a hit that changes only its flags.
+	// Every other state change clears it: fill (so Touch, Fill and
+	// TouchLines), Invalidate and InvalidateAll.
+	memo     uint64
+	memoSlot int
+	// valid counts valid way slots; once every slot is valid, victim skips
+	// its scan for an invalid way.
+	valid int
 }
 
 func ownerFlag(o Owner) uint64 {
@@ -173,10 +184,14 @@ func promote(x uint64, way int) uint64 {
 
 // victim returns the way a fill replaces: the first invalid way, else the
 // LRU way — the lane whose rank is assoc-1, found with a zero-byte test.
+// The way it returns is about to hold a valid line.
 func (c *Cache) victim(set int, ways []uint64) int {
-	for i, w := range ways {
-		if w&flagValid == 0 {
-			return i
+	if c.valid < len(c.ways) {
+		for i, w := range ways {
+			if w&flagValid == 0 {
+				c.valid++
+				return i
+			}
 		}
 	}
 	x := c.rank[set] ^ c.lruRank
@@ -208,6 +223,11 @@ func (c *Cache) Access(addr uint64, words int, isWrite bool, owner Owner) Access
 	if isWrite {
 		flags |= flagDirty
 	}
+	if addr>>c.blkShift|flagValid == c.memo {
+		w := &c.ways[c.memoSlot]
+		*w = *w&^flagOS | flags
+		return AccessResult{Hit: true}
+	}
 	set, ways, key := c.lookup(addr)
 	rank := &c.rank[set]
 	x := *rank // loaded ahead of the scan, off the hit's critical path
@@ -215,6 +235,7 @@ func (c *Cache) Access(addr uint64, words int, isWrite bool, owner Owner) Access
 		if w&^(flagDirty|flagOS) == key {
 			ways[i] = w&^flagOS | flags
 			*rank = promote(x, i)
+			c.memo, c.memoSlot = key, set<<c.assocLog+i
 			return AccessResult{Hit: true}
 		}
 	}
@@ -235,6 +256,7 @@ func (c *Cache) Access(addr uint64, words int, isWrite bool, owner Owner) Access
 	}
 	ways[v] = key | flags
 	*rank = promote(x, v)
+	c.memo, c.memoSlot = key, set<<c.assocLog+v
 	return res
 }
 
@@ -251,7 +273,10 @@ func (c *Cache) Probe(addr uint64) bool {
 }
 
 // InvalidateAll drops every line (TLB shootdown / flush semantics).
-func (c *Cache) InvalidateAll() { clear(c.ways) }
+func (c *Cache) InvalidateAll() {
+	clear(c.ways)
+	c.valid, c.memo = 0, 0
+}
 
 // Invalidate drops addr's line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
@@ -259,6 +284,8 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	for i, w := range ways {
 		if w&^(flagDirty|flagOS) == key {
 			ways[i] = 0
+			c.valid--
+			c.memo = 0
 			return true, w&flagDirty != 0
 		}
 	}
@@ -279,6 +306,7 @@ func (c *Cache) Touch(addr uint64) { c.fill(addr, flagOS, true) }
 func (c *Cache) Fill(addr uint64, owner Owner) { c.fill(addr, ownerFlag(owner), false) }
 
 func (c *Cache) fill(addr, flags uint64, polluting bool) {
+	c.memo = 0
 	set, ways, key := c.lookup(addr)
 	for i, w := range ways {
 		if w&^(flagDirty|flagOS) == key {

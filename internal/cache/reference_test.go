@@ -199,13 +199,17 @@ func sameState(c *Cache, r *refCache) error {
 }
 
 // FuzzCacheReference checks the packed cache (flag-folded way words, per-set
-// recency ranks) against the stamp-based reference on random operation
-// sequences at associativity 1, 2, 4 and 8: every AccessResult, Stats,
-// Probe, Invalidate and OwnedLines must match after every operation, and so
-// must every way word and recency order. TouchLines is checked against one
-// reference Touch per line, at line-aligned bases with random set offsets
-// and up to 8x the cache's capacity, so both its per-line and its
-// closed-form paths run.
+// recency ranks, last-line memo, valid-way count) against the stamp-based
+// reference on random operation sequences at associativity 1, 2, 4 and 8:
+// every AccessResult, Stats, Probe, Invalidate and OwnedLines must match
+// after every operation, and so must every way word and recency order.
+// TouchLines is checked against one reference Touch per line, at
+// line-aligned bases with random set offsets and up to 8x the cache's
+// capacity, so both its per-line and its closed-form paths run. An
+// operation with bit 3 set targets the address of the previous Access
+// instead of a fresh one: repeated accesses (reads and writes, either
+// owner) take the memo path, with fills, invalidations and replays of that
+// line or of others in between.
 func FuzzCacheReference(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 0, 1, 2, 0, 1, 2})
 	f.Add([]byte{0, 9, 9, 9, 9, 9, 9})
@@ -227,6 +231,30 @@ func FuzzCacheReference(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// One seed per associativity that mostly repeats the previous access,
+	// with every other operation kind between repeats and an occasional
+	// TouchLines over the whole cache, so the valid-way count reaches full
+	// and Invalidate must bring it back down.
+	for assoc := byte(0); assoc < 4; assoc++ {
+		b := make([]byte, 1+4*256)
+		rng.Read(b)
+		b[0] = assoc
+		for i := 1; i < len(b); i += 4 {
+			switch r := rng.Intn(16); {
+			case r < 7: // repeat: a read or write by either owner
+				b[i] = 8 | byte(rng.Intn(3))
+			case r < 9: // a fresh access
+				b[i] = byte(rng.Intn(3))
+			case r == 15: // a replay of 8x the cache's lines
+				n := 64 << assoc
+				b[i], b[i+2], b[i+3] = 5, byte(n>>8), byte(n)
+			default: // Touch, Fill, TouchLines, Invalidate, InvalidateAll, fresh or repeated
+				b[i] = byte(3+rng.Intn(5)) | byte(rng.Intn(2))<<3
+				b[i+1] &^= byte(rng.Intn(2)) * 63 // a0 = 0 often enough for InvalidateAll
+			}
+		}
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -235,15 +263,20 @@ func FuzzCacheReference(f *testing.F) {
 		cfg := Config{Name: "fuzz", Size: assoc * 64 * 8, Assoc: assoc, BlockSize: 64}
 		c, ref := New(cfg), newRef(cfg)
 		data = data[1:]
+		var last uint64 // the previous Access's address
 		for len(data) >= 4 {
 			op, a0, a1, a2 := data[0], data[1], data[2], data[3]
 			data = data[4:]
 			// 64 lines over 8 sets keeps hits and evictions frequent; a2's
 			// top bits occasionally move the line far away (still < 2^56).
 			addr := uint64(a0&63)<<6 | uint64(a1&63) | uint64(a2>>5)<<53
+			if op&8 != 0 {
+				addr = last
+			}
 			owner := Owner(a1 >> 7)
 			switch op % 8 {
 			case 0, 1, 2:
+				last = addr
 				words, isWrite := int(a2&7), a1&64 != 0
 				if got, want := c.Access(addr, words, isWrite, owner), ref.Access(addr, words, isWrite, owner); got != want {
 					t.Fatalf("Access(%#x, %d, %v, %d) = %+v, reference %+v", addr, words, isWrite, owner, got, want)

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"unsafe"
+
 	"fssim/internal/cache"
 	"fssim/internal/isa"
 	"fssim/internal/memsys"
@@ -39,13 +41,19 @@ var opLatency = [...]uint64{
 	isa.LOAD: 0, isa.STORE: 1, isa.BRANCH: 1, isa.SYSCALL: 1, isa.IRET: 1,
 }
 
-// Core is a processor timing model. Exec consumes one dynamic instruction;
-// Now reports the cycle at which the most recent instruction committed.
+// Core is a processor timing model. Exec consumes one dynamic instruction
+// and ExecBatch a run of them; Now reports the cycle at which the most
+// recent instruction committed.
 type Core interface {
 	// Exec runs one instruction attributed to owner (application or OS) and
 	// returns Now, saving the machine a second interface call per
 	// instruction.
 	Exec(in *isa.Inst, owner cache.Owner) uint64
+	// ExecBatch runs ins in order, as that many Exec calls would, but stops
+	// after the first instruction whose commit reaches cycle stop — the
+	// point at which the machine must fire due events. It returns how many
+	// instructions ran (at least one when ins is non-empty) and Now.
+	ExecBatch(ins []isa.Inst, owner cache.Owner, stop uint64) (n int, now uint64)
 	// Now returns the current committed-time cycle counter.
 	Now() uint64
 	// Retired returns the number of committed instructions.
@@ -130,130 +138,144 @@ func max64(a, b uint64) uint64 {
 	return b
 }
 
-// Exec implements Core.
+// Exec implements Core: a batch of one.
 func (c *OOOCore) Exec(in *isa.Inst, owner cache.Owner) uint64 {
-	cfg := &c.cfg
-	c.seq++
-	seq := c.seq
+	_, now := c.ExecBatch(unsafe.Slice(in, 1), owner, 0)
+	return now
+}
 
-	// --- Fetch: width-limited; new cache line or redirect pays I-cache latency.
-	line := in.PC &^ 63
-	newLine := c.redirect || line != c.fetchLine
-	c.fetchLine = line
-	c.redirect = false
-	if c.fetchCount >= cfg.FetchWidth {
-		c.fetchCycle++
-		c.fetchCount = 0
-	}
-	fetchReady := c.fetchCycle
-	if newLine {
-		if c.mem != nil {
-			fetchReady = c.mem.Fetch(in.PC, c.fetchCycle, owner)
-		} else {
-			fetchReady = c.fetchCycle + 1
-		}
-		if fetchReady > c.fetchCycle {
-			c.fetchCycle = fetchReady
+// ExecBatch implements Core. It holds the OOO timing model, once for both
+// entry points.
+func (c *OOOCore) ExecBatch(ins []isa.Inst, owner cache.Owner, stop uint64) (n int, now uint64) {
+	cfg := &c.cfg
+	for n < len(ins) {
+		in := &ins[n]
+		n++
+		c.seq++
+		seq := c.seq
+
+		// --- Fetch: width-limited; new cache line or redirect pays I-cache latency.
+		line := in.PC &^ 63
+		newLine := c.redirect || line != c.fetchLine
+		c.fetchLine = line
+		c.redirect = false
+		if c.fetchCount >= cfg.FetchWidth {
+			c.fetchCycle++
 			c.fetchCount = 0
 		}
-	}
-	c.fetchCount++
-
-	// --- Dispatch: in-order, width-limited, stalling while the ROB is full
-	// (the instruction ROBSize ago must have committed before this one can
-	// enter the window). Bandwidth is enforced here rather than at issue:
-	// issue itself is out of order, so instructions may begin execution
-	// earlier than previously-dispatched long-latency ones.
-	dispatch := fetchReady
-	if c.dispCount >= cfg.IssueWidth {
-		c.dispCycle++
-		c.dispCount = 0
-	}
-	if dispatch < c.dispCycle {
-		dispatch = c.dispCycle
-	}
-	if seq > uint64(cfg.ROBSize) {
-		if t := c.cmt[(seq-uint64(cfg.ROBSize))%histSize]; t > dispatch {
-			dispatch = t
-			// Backpressure propagates to fetch.
-			if t > c.fetchCycle {
-				c.fetchCycle, c.fetchCount = t, 1
+		fetchReady := c.fetchCycle
+		if newLine {
+			if c.mem != nil {
+				fetchReady = c.mem.Fetch(in.PC, c.fetchCycle, owner)
+			} else {
+				fetchReady = c.fetchCycle + 1
+			}
+			if fetchReady > c.fetchCycle {
+				c.fetchCycle = fetchReady
+				c.fetchCount = 0
 			}
 		}
-	}
-	if dispatch > c.dispCycle {
-		c.dispCycle, c.dispCount = dispatch, 0
-	}
-	c.dispCount++
+		c.fetchCount++
 
-	// --- Operand readiness from the Dep distances; issue is out of order.
-	issue := dispatch
-	if in.Dep != 0 && uint64(in.Dep) < seq {
-		issue = max64(issue, c.comp[(seq-uint64(in.Dep))%histSize])
-	}
-	if in.Dep2 != 0 && uint64(in.Dep2) < seq {
-		issue = max64(issue, c.comp[(seq-uint64(in.Dep2))%histSize])
-	}
+		// --- Dispatch: in-order, width-limited, stalling while the ROB is full
+		// (the instruction ROBSize ago must have committed before this one can
+		// enter the window). Bandwidth is enforced here rather than at issue:
+		// issue itself is out of order, so instructions may begin execution
+		// earlier than previously-dispatched long-latency ones.
+		dispatch := fetchReady
+		if c.dispCount >= cfg.IssueWidth {
+			c.dispCycle++
+			c.dispCount = 0
+		}
+		if dispatch < c.dispCycle {
+			dispatch = c.dispCycle
+		}
+		if seq > uint64(cfg.ROBSize) {
+			if t := c.cmt[(seq-uint64(cfg.ROBSize))%histSize]; t > dispatch {
+				dispatch = t
+				// Backpressure propagates to fetch.
+				if t > c.fetchCycle {
+					c.fetchCycle, c.fetchCount = t, 1
+				}
+			}
+		}
+		if dispatch > c.dispCycle {
+			c.dispCycle, c.dispCount = dispatch, 0
+		}
+		c.dispCount++
 
-	// --- Execute.
-	var complete uint64
-	switch in.Op {
-	case isa.LOAD:
-		if c.mem != nil {
-			complete = c.mem.Data(in.Addr, int(in.Size), issue, false, owner)
-		} else {
-			complete = issue + 2
+		// --- Operand readiness from the Dep distances; issue is out of order.
+		issue := dispatch
+		if in.Dep != 0 && uint64(in.Dep) < seq {
+			issue = max64(issue, c.comp[(seq-uint64(in.Dep))%histSize])
 		}
-	case isa.STORE:
-		// Stores drain through the store buffer after retirement: the
-		// cache-state update is charged no earlier than the current commit
-		// point, so a burst of independent stores cannot flood the memory
-		// system ahead of the loads pacing the window.
-		if c.mem != nil {
-			c.mem.Data(in.Addr, int(in.Size), max64(issue, c.lastCommit), true, owner)
+		if in.Dep2 != 0 && uint64(in.Dep2) < seq {
+			issue = max64(issue, c.comp[(seq-uint64(in.Dep2))%histSize])
 		}
-		complete = issue + opLatency[isa.STORE]
-	case isa.BRANCH:
-		complete = issue + opLatency[isa.BRANCH]
-		correct := c.bp.Predict(in.PC, in.Taken)
-		if !correct {
-			// Redirect fetch after resolution.
-			r := complete + uint64(cfg.MispredictCycles)
-			if r > c.fetchCycle {
-				c.fetchCycle, c.fetchCount = r, 0
+
+		// --- Execute.
+		var complete uint64
+		switch in.Op {
+		case isa.LOAD:
+			if c.mem != nil {
+				complete = c.mem.Data(in.Addr, int(in.Size), issue, false, owner)
+			} else {
+				complete = issue + 2
+			}
+		case isa.STORE:
+			// Stores drain through the store buffer after retirement: the
+			// cache-state update is charged no earlier than the current commit
+			// point, so a burst of independent stores cannot flood the memory
+			// system ahead of the loads pacing the window.
+			if c.mem != nil {
+				c.mem.Data(in.Addr, int(in.Size), max64(issue, c.lastCommit), true, owner)
+			}
+			complete = issue + opLatency[isa.STORE]
+		case isa.BRANCH:
+			complete = issue + opLatency[isa.BRANCH]
+			correct := c.bp.Predict(in.PC, in.Taken)
+			if !correct {
+				// Redirect fetch after resolution.
+				r := complete + uint64(cfg.MispredictCycles)
+				if r > c.fetchCycle {
+					c.fetchCycle, c.fetchCount = r, 0
+				}
+				c.redirect = true
+			} else if in.Taken {
+				c.redirect = true // new fetch line next instruction
+			}
+		case isa.SYSCALL, isa.IRET:
+			// Serializing: drains the pipeline and flushes the front end.
+			complete = max64(issue, c.lastCommit) + uint64(cfg.ModeSwitchCycles)
+			if complete > c.fetchCycle {
+				c.fetchCycle, c.fetchCount = complete, 0
 			}
 			c.redirect = true
-		} else if in.Taken {
-			c.redirect = true // new fetch line next instruction
+		default:
+			complete = issue + opLatency[in.Op]
 		}
-	case isa.SYSCALL, isa.IRET:
-		// Serializing: drains the pipeline and flushes the front end.
-		complete = max64(issue, c.lastCommit) + uint64(cfg.ModeSwitchCycles)
-		if complete > c.fetchCycle {
-			c.fetchCycle, c.fetchCount = complete, 0
-		}
-		c.redirect = true
-	default:
-		complete = issue + opLatency[in.Op]
-	}
-	c.comp[seq%histSize] = complete
+		c.comp[seq%histSize] = complete
 
-	// --- Commit: in-order, retire-width limited.
-	commit := complete
-	if commit < c.commitCycle {
-		commit = c.commitCycle
+		// --- Commit: in-order, retire-width limited.
+		commit := complete
+		if commit < c.commitCycle {
+			commit = c.commitCycle
+		}
+		if commit == c.commitCycle && c.commitCount >= cfg.RetireWidth {
+			commit++
+		}
+		if commit > c.commitCycle {
+			c.commitCycle, c.commitCount = commit, 0
+		}
+		c.commitCount++
+		c.cmt[seq%histSize] = commit
+		c.lastCommit = commit
+		c.retired++
+		if commit >= stop {
+			break
+		}
 	}
-	if commit == c.commitCycle && c.commitCount >= cfg.RetireWidth {
-		commit++
-	}
-	if commit > c.commitCycle {
-		c.commitCycle, c.commitCount = commit, 0
-	}
-	c.commitCount++
-	c.cmt[seq%histSize] = commit
-	c.lastCommit = commit
-	c.retired++
-	return commit
+	return n, c.lastCommit
 }
 
 var _ Core = (*OOOCore)(nil)

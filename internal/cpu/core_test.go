@@ -258,3 +258,60 @@ func TestSkipToNeedsNoClamp(t *testing.T) {
 		}
 	}
 }
+
+// TestExecBatchMatchesExec runs one random stream through both cores twice:
+// one Exec per instruction, and ExecBatch over random splits with random
+// stop cycles. Each batch must stop right after the first instruction whose
+// one-by-one commit reaches its stop, return that commit, and leave the
+// same clock, retired count, predictor and cache statistics.
+func TestExecBatchMatchesExec(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ops := []isa.Opcode{isa.ALU, isa.ALU, isa.MUL, isa.FPU, isa.LOAD, isa.LOAD, isa.STORE, isa.BRANCH, isa.SYSCALL}
+	stream := make([]isa.Inst, 20000)
+	for i := range stream {
+		stream[i] = isa.Inst{
+			Op:    ops[rng.Intn(len(ops))],
+			PC:    0x1000 + uint64(rng.Intn(512))*4,
+			Addr:  0x10_000_000 + uint64(rng.Intn(1<<14))*64,
+			Size:  8,
+			Dep:   uint8(rng.Intn(5)),
+			Dep2:  uint8(rng.Intn(3)),
+			Taken: rng.Intn(2) == 0,
+		}
+	}
+	cores := map[string]func(*memsys.Hierarchy) Core{
+		"ooo":     func(h *memsys.Hierarchy) Core { return NewOOO(DefaultConfig(), h) },
+		"inorder": func(h *memsys.Hierarchy) Core { return NewInOrder(DefaultConfig(), h) },
+	}
+	for name, mk := range cores {
+		refMem, gotMem := memsys.New(memsys.DefaultConfig()), memsys.New(memsys.DefaultConfig())
+		ref, got := mk(refMem), mk(gotMem)
+		now := make([]uint64, len(stream))
+		for i := range stream {
+			now[i] = ref.Exec(&stream[i], cache.OwnerOS)
+		}
+		for x := 0; x < len(stream); {
+			end := min(x+1+rng.Intn(64), len(stream))
+			stop := now[x] + uint64(rng.Intn(200))
+			if rng.Intn(4) == 0 {
+				stop = ^uint64(0)
+			}
+			want := x + 1
+			for want < end && now[want-1] < stop {
+				want++
+			}
+			n, c := got.ExecBatch(stream[x:end], cache.OwnerOS, stop)
+			if x+n != want || c != now[want-1] || got.Now() != c {
+				t.Fatalf("%s: batch [%d, %d) stop %d ran to %d at cycle %d (Now %d), want %d at %d",
+					name, x, end, stop, x+n, c, got.Now(), want, now[want-1])
+			}
+			x = want
+		}
+		gl, gm := got.Predictor().Stats()
+		rl, rm := ref.Predictor().Stats()
+		if got.Retired() != ref.Retired() || gl != rl || gm != rm || gotMem.Stats() != refMem.Stats() {
+			t.Fatalf("%s: retired %d, predictor (%d, %d), mem %+v; one by one %d, (%d, %d), %+v",
+				name, got.Retired(), gl, gm, gotMem.Stats(), ref.Retired(), rl, rm, refMem.Stats())
+		}
+	}
+}

@@ -127,4 +127,17 @@ func (c *InOrderCore) Exec(in *isa.Inst, owner cache.Owner) uint64 {
 	return c.now
 }
 
+// ExecBatch implements Core as a loop over Exec.
+func (c *InOrderCore) ExecBatch(ins []isa.Inst, owner cache.Owner, stop uint64) (n int, now uint64) {
+	now = c.now
+	for n < len(ins) {
+		now = c.Exec(&ins[n], owner)
+		n++
+		if now >= stop {
+			break
+		}
+	}
+	return n, now
+}
+
 var _ Core = (*InOrderCore)(nil)

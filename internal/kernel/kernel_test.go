@@ -156,6 +156,39 @@ func TestLookupMissingFile(t *testing.T) {
 	k.Run()
 }
 
+// TestPathWalk pins the component walk every VFS path operation uses:
+// empty and "." components are skipped, ".." is kept, and the walk
+// allocates nothing.
+func TestPathWalk(t *testing.T) {
+	walk := func(path string) (comps []string) {
+		for c, i := nextComp(path, 0); c != ""; c, i = nextComp(path, i) {
+			comps = append(comps, c)
+		}
+		return comps
+	}
+	for path, want := range map[string]string{
+		"": "[]", "/": "[]", "//./": "[]", "a": "[a]", "/a": "[a]",
+		"a/": "[a]", "/a//b/./c": "[a b c]", "../x/..": "[.. x ..]", "./.a/b.": "[.a b.]",
+	} {
+		if got := fmt.Sprint(walk(path)); got != want {
+			t.Errorf("walk(%q) = %s, want %s", path, got, want)
+		}
+	}
+	path, n := "/srv/www/htdocs/index.html", 0
+	if allocs := testing.AllocsPerRun(10, func() {
+		for c, i := nextComp(path, 0); c != ""; c, i = nextComp(path, i) {
+			n++
+		}
+	}); allocs != 0 || n != 4*11 {
+		t.Errorf("walking %s: %v allocations, %d components over 11 walks", path, allocs, n)
+	}
+	_, k := newTestKernel(machine.FullSystem)
+	f := k.FS().MustCreate("//srv/./www/index.html", 10)
+	if d := k.FS().MustMkdir("/srv/www/"); f.parent != d || d.parent.parent != k.FS().Root() {
+		t.Errorf("MustCreate and MustMkdir disagree on /srv/www")
+	}
+}
+
 func TestGetdentsAndChdir(t *testing.T) {
 	_, k := newTestKernel(machine.FullSystem)
 	for i := 0; i < 5; i++ {

@@ -117,32 +117,36 @@ func (fs *FS) Root() *Dentry { return fs.root }
 // It is a setup-time host operation with no simulated cost.
 func (fs *FS) MustMkdir(path string) *Dentry {
 	d := fs.root
-	for _, comp := range splitPath(path) {
-		child := d.find(comp)
-		if child == nil {
-			child = fs.addChild(d, comp, true, 0)
-		}
-		if !child.IsDir() {
-			fs.k.panicf("MustMkdir: %q is a file", comp)
-		}
-		d = child
+	for comp, i := nextComp(path, 0); comp != ""; comp, i = nextComp(path, i) {
+		d = fs.mkdirIn(d, comp)
 	}
 	return d
+}
+
+// mkdirIn creates (or finds) directory name in d.
+func (fs *FS) mkdirIn(d *Dentry, name string) *Dentry {
+	child := d.find(name)
+	if child == nil {
+		child = fs.addChild(d, name, true, 0)
+	}
+	if !child.IsDir() {
+		fs.k.panicf("MustMkdir: %q is a file", name)
+	}
+	return child
 }
 
 // MustCreate creates a regular file of the given size at path (creating
 // parent directories) and returns its dentry. Contents start on disk: the
 // first read of each page goes to the block device.
 func (fs *FS) MustCreate(path string, size int64) *Dentry {
-	comps := splitPath(path)
-	if len(comps) == 0 {
+	name, i := nextComp(path, 0)
+	if name == "" {
 		fs.k.panicf("MustCreate: empty path")
 	}
 	dir := fs.root
-	if len(comps) > 1 {
-		dir = fs.MustMkdir(strings.Join(comps[:len(comps)-1], "/"))
+	for next, j := nextComp(path, i); next != ""; next, j = nextComp(path, j) {
+		dir, name = fs.mkdirIn(dir, name), next
 	}
-	name := comps[len(comps)-1]
 	if dir.find(name) != nil {
 		fs.k.panicf("MustCreate: %q exists", path)
 	}
@@ -228,14 +232,21 @@ func (d *Dentry) find(name string) *Dentry {
 	return nil
 }
 
-func splitPath(path string) []string {
-	var out []string
-	for _, c := range strings.Split(path, "/") {
-		if c != "" && c != "." {
-			out = append(out, c)
+// nextComp returns the first component of path[i:] other than "" and ".",
+// and the offset to continue from; comp is "" when none is left. Walking a
+// path with it allocates nothing: components are substrings of path.
+func nextComp(path string, i int) (comp string, next int) {
+	for i < len(path) {
+		j := strings.IndexByte(path[i:], '/')
+		if j < 0 {
+			j = len(path) - i
+		}
+		comp, i = path[i:i+j], i+j+1
+		if comp != "" && comp != "." {
+			return comp, i
 		}
 	}
-	return out
+	return "", i
 }
 
 // --- Page cache -----------------------------------------------------------
@@ -363,8 +374,7 @@ func (fs *FS) lookup(p *Proc, path string) *Dentry {
 	}
 	e.Call(k.fn.pathLookup)
 	e.Ops(12)
-	comps := splitPath(path)
-	for ci, comp := range comps {
+	for comp, i := nextComp(path, 0); comp != ""; comp, i = nextComp(path, i) {
 		if comp == ".." {
 			e.Ops(6)
 			if d.parent != nil {
@@ -396,7 +406,7 @@ func (fs *FS) lookup(p *Proc, path string) *Dentry {
 			e.Ops(4)
 		}
 		e.Load(child.inode.addr, 8, 1)
-		if ci < len(comps)-1 {
+		if more, _ := nextComp(path, i); more != "" {
 			e.Ops(3)
 		}
 		d = child

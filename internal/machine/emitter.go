@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fssim/internal/cache"
 	"fssim/internal/isa"
 	"fssim/internal/memsim"
 )
@@ -77,17 +78,20 @@ func (e Emitter) emit(in isa.Inst) {
 	e.m.execStaged()
 }
 
-// Bulk fast-forward. While the machine fast-forwards, an instruction costs
-// Exec nothing but counting and a virtual-clock add, so the counted helpers
-// below — whose instruction count and mix are known up front — check the
-// fast-forward state once per call and, when it holds, hand their stream to
-// ffRun instead of emitting it instruction by instruction, reproducing Exec's
-// counters, signature, cursor and virtual clock exactly; see DESIGN.md §8.
+// Shaped helpers. The counted helpers below (Ops, Chain, Mix, FOps,
+// CopyLines, ScanLines, WriteLines, ChaseList) know their instruction
+// stream up front, so each describes it once — an ffShape plus a fill
+// function — and hands it to Emitter.run, which applies it span by span:
+// in bulk while the machine fast-forwards, in batches through the timing
+// core while it simulates in detail, and one instruction at a time through
+// Exec in between. Every path reproduces Exec's counters, signature, cursor,
+// clock and event firing points exactly; see DESIGN.md §8.
 
 // ffShape describes a counted helper's instruction stream: one period of
 // instructions repeated, with the slot of the period's load, store and
-// branch (-1 when absent). A shape with a branch is an Emitter.Loop: the
-// branch is the period's last slot and jumps back to the loop head.
+// branch (-1 when absent). A shape with a branch is a loop: the branch is
+// the period's last slot and jumps back to the loop head, taken in every
+// period but the last.
 type ffShape struct {
 	period              int
 	load, store, branch int
@@ -110,22 +114,32 @@ func (sh *ffShape) slots(s, x, y int) uint64 {
 	return uint64((y+p-1-s)/p - (x+p-1-s)/p)
 }
 
-// ffRun emits instructions [0, n) of a counted helper while the machine
-// fast-forwards. Each round applies the longest span Machine.ffSpan allows
-// in O(1) apart from its virtual-clock adds, then passes the boundary
-// instruction to step, which emits instruction x exactly as the helper's
-// per-instruction path would. Only a boundary can fire events, so the
-// fast-forward state and cancellation are checked once per round; if an
-// event ends the fast-forward, step emits the rest one by one. start is a
-// loop shape's head PC.
-func (e Emitter) ffRun(sh *ffShape, n int, start uint64, step func(x int)) {
+// fillFunc writes instructions x, x+1, … of a shaped helper's stream into
+// dst, all fields but the PC: the PC comes from the live cursor when the
+// instruction runs.
+type fillFunc func(x int, dst []isa.Inst)
+
+// run executes instructions [0, n) of a shaped helper whose stream is sh
+// and fill; start is a loop shape's head PC. Each round looks at the
+// machine once:
+//   - fast-forwarding: the longest span Machine.ffSpan allows is applied in
+//     O(1) apart from its virtual-clock adds, and the boundary instruction
+//     after it goes through Exec;
+//   - simulating in detail: a batch goes through the timing core (detail);
+//   - otherwise — an application interval is about to open lazily, or
+//     App-Only kernel code runs at no cost — one instruction goes through
+//     Exec.
+func (e Emitter) run(sh *ffShape, n int, start uint64, fill fillFunc) {
 	m, p := e.m, sh.period
-	for x := 0; x < n; x++ {
-		if iv := m.ffState(); iv != nil {
+	for x := 0; x < n; {
+		switch iv := m.ffState(); {
+		case iv != nil:
 			m.AbortIfCanceled()
 			if k := m.ffSpan(n - x); k > 0 {
 				y := x + k
-				m.ffCount(iv, uint64(k), sh.slots(sh.load, x, y), sh.slots(sh.store, x, y), sh.slots(sh.branch, x, y))
+				m.count(sh, x, y)
+				iv.emuInsts += uint64(k)
+				iv.emuTotal += uint64(k)
 				loop, last := sh.branch >= 0, y-1
 				switch head := last - last%p; {
 				case loop && last%p == sh.branch && y < n:
@@ -139,66 +153,105 @@ func (e Emitter) ffRun(sh *ffShape, n int, start uint64, step func(x int)) {
 					return
 				}
 			}
+		case m.cur == nil && m.depth == 0 && m.appSink != nil, m.depth > 0 && m.cfg.Mode == AppOnly:
+		default:
+			x += e.detail(sh, x, n, fill)
+			continue
 		}
-		step(x)
+		fill(x, m.batch[:1])
+		m.inst = m.batch[0]
+		taken, target := m.inst.Taken, m.inst.Target
+		m.execStaged()
+		if taken {
+			m.cursor.PC = target
+		}
+		x++
 	}
 }
 
-// mixPattern is one period of Mix's instruction stream.
-var mixPattern = [8]isa.Inst{
-	{Op: isa.ALU}, {Op: isa.ALU}, {Op: isa.ALU}, {Op: isa.ALU, Dep: 1},
-	{Op: isa.ALU}, {Op: isa.ALU, Dep: 2}, {Op: isa.ALU}, {Op: isa.MUL},
+// detail runs the next batch of a shaped helper, starting at instruction
+// x < n, through the timing core, and returns how many instructions ran.
+// A batch holds at most len(Machine.batch) instructions and ends at Exec's
+// next cancellation poll, so a canceled run aborts at the same instruction
+// as it would one instruction at a time. The core stops it after the first
+// instruction whose commit reaches the next event (unless a delivery is
+// already on the stack, when Exec would not poll). That instruction is the
+// only one at which events fire, and it is handled as Exec and the emitter
+// handle it: the counters and signature first, then the poll with the
+// cursor just past it, then a taken branch's retarget.
+func (e Emitter) detail(sh *ffShape, x, n int, fill fillFunc) int {
+	m := e.m
+	if m.totalInsts&255 == 0 {
+		m.AbortIfCanceled()
+	}
+	b := m.batch[:min(n-x, len(m.batch), 256-int(m.totalInsts&255))]
+	fill(x, b)
+	pc := m.cursor.PC
+	for j := range b {
+		b[j].PC = pc
+		pc += 4
+		if b[j].Taken {
+			pc = b[j].Target
+		}
+	}
+	stop := m.next
+	if m.delivering {
+		stop = ^uint64(0)
+	}
+	owner := cache.OwnerApp
+	if m.depth > 0 {
+		owner = cache.OwnerOS
+	}
+	k, now := m.core.ExecBatch(b, owner, stop)
+	// Event handlers may reuse the batch array: read the last instruction
+	// out before polling.
+	last := b[k-1]
+	m.count(sh, x, x+k)
+	m.cursor.PC = last.PC + 4
+	if now >= m.next && !m.delivering {
+		m.pollEvents()
+	}
+	if last.Taken {
+		m.cursor.PC = last.Target
+	}
+	return k
 }
 
-// fopsPattern is one period of FOps's instruction stream.
-var fopsPattern = [4]isa.Inst{{Op: isa.FPU}, {Op: isa.FPU}, {Op: isa.FPU}, {Op: isa.FPU, Dep: 1}}
+// Straight-line helper patterns: one period of each stream, a power of two
+// long.
+var (
+	opsPattern   = [1]isa.Inst{{Op: isa.ALU}}
+	chainPattern = [1]isa.Inst{{Op: isa.ALU, Dep: 1}}
+	mixPattern   = [8]isa.Inst{
+		{Op: isa.ALU}, {Op: isa.ALU}, {Op: isa.ALU}, {Op: isa.ALU, Dep: 1},
+		{Op: isa.ALU}, {Op: isa.ALU, Dep: 2}, {Op: isa.ALU}, {Op: isa.MUL},
+	}
+	fopsPattern = [4]isa.Inst{{Op: isa.FPU}, {Op: isa.FPU}, {Op: isa.FPU}, {Op: isa.FPU, Dep: 1}}
+)
+
+// straight runs n instructions of a straight-line helper: pat repeated.
+func (e Emitter) straight(n int, pat []isa.Inst) {
+	e.run(&ffStraight, n, 0, func(x int, dst []isa.Inst) {
+		for j := range dst {
+			dst[j] = pat[(x+j)&(len(pat)-1)]
+		}
+	})
+}
 
 // Ops emits n independent single-cycle integer operations.
-func (e Emitter) Ops(n int) {
-	if e.m.ffState() != nil {
-		e.ffRun(&ffStraight, n, 0, func(int) { e.emit(isa.Inst{Op: isa.ALU}) })
-		return
-	}
-	for i := 0; i < n; i++ {
-		e.emit(isa.Inst{Op: isa.ALU})
-	}
-}
+func (e Emitter) Ops(n int) { e.straight(n, opsPattern[:]) }
 
 // Chain emits n serially dependent integer operations (a dependence chain,
 // e.g. an address calculation or reduction).
-func (e Emitter) Chain(n int) {
-	if e.m.ffState() != nil {
-		e.ffRun(&ffStraight, n, 0, func(int) { e.emit(isa.Inst{Op: isa.ALU, Dep: 1}) })
-		return
-	}
-	for i := 0; i < n; i++ {
-		e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
-	}
-}
+func (e Emitter) Chain(n int) { e.straight(n, chainPattern[:]) }
 
 // Mix emits n instructions with a typical integer-code shape: mostly ALU with
 // scattered short dependence chains and an occasional multiply — the filler
 // between the memory operations that dominate timing.
-func (e Emitter) Mix(n int) {
-	if e.m.ffState() != nil {
-		e.ffRun(&ffStraight, n, 0, func(i int) { e.emit(mixPattern[i&7]) })
-		return
-	}
-	for i := 0; i < n; i++ {
-		e.emit(mixPattern[i&7])
-	}
-}
+func (e Emitter) Mix(n int) { e.straight(n, mixPattern[:]) }
 
 // FOps emits n floating-point operations with moderate dependence.
-func (e Emitter) FOps(n int) {
-	if e.m.ffState() != nil {
-		e.ffRun(&ffStraight, n, 0, func(i int) { e.emit(fopsPattern[i&3]) })
-		return
-	}
-	for i := 0; i < n; i++ {
-		e.emit(fopsPattern[i&3])
-	}
-}
+func (e Emitter) FOps(n int) { e.straight(n, fopsPattern[:]) }
 
 // Div emits one integer divide.
 func (e Emitter) Div() { e.emit(isa.Inst{Op: isa.DIV, Dep: 1}) }
@@ -279,28 +332,22 @@ func (e Emitter) Loop(iters int, body func(i int)) {
 // are independent (addresses come from the induction variable), so the
 // out-of-order core overlaps their misses the way real memcpy does.
 func (e Emitter) CopyLines(dst, src uint64, n int) {
-	if n > 0 && e.m.ffState() != nil {
-		start := e.m.cursor.PC
-		e.ffRun(&ffCopy, 4*n, start, func(x int) {
-			i := x / 4
-			switch x % 4 {
+	start := e.m.cursor.PC
+	e.run(&ffCopy, 4*n, start, func(x int, b []isa.Inst) {
+		for j := range b {
+			i := (x + j) / 4
+			off := uint64(i) * 64
+			switch (x + j) % 4 {
 			case 0:
-				e.emit(isa.Inst{Op: isa.ALU, Dep: 4})
+				b[j] = isa.Inst{Op: isa.ALU, Dep: 4}
 			case 1:
-				e.Load(src+uint64(i)*64, 64, 1)
+				b[j] = isa.Inst{Op: isa.LOAD, Addr: src + off, Size: 64, Dep: 1}
 			case 2:
-				e.Store(dst+uint64(i)*64, 64)
+				b[j] = isa.Inst{Op: isa.STORE, Addr: dst + off, Size: 64}
 			default:
-				e.Branch(i < n-1, start)
+				b[j] = isa.Inst{Op: isa.BRANCH, Taken: i < n-1, Target: start}
 			}
-		})
-		return
-	}
-	e.Loop(n, func(i int) {
-		off := uint64(i) * 64
-		e.emit(isa.Inst{Op: isa.ALU, Dep: 4})
-		e.Load(src+off, 64, 1)
-		e.Store(dst+off, 64)
+		}
 	})
 }
 
@@ -311,27 +358,21 @@ func (e Emitter) ScanLines(addr uint64, n int, stride uint64) {
 	if stride == 0 {
 		stride = 64
 	}
-	if n > 0 && e.m.ffState() != nil {
-		start := e.m.cursor.PC
-		e.ffRun(&ffScan, 4*n, start, func(x int) {
-			i := x / 4
-			switch x % 4 {
+	start := e.m.cursor.PC
+	e.run(&ffScan, 4*n, start, func(x int, b []isa.Inst) {
+		for j := range b {
+			i := (x + j) / 4
+			switch (x + j) % 4 {
 			case 0:
-				e.emit(isa.Inst{Op: isa.ALU, Dep: 4})
+				b[j] = isa.Inst{Op: isa.ALU, Dep: 4}
 			case 1:
-				e.Load(addr+uint64(i)*stride, 8, 1)
+				b[j] = isa.Inst{Op: isa.LOAD, Addr: addr + uint64(i)*stride, Size: 8, Dep: 1}
 			case 2:
-				e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
+				b[j] = isa.Inst{Op: isa.ALU, Dep: 1}
 			default:
-				e.Branch(i < n-1, start)
+				b[j] = isa.Inst{Op: isa.BRANCH, Taken: i < n-1, Target: start}
 			}
-		})
-		return
-	}
-	e.Loop(n, func(i int) {
-		e.emit(isa.Inst{Op: isa.ALU, Dep: 4})
-		e.Load(addr+uint64(i)*stride, 8, 1)
-		e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
+		}
 	})
 }
 
@@ -340,24 +381,19 @@ func (e Emitter) WriteLines(addr uint64, n int, stride uint64) {
 	if stride == 0 {
 		stride = 64
 	}
-	if n > 0 && e.m.ffState() != nil {
-		start := e.m.cursor.PC
-		e.ffRun(&ffWrite, 3*n, start, func(x int) {
-			i := x / 3
-			switch x % 3 {
+	start := e.m.cursor.PC
+	e.run(&ffWrite, 3*n, start, func(x int, b []isa.Inst) {
+		for j := range b {
+			i := (x + j) / 3
+			switch (x + j) % 3 {
 			case 0:
-				e.emit(isa.Inst{Op: isa.ALU, Dep: 3})
+				b[j] = isa.Inst{Op: isa.ALU, Dep: 3}
 			case 1:
-				e.Store(addr+uint64(i)*stride, 64)
+				b[j] = isa.Inst{Op: isa.STORE, Addr: addr + uint64(i)*stride, Size: 64}
 			default:
-				e.Branch(i < n-1, start)
+				b[j] = isa.Inst{Op: isa.BRANCH, Taken: i < n-1, Target: start}
 			}
-		})
-		return
-	}
-	e.Loop(n, func(i int) {
-		e.emit(isa.Inst{Op: isa.ALU, Dep: 3})
-		e.Store(addr+uint64(i)*stride, 64)
+		}
 	})
 }
 
@@ -366,40 +402,29 @@ func (e Emitter) WriteLines(addr uint64, n int, stride uint64) {
 // address depends on the previous load's result, so the walk serializes at
 // the memory latency. Each iteration emits [LOAD, ALU, BRANCH]; the next
 // iteration's load therefore names the producer three instructions back.
+// The walk exits to the instruction after the loop body, wherever an event
+// handler left the cursor during the last iteration.
 func (e Emitter) ChaseList(nodes []uint64) {
-	start := e.m.cursor.PC
-	if len(nodes) > 0 && e.m.ffState() != nil {
-		e.ffRun(&ffChase, 3*len(nodes), start, func(x int) {
-			i := x / 3
-			switch x % 3 {
-			case 0:
-				dep := uint8(3)
-				if i == 0 {
-					dep = 0
-				}
-				e.Load(nodes[i], 8, dep)
-			case 1:
-				e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
-			default:
-				e.Branch(i < len(nodes)-1, start)
-				e.m.cursor.PC = start
-			}
-		})
-		e.m.cursor.PC = start + 12
+	if len(nodes) == 0 {
 		return
 	}
-	for i, a := range nodes {
-		e.m.cursor.PC = start
-		dep := uint8(3) // the previous iteration's load
-		if i == 0 {
-			dep = 0 // head pointer is already in a register
+	start := e.m.cursor.PC
+	e.run(&ffChase, 3*len(nodes), start, func(x int, b []isa.Inst) {
+		for j := range b {
+			i := (x + j) / 3
+			switch (x + j) % 3 {
+			case 0:
+				dep := uint8(3) // the previous iteration's load
+				if i == 0 {
+					dep = 0 // head pointer is already in a register
+				}
+				b[j] = isa.Inst{Op: isa.LOAD, Addr: nodes[i], Size: 8, Dep: dep}
+			case 1:
+				b[j] = isa.Inst{Op: isa.ALU, Dep: 1}
+			default:
+				b[j] = isa.Inst{Op: isa.BRANCH, Taken: i < len(nodes)-1, Target: start}
+			}
 		}
-		e.Load(a, 8, dep)
-		e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
-		e.Branch(i < len(nodes)-1, start)
-		e.m.cursor.PC = start
-	}
-	if len(nodes) > 0 {
-		e.m.cursor.PC = start + 12
-	}
+	})
+	e.m.cursor.PC = start + 12
 }

@@ -245,6 +245,11 @@ type Machine struct {
 	// emissions is safe.
 	inst isa.Inst
 
+	// batch is where Emitter.run stages a shaped helper's instructions for
+	// the timing core: a fixed array inside the machine, so a batch costs no
+	// allocation.
+	batch [64]isa.Inst
+
 	// measScratch and predScratch are the per-machine interval buffers:
 	// close publishes each detailed measurement and each degenerate
 	// fallback prediction through these instead of allocating per interval.
@@ -445,10 +450,11 @@ func (m *Machine) execStaged() {
 // guest code normally call this through an Emitter, which manages the PC
 // cursor.
 func (m *Machine) Exec(in *isa.Inst) {
-	// Cancellation is polled here on every 256th instruction and by the
-	// bulk fast-forward paths once per span (Emitter.ffRun), so a canceled
-	// run aborts within one span — at most 512/virtCPI fast-forwarded
-	// instructions — plus 256 instructions of Exec.
+	// Cancellation is polled here on every 256th instruction, by detailed
+	// batches at the same instructions, and by the bulk fast-forward path
+	// once per span (Emitter.run), so a canceled run aborts within one span
+	// — at most 512/virtCPI fast-forwarded instructions — plus 256 detailed
+	// instructions.
 	if m.totalInsts&255 == 0 {
 		m.AbortIfCanceled()
 	}
@@ -492,7 +498,7 @@ func (m *Machine) Exec(in *isa.Inst) {
 	} else {
 		now = m.core.Exec(in, owner)
 	}
-	if now >= m.next {
+	if now >= m.next && !m.delivering {
 		m.pollEvents()
 	}
 }
@@ -512,7 +518,7 @@ func (m *Machine) advanceVirtual() {
 // ffState returns the open interval when it is fast-forwarded — the next
 // instruction would then be applied by Exec with no effect beyond counting
 // into that interval and the virtual clock — and nil otherwise.
-// Emitter.ffRun applies instructions in bulk only while it is non-nil.
+// Emitter.run applies instructions in bulk only while it is non-nil.
 func (m *Machine) ffState() *interval {
 	if iv := m.cur; iv != nil && iv.emulating {
 		return iv
@@ -540,22 +546,23 @@ func (m *Machine) ffSpan(n int) int {
 	return k
 }
 
-// ffCount adds k instructions fast-forwarded in interval iv, of which loads,
-// stores and branches are the signature's classes, to the counters Exec
-// would bump.
-func (m *Machine) ffCount(iv *interval, k, loads, stores, branches uint64) {
+// count adds instructions [x, y) of a stream shaped sh to the counters
+// Exec bumps for each: the machine's instruction totals and the open
+// interval's signature.
+func (m *Machine) count(sh *ffShape, x, y int) {
+	k := uint64(y - x)
 	m.totalInsts += k
 	if m.depth > 0 {
 		m.osInsts += k
 	} else {
 		m.userInsts += k
 	}
-	iv.emuInsts += k
-	iv.emuTotal += k
-	iv.sig.Insts += k
-	iv.sig.Loads += loads
-	iv.sig.Stores += stores
-	iv.sig.Branches += branches
+	if iv := m.cur; iv != nil {
+		iv.sig.Insts += k
+		iv.sig.Loads += sh.slots(sh.load, x, y)
+		iv.sig.Stores += sh.slots(sh.store, x, y)
+		iv.sig.Branches += sh.slots(sh.branch, x, y)
+	}
 }
 
 // KEnter records entry into kernel mode for service svc. The first-level
