@@ -147,34 +147,21 @@ func main() {
 		// the run and cause (see experiments.RunError).
 		fmt.Fprintf(os.Stderr, "fsbench: %d of %d experiments failed:\n%v\n", len(results)-ok, len(results), err)
 	}
-	// Artifact export goes through the same drain path the serving front-end
-	// uses on SIGTERM: it runs even when the suite was interrupted (Ctrl-C)
-	// or partially failed, and canceled runs' partial traces are flushed too
-	// (labeled "!aborted"), so an interrupted invocation still leaves usable
-	// traces and metrics. One artifact failing does not skip the other.
-	if *traceOut != "" || *metricsOut != "" {
-		fctx, fcancel := context.WithTimeout(context.Background(), *drain)
-		werr := server.WriteArtifacts(fctx, sched, *traceOut, *metricsOut)
-		fcancel()
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "fsbench: %v\n", werr)
-			os.Exit(1)
-		}
-		if *traceOut != "" {
-			fmt.Printf("trace: wrote %s\n", *traceOut)
-		}
+	// Artifact export and the authoritative snapshot sweep go through the
+	// drain path the serving front-end uses on SIGTERM. It runs even when the
+	// suite was interrupted (Ctrl-C) or partially failed, and canceled runs'
+	// partial traces are flushed too (labeled "!aborted"). Empty paths skip
+	// their artifact and no warm dir skips the sweep; one failure does not
+	// skip the rest, and the drain budget keeps a wedged run from hanging exit.
+	fctx, fcancel := context.WithTimeout(context.Background(), *drain)
+	werr := server.WriteArtifacts(fctx, sched, *traceOut, *metricsOut)
+	fcancel()
+	if werr != nil {
+		fmt.Fprintf(os.Stderr, "fsbench: %v\n", werr)
+		os.Exit(1)
 	}
-	// The authoritative snapshot sweep: when WriteArtifacts didn't run (no
-	// -trace/-metrics), an invocation with a warm dir still leaves every
-	// completed accelerated run's learned table on disk before exiting —
-	// bounded by the same drain budget so a wedged run cannot hang exit.
-	if *warmDir != "" && *traceOut == "" && *metricsOut == "" {
-		fctx, fcancel := context.WithTimeout(context.Background(), *drain)
-		_, werr := sched.FlushWarm(fctx)
-		fcancel()
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "fsbench: plt snapshot flush: %v\n", werr)
-		}
+	if *traceOut != "" {
+		fmt.Printf("trace: wrote %s\n", *traceOut)
 	}
 	st := sched.Stats()
 	fmt.Printf("suite: %d/%d experiments, %d distinct simulations (%d requests, %d served from cache, %d failed, %d retried), sim %.1fs in %.1fs wall at -j %d\n",

@@ -200,10 +200,10 @@ func (a *Accelerator) Summary() Summary {
 	s.Services = len(a.learners)
 	for _, l := range a.learners {
 		// Warm-up instances are neither learned nor predicted but were fully
-		// simulated; count them against coverage via seen.
-		s.Learned += l.seen - l.Predicted
+		// simulated; count them against coverage via Seen.
+		s.Learned += l.Seen - l.Predicted
 		s.Predicted += l.Predicted
-		s.Outliers += l.Outliers
+		s.Outliers += l.OutlierN
 		s.Relearns += l.Relearns
 		s.Degrades += l.Degrades
 		s.Clusters += len(l.Table.Clusters)
@@ -233,9 +233,9 @@ func (a *Accelerator) Report() []ServiceReport {
 	out := make([]ServiceReport, 0, len(a.learners))
 	for _, l := range a.Learners() {
 		out = append(out, ServiceReport{
-			Service: l.Svc, Seen: l.seen, Clusters: len(l.Table.Clusters),
-			Predicted: l.Predicted, Outliers: l.Outliers, Relearns: l.Relearns,
-			Degrades: l.Degrades, Phase: l.Phase(), OutlierRate: l.OutlierRate(),
+			Service: l.Service, Seen: l.Seen, Clusters: len(l.Table.Clusters),
+			Predicted: l.Predicted, Outliers: l.OutlierN, Relearns: l.Relearns,
+			Degrades: l.Degrades, Phase: l.PhaseName(), OutlierRate: l.OutlierRate(),
 		})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Seen > out[j].Seen })
@@ -267,7 +267,7 @@ func (a *Accelerator) Health() Health {
 	h := Health{Watchdog: a.params.WatchdogThreshold > 0, Services: len(a.learners)}
 	for _, svc := range a.order {
 		l := a.learners[svc]
-		switch l.phase {
+		switch l.Phase {
 		case phasePredicting:
 			h.Predicting++
 		case phaseDegraded:
@@ -278,7 +278,7 @@ func (a *Accelerator) Health() Health {
 		h.Degrades += l.Degrades
 		if r := l.OutlierRate(); r > h.WorstOutlierRate {
 			h.WorstOutlierRate = r
-			h.WorstService = l.Svc
+			h.WorstService = l.Service
 		}
 	}
 	return h

@@ -59,7 +59,7 @@ func TestLearnerPredictsClusterMean(t *testing.T) {
 	if pred.Cycles != 5000 {
 		t.Errorf("predicted cycles = %d, want 5000", pred.Cycles)
 	}
-	if l.Outliers != 0 {
+	if l.OutlierN != 0 {
 		t.Errorf("in-range prediction counted as outlier")
 	}
 }
@@ -76,8 +76,8 @@ func TestBestMatchNeverRelearns(t *testing.T) {
 	if l.WantDetailed() {
 		t.Error("Best-Match fell out of prediction mode")
 	}
-	if l.Outliers != 50 {
-		t.Errorf("outliers = %d", l.Outliers)
+	if l.OutlierN != 50 {
+		t.Errorf("outliers = %d", l.OutlierN)
 	}
 }
 
@@ -352,9 +352,9 @@ func TestTriggerRelearnResetsState(t *testing.T) {
 	if !l.WantDetailed() {
 		t.Fatal("triggerRelearn did not leave prediction mode")
 	}
-	if l.Relearns != 1 || l.outliers != nil || l.learnLeft != l.params.Window() {
+	if l.Relearns != 1 || l.Outliers != nil || l.LearnLeft != l.params.Window() {
 		t.Errorf("relearn state: relearns=%d outliers=%v learnLeft=%d",
-			l.Relearns, l.outliers, l.learnLeft)
+			l.Relearns, l.Outliers, l.LearnLeft)
 	}
 }
 
@@ -368,7 +368,7 @@ func TestWatchdogDisabledByDefault(t *testing.T) {
 		l.Predict(sig(40000))
 	}
 	if l.Degrades != 0 || l.WantDetailed() {
-		t.Errorf("disabled watchdog degraded: degrades=%d phase=%s", l.Degrades, l.Phase())
+		t.Errorf("disabled watchdog degraded: degrades=%d phase=%s", l.Degrades, l.PhaseName())
 	}
 	if r := l.OutlierRate(); r != 0 {
 		t.Errorf("disabled watchdog reports outlier rate %v", r)
@@ -404,8 +404,8 @@ func TestWatchdogDegradeAndRearm(t *testing.T) {
 		}
 		l.Predict(sig(40000))
 	}
-	if l.Degrades != 1 || l.Phase() != "degraded" {
-		t.Fatalf("watchdog did not degrade: degrades=%d phase=%s", l.Degrades, l.Phase())
+	if l.Degrades != 1 || l.PhaseName() != "degraded" {
+		t.Fatalf("watchdog did not degrade: degrades=%d phase=%s", l.Degrades, l.PhaseName())
 	}
 	if !l.WantDetailed() {
 		t.Fatal("degraded learner must run detailed")
@@ -419,8 +419,8 @@ func TestWatchdogDegradeAndRearm(t *testing.T) {
 	for i := 0; i < 2*l.params.Window() && l.WantDetailed(); i++ {
 		l.Observe(sig(40000), feedMeas(40000, 99000))
 	}
-	if l.Phase() != "predicting" {
-		t.Fatalf("watchdog never re-armed: phase=%s", l.Phase())
+	if l.PhaseName() != "predicting" {
+		t.Fatalf("watchdog never re-armed: phase=%s", l.PhaseName())
 	}
 	if pred := l.Predict(sig(40100)); pred.Cycles != 99000 {
 		t.Errorf("re-armed prediction = %d, want the new behavior's 99000", pred.Cycles)
@@ -438,8 +438,8 @@ func TestWatchdogHoldsWhileDrifting(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		l.Predict(sig(40000))
 	}
-	if l.Phase() != "degraded" {
-		t.Fatalf("setup failed: phase=%s", l.Phase())
+	if l.PhaseName() != "degraded" {
+		t.Fatalf("setup failed: phase=%s", l.PhaseName())
 	}
 	// Every observation lands somewhere new: nothing matches the table.
 	v := uint64(50000)
@@ -447,8 +447,8 @@ func TestWatchdogHoldsWhileDrifting(t *testing.T) {
 		l.Observe(sig(v), feedMeas(v, 10*v))
 		v += v / 2
 	}
-	if l.Phase() != "degraded" {
-		t.Errorf("drifting service re-armed prediction: phase=%s", l.Phase())
+	if l.PhaseName() != "degraded" {
+		t.Errorf("drifting service re-armed prediction: phase=%s", l.PhaseName())
 	}
 }
 

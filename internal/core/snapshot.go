@@ -9,14 +9,17 @@ import (
 	"fssim/internal/stats"
 )
 
-// This file is the snapshot boundary of the acceleration engine: Export
-// captures everything a Learner's state machine holds — PLT clusters with
-// full moments, phase, outlier bookkeeping, watchdog rings, counters — into
-// plain exported value types, and Import rebuilds an equivalent engine from
-// them. The invariant warm-starting rests on: an imported accelerator
-// produces exactly the predictions (and exactly the re-export) the original
-// would have, so a warm-started run's predictions come from the same
-// clusters a continuous run would have used.
+// This file is the snapshot boundary of the acceleration engine. A Learner
+// keeps all of its persistent state in its embedded LearnerState — PLT
+// clusters with full moments, phase, outlier bookkeeping, watchdog rings,
+// counters — so Export is one deep copy of each learner's state and Import
+// validates a state and installs a copy of it. There is no second form to
+// keep in step: a field added to LearnerState is in every exported state
+// (internal/pltstore's codec still writes fields one by one). The
+// invariant warm-starting rests on: an imported accelerator produces exactly
+// the predictions (and exactly the re-export) the original would have, so a
+// warm-started run's predictions come from the same clusters a continuous
+// run would have used.
 //
 // Import is the trust boundary for on-disk state (internal/pltstore feeds it
 // decoded snapshot files): it strictly validates everything — NaN or
@@ -37,7 +40,7 @@ const (
 	maxSnapshotOutliers = 1 << 16
 	maxSnapshotEPOs     = 1 << 20
 	maxSnapshotRing     = 1 << 20
-	maxOutlierID        = 30000 // nextOutID wraps here (see Learner.outlier)
+	maxOutlierID        = 30000 // NextOutID wraps here (see Learner.outlier)
 )
 
 // moments lists the nine accumulators for validation.
@@ -46,63 +49,9 @@ func (ps Perf) moments() []stats.Moments {
 		ps.L1IA, ps.L1DA, ps.L2A, ps.L2WB, ps.IPC}
 }
 
-// ClusterState is the exported form of one scaled cluster.
-type ClusterState struct {
-	Centroid    float64
-	MixCentroid [3]float64
-	N           int64
-	Perf        Perf
-}
-
-// OutlierState is the exported form of one outlier entry (the occurrence
-// bookkeeping the re-learning strategies score; paper §4.4).
-type OutlierState struct {
-	ID       int
-	Centroid float64
-	N        int64
-	EPOs     []float64
-}
-
-// LearnerState is the exported form of one service's learner: table, phase
-// machine, outlier and watchdog bookkeeping, and evaluation counters.
-type LearnerState struct {
-	Service isa.ServiceID
-	Phase   int
-	Seen    int64
-
-	WarmLeft  int
-	LearnLeft int
-
-	Ring    []int16
-	RingPos int
-
-	NextOutID int
-	Outliers  []OutlierState
-
-	WDRing []bool
-	WDPos  int
-	WDLen  int
-	WDOut  int
-
-	HoldLeft     int
-	RearmSeen    int
-	RearmMatched int
-
-	Learned   int64
-	Predicted int64
-	OutlierN  int64
-	Relearns  int64
-	Degrades  int64
-
-	ObsCycles float64
-	ObsInsts  float64
-
-	Clusters []ClusterState
-}
-
 // AccelState is the full exported state of an Accelerator: its parameters
-// and every learner in first-seen order. All fields are plain values, so the
-// type is directly serializable (internal/pltstore) and comparable with
+// and a deep copy of every learner's state in first-seen order, so the type
+// is directly serializable (internal/pltstore) and comparable with
 // reflect.DeepEqual in tests.
 type AccelState struct {
 	Params   Params
@@ -119,53 +68,35 @@ func (a *Accelerator) Export() *AccelState {
 		st.Learners = make([]LearnerState, 0, len(a.order))
 	}
 	for _, svc := range a.order {
-		st.Learners = append(st.Learners, a.learners[svc].export())
+		st.Learners = append(st.Learners, a.learners[svc].clone())
 	}
 	return st
 }
 
-func (l *Learner) export() LearnerState {
-	ls := LearnerState{
-		Service:   l.Svc,
-		Phase:     int(l.phase),
-		Seen:      l.seen,
-		WarmLeft:  l.warmLeft,
-		LearnLeft: l.learnLeft,
-		Ring:      append([]int16(nil), l.ring...),
-		RingPos:   l.ringPos,
-		NextOutID: l.nextOutID,
-		WDPos:     l.wdPos,
-		WDLen:     l.wdLen,
-		WDOut:     l.wdOut,
-		HoldLeft:  l.holdLeft,
-		RearmSeen: l.rearmSeen, RearmMatched: l.rearmMatched,
-		Learned: l.Learned, Predicted: l.Predicted, OutlierN: l.Outliers,
-		Relearns: l.Relearns, Degrades: l.Degrades,
-		ObsCycles: l.obsCycles, ObsInsts: l.obsInsts,
-	}
-	if len(l.wdRing) > 0 {
-		ls.WDRing = append([]bool(nil), l.wdRing...)
-	}
-	if len(l.outliers) > 0 {
-		ls.Outliers = make([]OutlierState, 0, len(l.outliers))
-		for _, o := range l.outliers {
-			os := OutlierState{ID: o.id, Centroid: o.centroid, N: o.n}
-			if len(o.epos) > 0 {
-				os.EPOs = append([]float64(nil), o.epos...)
-			}
-			ls.Outliers = append(ls.Outliers, os)
+// clone returns a deep copy of the state that shares no memory with ls.
+// Empty lists come back nil, as the snapshot codec decodes them.
+func (ls *LearnerState) clone() LearnerState {
+	c := *ls
+	c.Ring = append([]int16(nil), ls.Ring...)
+	c.WDRing = append([]bool(nil), ls.WDRing...)
+	c.Outliers = nil
+	if len(ls.Outliers) > 0 {
+		c.Outliers = make([]OutlierState, len(ls.Outliers))
+		for i, o := range ls.Outliers {
+			o.EPOs = append([]float64(nil), o.EPOs...)
+			c.Outliers[i] = o
 		}
 	}
-	if len(l.Table.Clusters) > 0 {
-		ls.Clusters = make([]ClusterState, 0, len(l.Table.Clusters))
-		for _, c := range l.Table.Clusters {
-			ls.Clusters = append(ls.Clusters, ClusterState{
-				Centroid: c.Centroid, MixCentroid: c.MixCentroid, N: c.N,
-				Perf: c.Perf,
-			})
+	c.Table.Clusters = nil
+	if n := len(ls.Table.Clusters); n > 0 {
+		cs := make([]Cluster, n)
+		c.Table.Clusters = make([]*Cluster, n)
+		for i, cl := range ls.Table.Clusters {
+			cs[i] = *cl
+			c.Table.Clusters[i] = &cs[i]
 		}
 	}
-	return ls
+	return c
 }
 
 // Import rebuilds the accelerator from an exported state. The receiver must
@@ -186,50 +117,11 @@ func (a *Accelerator) Import(st *AccelState) error {
 	a.params = st.Params
 	a.deferred = st.Deferred
 	for i := range st.Learners {
-		l := st.Learners[i].restore(st.Params)
-		l.trc = a.trc
-		a.learners[l.Svc] = l
-		a.order = append(a.order, l.Svc)
+		l := &Learner{LearnerState: st.Learners[i].clone(), params: st.Params, trc: a.trc}
+		a.learners[l.Service] = l
+		a.order = append(a.order, l.Service)
 	}
 	return nil
-}
-
-func (ls *LearnerState) restore(p Params) *Learner {
-	l := &Learner{
-		Svc: ls.Service, params: p,
-		phase:     phase(ls.Phase),
-		seen:      ls.Seen,
-		warmLeft:  ls.WarmLeft,
-		learnLeft: ls.LearnLeft,
-		ring:      append([]int16(nil), ls.Ring...),
-		ringPos:   ls.RingPos,
-		nextOutID: ls.NextOutID,
-		wdPos:     ls.WDPos,
-		wdLen:     ls.WDLen,
-		wdOut:     ls.WDOut,
-		holdLeft:  ls.HoldLeft,
-		rearmSeen: ls.RearmSeen, rearmMatched: ls.RearmMatched,
-		Learned: ls.Learned, Predicted: ls.Predicted, Outliers: ls.OutlierN,
-		Relearns: ls.Relearns, Degrades: ls.Degrades,
-		obsCycles: ls.ObsCycles, obsInsts: ls.ObsInsts,
-	}
-	if len(ls.WDRing) > 0 {
-		l.wdRing = append([]bool(nil), ls.WDRing...)
-	}
-	for _, os := range ls.Outliers {
-		o := &outlierEntry{id: os.ID, centroid: os.Centroid, n: os.N}
-		if len(os.EPOs) > 0 {
-			o.epos = append([]float64(nil), os.EPOs...)
-		}
-		l.outliers = append(l.outliers, o)
-	}
-	for _, cs := range ls.Clusters {
-		l.Table.Clusters = append(l.Table.Clusters, &Cluster{
-			Centroid: cs.Centroid, MixCentroid: cs.MixCentroid, N: cs.N,
-			Perf: cs.Perf,
-		})
-	}
-	return l
 }
 
 // Validate checks the state in full: parameter sanity, phase ranges, ring
@@ -275,7 +167,7 @@ func (ls *LearnerState) validate(p Params) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrBadState, fmt.Sprintf(format, args...))
 	}
-	if ls.Phase < int(phaseWarmup) || ls.Phase > int(phaseDegraded) {
+	if ls.Phase < phaseWarmup || ls.Phase > phaseDegraded {
 		return bad("phase %d out of range", ls.Phase)
 	}
 	if ls.Seen < 0 || ls.Learned < 0 || ls.Predicted < 0 || ls.OutlierN < 0 ||
@@ -348,10 +240,10 @@ func (ls *LearnerState) validate(p Params) error {
 			}
 		}
 	}
-	if len(ls.Clusters) > maxSnapshotClusters {
-		return bad("%d clusters exceeds limit %d", len(ls.Clusters), maxSnapshotClusters)
+	if len(ls.Table.Clusters) > maxSnapshotClusters {
+		return bad("%d clusters exceeds limit %d", len(ls.Table.Clusters), maxSnapshotClusters)
 	}
-	for j, c := range ls.Clusters {
+	for j, c := range ls.Table.Clusters {
 		if !finite(c.Centroid) || c.Centroid < 0 {
 			return bad("cluster %d: invalid centroid %g", j, c.Centroid)
 		}

@@ -220,6 +220,34 @@ func TestZeroTimeoutMeansNoDeadline(t *testing.T) {
 	}
 }
 
+// TestMemoizedRunKeepsNoMachine: a memoized run publishes its statistics
+// without the machine and kernel that produced them, so the cache does not
+// pin every finished run's simulated hardware. RunOnce, which memoizes
+// nothing, still hands both to its caller.
+func TestMemoizedRunKeepsNoMachine(t *testing.T) {
+	s := NewScheduler(Config{Scale: 1, Seed: 1, Parallelism: 1})
+	for _, mode := range []machine.SimMode{machine.FullSystem, machine.Accelerated} {
+		key := s.cfg.benchKey("ok-test", mode, 0)
+		res, err := s.Get(key)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if res.Stats.Cycles == 0 {
+			t.Errorf("%v: run produced no cycles", mode)
+		}
+		if res.Machine != nil || res.Kernel != nil {
+			t.Errorf("%v: memoized result keeps machine %v, kernel %v", mode, res.Machine != nil, res.Kernel != nil)
+		}
+		run, err := RunOnce(key, "", Hooks{})
+		if err != nil {
+			t.Fatalf("%v: RunOnce: %v", mode, err)
+		}
+		if run.Result.Machine == nil || run.Result.Kernel == nil {
+			t.Errorf("%v: RunOnce dropped its machine or kernel", mode)
+		}
+	}
+}
+
 // TestNegativeTimeoutIsConfigError pins the other half: a negative timeout is
 // a configuration mistake surfaced at Run/RunMany time, never a silent
 // immediate cancel.

@@ -25,7 +25,8 @@ import (
 // carry a Profiler (characterization is free to record and lets Figs 3-6
 // share the same cached simulations as the fig1/fig8 baselines); Accelerated
 // runs carry their Accelerator. Both are immutable once the run completes,
-// so concurrent readers need no locking.
+// so concurrent readers need no locking. A memoized entry's res has no
+// Machine or Kernel: Scheduler.run drops them before publishing.
 type runOutput struct {
 	res      workload.Result
 	acc      *core.Accelerator
@@ -208,6 +209,7 @@ func (s *Scheduler) Stats() SchedStats {
 }
 
 // Get runs (or returns the memoized result of) the simulation key describes.
+// The result carries statistics only: no Machine or Kernel.
 func (s *Scheduler) Get(key RunKey) (workload.Result, error) {
 	out, err := s.get(s.cfg.context(), key, nil)
 	return out.res, err
@@ -349,6 +351,9 @@ func (s *Scheduler) run(ctx context.Context, key RunKey, e *runEntry, st *expSta
 	e.out, e.err = s.execute(ctx, key, prior, prov)
 	e.wall = time.Since(start)
 	<-s.slots
+	// No memo reader needs the finished machine or kernel, and keeping them
+	// would pin every run's simulated hardware for the scheduler's lifetime.
+	e.out.res.Machine, e.out.res.Kernel = nil, nil
 
 	s.simWall.Add(int64(e.wall))
 	if st != nil {

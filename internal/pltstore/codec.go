@@ -274,9 +274,8 @@ func (e *encoder) learner(l *core.LearnerState) {
 	e.i64(l.Degrades)
 	e.f64(l.ObsCycles)
 	e.f64(l.ObsInsts)
-	e.uvarint(uint64(len(l.Clusters)))
-	for i := range l.Clusters {
-		c := &l.Clusters[i]
+	e.uvarint(uint64(len(l.Table.Clusters)))
+	for _, c := range l.Table.Clusters {
 		e.f64(c.Centroid)
 		e.f64(c.MixCentroid[0])
 		e.f64(c.MixCentroid[1])
@@ -568,9 +567,11 @@ func (d *decoder) learner(l *core.LearnerState) {
 	l.ObsCycles = d.f64("observed cycles")
 	l.ObsInsts = d.f64("observed instructions")
 	if n := d.count("cluster", maxDecodeClusters, 8); n > 0 {
-		l.Clusters = make([]core.ClusterState, n)
-		for i := range l.Clusters {
-			c := &l.Clusters[i]
+		cs := make([]core.Cluster, n)
+		l.Table.Clusters = make([]*core.Cluster, n)
+		for i := range cs {
+			c := &cs[i]
+			l.Table.Clusters[i] = c
 			c.Centroid = d.f64("cluster centroid")
 			c.MixCentroid[0] = d.f64("mix centroid")
 			c.MixCentroid[1] = d.f64("mix centroid")

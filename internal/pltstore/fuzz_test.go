@@ -157,7 +157,7 @@ func fuzzSnapshot(data []byte) *Snapshot {
 			l.Outliers = append(l.Outliers, o)
 		}
 		for j, m := 0, r.intn(3); j < m; j++ {
-			c := core.ClusterState{
+			c := &core.Cluster{
 				Centroid:    r.f64(),
 				MixCentroid: [3]float64{r.f64(), r.f64(), r.f64()},
 				N:           int64(r.next()),
@@ -165,7 +165,7 @@ func fuzzSnapshot(data []byte) *Snapshot {
 			c.Perf.Cycles = stats.Moments{N: int64(r.next()), Mean: r.f64(), M2: r.f64()}
 			c.Perf.IPC = stats.Moments{N: int64(r.next()), Mean: r.f64(), M2: r.f64()}
 			c.Perf.L2WB = stats.Moments{N: int64(r.next()), Mean: r.f64(), M2: r.f64()}
-			l.Clusters = append(l.Clusters, c)
+			l.Table.Clusters = append(l.Table.Clusters, c)
 		}
 		st.Learners = append(st.Learners, l)
 	}

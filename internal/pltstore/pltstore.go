@@ -50,7 +50,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"fssim/internal/core"
 	"fssim/internal/durable"
@@ -194,15 +193,15 @@ type Store struct {
 	fsys durable.FS
 
 	// live tracks temp files owned by in-flight writers in this process so
-	// the orphan sweep never deletes a temp that is about to be renamed.
-	mu    sync.Mutex
-	live  map[string]bool
-	swept atomic.Bool // first-save orphan sweep has run (or Recover did)
+	// Recover's orphan sweep never deletes a temp that is about to be
+	// renamed.
+	mu   sync.Mutex
+	live map[string]bool
 }
 
 // Open returns a store rooted at dir, backed by the real filesystem. The
 // directory is created lazily on first save, so opening a store never
-// touches the filesystem; call Recover to run the startup sweep eagerly.
+// touches the filesystem; call Recover to run the startup sweep.
 func Open(dir string) *Store { return OpenFS(dir, durable.OS()) }
 
 // OpenFS returns a store rooted at dir on the given filesystem. Production
@@ -283,44 +282,14 @@ func (t trackFS) Remove(path string) error {
 
 func (s *Store) writeFS() durable.FS { return trackFS{FS: s.fsys, s: s} }
 
-// sweepOrphans deletes stale temp files left by crashed writers. Temps owned
-// by in-flight writers in this process are skipped; a temp owned by a writer
-// in *another* process sharing the directory could be swept, in which case
-// that writer's rename fails cleanly (save error, no corruption) — the store
-// is concurrency-safe within a process and crash-safe across them.
-func (s *Store) sweepOrphans() int {
-	entries, err := s.fsys.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	removed := 0
-	for _, e := range entries {
-		if e.Dir || !strings.HasPrefix(e.Name, durable.TempPrefix) {
-			continue
-		}
-		p := filepath.Join(s.dir, e.Name)
-		if s.isLive(p) {
-			continue
-		}
-		if s.fsys.Remove(p) == nil {
-			removed++
-		}
-	}
-	return removed
-}
-
 // Save writes the snapshot crash-consistently through the durable path:
 // encoded to a temp file, fsync'd, renamed into place, directory fsync'd. A
 // concurrent reader never observes a partial file, and a crash at any point
 // leaves the address holding the previous snapshot or the new one bit-exact
-// (plus at worst an orphan temp for the next sweep). The first save also
-// sweeps orphan temps left by earlier crashed processes.
+// (plus at worst an orphan temp for the next Recover to delete).
 func (s *Store) Save(snap *Snapshot) error {
 	if err := snap.Validate(); err != nil {
 		return fmt.Errorf("pltstore: refusing to save: %w", err)
-	}
-	if s.swept.CompareAndSwap(false, true) {
-		s.sweepOrphans()
 	}
 	path := s.Path(snap.Benchmark, snap.LearnHash)
 	if err := durable.AtomicWrite(s.writeFS(), s.dir, filepath.Base(path), Encode(snap)); err != nil {

@@ -229,7 +229,7 @@ func TestLoadMismatch(t *testing.T) {
 func TestSaveRejectsInvalid(t *testing.T) {
 	s := Open(t.TempDir())
 	snap := richSnapshot()
-	snap.State.Learners[0].Clusters[0].Centroid = math.NaN()
+	snap.State.Learners[0].Table.Clusters[0].Centroid = math.NaN()
 	if err := s.Save(snap); err == nil || !errors.Is(err, core.ErrBadState) {
 		t.Errorf("save of invalid state = %v, want ErrBadState", err)
 	}
@@ -249,7 +249,7 @@ func TestLoadRejectsSemanticCorruption(t *testing.T) {
 	}
 	// Re-encode with a poisoned centroid, bypassing Save's validation.
 	bad := richSnapshot()
-	bad.State.Learners[0].Clusters[0].Centroid = -1
+	bad.State.Learners[0].Table.Clusters[0].Centroid = -1
 	if err := os.WriteFile(s.Path(snap.Benchmark, snap.LearnHash), Encode(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}

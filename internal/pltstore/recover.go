@@ -38,13 +38,18 @@ func isSnapshotName(name string) bool { return strings.HasSuffix(name, ".plt") }
 // are untouched, bit-exact. Files that are neither temps nor snapshots are
 // left alone.
 //
+// Temps owned by in-flight writers in this process are skipped; a temp
+// owned by a writer in *another* process sharing the directory could be
+// deleted, in which case that writer's rename fails cleanly (save error, no
+// corruption) — the store is concurrency-safe within a process and
+// crash-safe across them.
+//
 // Recover is idempotent and safe to call on a store that was shut down
-// cleanly (it finds nothing to do). Callers that skip it still get the
-// orphan sweep lazily on first save and per-file verification on every load;
-// Recover adds the eager quarantine and the recovered.* counts.
+// cleanly (it finds nothing to do). It is the store's only orphan sweep:
+// callers that skip it keep per-file verification on every load, but
+// nothing deletes stale temps or quarantines bad files.
 func (s *Store) Recover() (RecoveryReport, error) {
 	var rep RecoveryReport
-	s.swept.Store(true) // the first-save lazy sweep is now redundant
 	entries, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
 		if errors.Is(err, iofs.ErrNotExist) {

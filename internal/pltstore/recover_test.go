@@ -130,8 +130,8 @@ func TestCrashBetweenTempAndRename(t *testing.T) {
 	}
 }
 
-// TestSweepSparesLiveTemps pins the guard: an orphan sweep never deletes a
-// temp file a concurrent in-process writer still owns.
+// TestSweepSparesLiveTemps pins the guard: Recover's orphan sweep never
+// deletes a temp file a concurrent in-process writer still owns.
 func TestSweepSparesLiveTemps(t *testing.T) {
 	dir := t.TempDir()
 	s := Open(dir)
@@ -140,31 +140,14 @@ func TestSweepSparesLiveTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.markLive(liveTemp, true)
-	if n := s.sweepOrphans(); n != 0 {
-		t.Fatalf("sweep removed %d files, want 0", n)
+	if rep, err := s.Recover(); err != nil || rep.Orphans != 0 {
+		t.Fatalf("recover removed %d files (err %v), want 0", rep.Orphans, err)
 	}
 	if _, err := os.Stat(liveTemp); err != nil {
 		t.Fatal("live temp was deleted by the sweep")
 	}
 	s.markLive(liveTemp, false)
-	if n := s.sweepOrphans(); n != 1 {
-		t.Fatalf("sweep after release removed %d files, want 1", n)
-	}
-}
-
-// TestFirstSaveSweepsOrphans: the lazy path — a store that never calls
-// Recover still cleans stale temps the first time it writes.
-func TestFirstSaveSweepsOrphans(t *testing.T) {
-	dir := t.TempDir()
-	orphan := filepath.Join(dir, durable.TempPrefix+"stale")
-	if err := os.WriteFile(orphan, []byte("old junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := Open(dir)
-	if err := s.Save(richSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatal("first save did not sweep the orphan temp")
+	if rep, err := s.Recover(); err != nil || rep.Orphans != 1 {
+		t.Fatalf("recover after release removed %d files (err %v), want 1", rep.Orphans, err)
 	}
 }

@@ -107,7 +107,7 @@ const maxMemFrac = 0.75
 // only the performance moments are rescaled. Sample counts are capped at
 // PriorWeight with variance preserved (M2 shrunk proportionally to the
 // retained degrees of freedom).
-func scaleCluster(c core.ClusterState, m ScaleModel) core.ClusterState {
+func scaleCluster(c core.Cluster, m ScaleModel) core.Cluster {
 	oldCyc := c.Perf.Cycles.Mean
 	oldL2M := c.Perf.L2M.Mean
 
@@ -184,33 +184,23 @@ var ErrNoClusters = errors.New("transfer: donor snapshot has no learned clusters
 // are dropped; the accelerator re-creates them on demand as cold learners.
 //
 // targetParams are the recipient run's learner parameters; the returned
-// state carries them, with fresh rings sized to their windows and the
-// divergence watchdog armed whenever they arm it — a transferred table is
-// exactly the situation the watchdog exists for. The result always passes
+// state carries them, and each learner starts from core.NewLearnerState
+// under them: fresh rings sized to their windows and the divergence
+// watchdog armed whenever they arm it — a transferred table is exactly the
+// situation the watchdog exists for. The result always passes
 // core.AccelState.Validate.
 func Rescale(st *core.AccelState, model ScaleModel, targetParams core.Params) (*core.AccelState, error) {
 	out := &core.AccelState{Params: targetParams, Deferred: st.Deferred}
 	for _, l := range st.Learners {
-		if len(l.Clusters) == 0 {
+		if len(l.Table.Clusters) == 0 {
 			continue
 		}
-		nl := core.LearnerState{
-			Service:   l.Service,
-			Phase:     1, // learning: refit before predicting
-			LearnLeft: RefitWindow,
-			Ring:      make([]int16, movingWindow(targetParams)),
-			NextOutID: 1,
-		}
-		for i := range nl.Ring {
-			nl.Ring[i] = -1
-		}
-		if targetParams.WatchdogThreshold > 0 {
-			nl.WDRing = make([]bool, watchdogWindow(targetParams))
-		}
-		nl.Clusters = make([]core.ClusterState, 0, len(l.Clusters))
-		for _, c := range l.Clusters {
-			sc := scaleCluster(c, model)
-			nl.Clusters = append(nl.Clusters, sc)
+		nl := core.NewLearnerState(l.Service, targetParams)
+		nl.Phase, nl.WarmLeft, nl.LearnLeft = 1, 0, RefitWindow // learning: refit before predicting
+		nl.Table.Clusters = make([]*core.Cluster, 0, len(l.Table.Clusters))
+		for _, c := range l.Table.Clusters {
+			sc := scaleCluster(*c, model)
+			nl.Table.Clusters = append(nl.Table.Clusters, &sc)
 			nl.ObsCycles += float64(sc.N) * sc.Perf.Cycles.Mean
 			nl.ObsInsts += float64(sc.N) * sc.Centroid
 		}
@@ -223,24 +213,6 @@ func Rescale(st *core.AccelState, model ScaleModel, targetParams core.Params) (*
 		return nil, fmt.Errorf("transfer: rescaled state invalid: %w", err)
 	}
 	return out, nil
-}
-
-func movingWindow(p core.Params) int {
-	if p.MovingWindow > 0 {
-		return p.MovingWindow
-	}
-	return core.DefaultParams().MovingWindow
-}
-
-func watchdogWindow(p core.Params) int {
-	switch {
-	case p.WatchdogWindow > 0:
-		return p.WatchdogWindow
-	case p.MovingWindow > 0:
-		return p.MovingWindow
-	default:
-		return core.DefaultParams().MovingWindow
-	}
 }
 
 // TransferHash is the provenance trailer stored in a transferred snapshot

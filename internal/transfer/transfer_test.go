@@ -245,9 +245,9 @@ func donorState(t *testing.T) *core.AccelState {
 		}
 		return w
 	}
-	cluster := func(centroid, cyc, l2m float64) core.ClusterState {
+	cluster := func(centroid, cyc, l2m float64) *core.Cluster {
 		const n = 50
-		return core.ClusterState{
+		return &core.Cluster{
 			Centroid:    centroid,
 			MixCentroid: [3]float64{centroid * 0.3, centroid * 0.2, centroid * 0.1},
 			N:           n,
@@ -263,7 +263,7 @@ func donorState(t *testing.T) *core.AccelState {
 	learned := core.LearnerState{
 		Service: isa.Sys(4), Phase: 2, Seen: 120,
 		Ring: make([]int16, p.MovingWindow), NextOutID: 1,
-		Clusters: []core.ClusterState{cluster(1000, 2400, 3), cluster(5000, 14000, 25)},
+		Table: core.PLT{Clusters: []*core.Cluster{cluster(1000, 2400, 3), cluster(5000, 14000, 25)}},
 	}
 	for i := range learned.Ring {
 		learned.Ring[i] = -1
@@ -316,8 +316,8 @@ func TestRescaleProducesValidPriors(t *testing.T) {
 		t.Error("evaluation counters must reset on import")
 	}
 
-	orig := st.Learners[0].Clusters
-	for i, c := range l.Clusters {
+	orig := st.Learners[0].Table.Clusters
+	for i, c := range l.Table.Clusters {
 		if c.Centroid != orig[i].Centroid || c.MixCentroid != orig[i].MixCentroid {
 			t.Errorf("cluster %d: signature changed — centroids are workload properties", i)
 		}
