@@ -14,12 +14,12 @@ import (
 // clusters with full moments, phase, outlier bookkeeping, watchdog rings,
 // counters — so Export is one deep copy of each learner's state and Import
 // validates a state and installs a copy of it. There is no second form to
-// keep in step: a field added to LearnerState is in every exported state
-// (internal/pltstore's codec still writes fields one by one). The
-// invariant warm-starting rests on: an imported accelerator produces exactly
-// the predictions (and exactly the re-export) the original would have, so a
-// warm-started run's predictions come from the same clusters a continuous
-// run would have used.
+// keep in step: a field added to LearnerState is in every exported state,
+// and internal/pltstore's codec names it once, in the one walk its encoder
+// and decoder share. The invariant warm-starting rests on: an imported
+// accelerator produces exactly the predictions (and exactly the re-export)
+// the original would have, so a warm-started run's predictions come from the
+// same clusters a continuous run would have used.
 //
 // Import is the trust boundary for on-disk state (internal/pltstore feeds it
 // decoded snapshot files): it strictly validates everything — NaN or
@@ -33,20 +33,22 @@ var ErrBadState = errors.New("core: invalid accelerator state")
 
 // Snapshot size limits. Real runs stay orders of magnitude below these; a
 // crafted or corrupt snapshot that exceeds them is rejected instead of
-// allocating unbounded memory.
+// allocating unbounded memory. The snapshot decoder (internal/pltstore)
+// bounds its list counts by the same limits before it allocates.
 const (
-	maxSnapshotLearners = 1 << 12
-	maxSnapshotClusters = 1 << 16
-	maxSnapshotOutliers = 1 << 16
-	maxSnapshotEPOs     = 1 << 20
-	maxSnapshotRing     = 1 << 20
-	maxOutlierID        = 30000 // NextOutID wraps here (see Learner.outlier)
+	MaxSnapshotLearners = 1 << 12
+	MaxSnapshotClusters = 1 << 16
+	MaxSnapshotOutliers = 1 << 16
+	MaxSnapshotEPOs     = 1 << 20
+	MaxSnapshotRing     = 1 << 20 // moving-window and watchdog rings
+	maxOutlierID        = 30000   // NextOutID wraps here (see Learner.outlier)
 )
 
-// moments lists the nine accumulators for validation.
-func (ps Perf) moments() []stats.Moments {
-	return []stats.Moments{ps.Cycles, ps.L1IM, ps.L1DM, ps.L2M,
-		ps.L1IA, ps.L1DA, ps.L2A, ps.L2WB, ps.IPC}
+// Moments lists the nine accumulators in one fixed order, the order the
+// snapshot codec writes them and the validator checks them.
+func (ps *Perf) Moments() [9]*stats.Moments {
+	return [9]*stats.Moments{&ps.Cycles, &ps.L1IM, &ps.L1DM, &ps.L2M,
+		&ps.L1IA, &ps.L1DA, &ps.L2A, &ps.L2WB, &ps.IPC}
 }
 
 // AccelState is the full exported state of an Accelerator: its parameters
@@ -136,7 +138,7 @@ func (st *AccelState) Validate() error {
 		return bad("nil state")
 	}
 	p := st.Params
-	if p.MovingWindow <= 0 || p.MovingWindow > maxSnapshotRing {
+	if p.MovingWindow <= 0 || p.MovingWindow > MaxSnapshotRing {
 		return bad("moving window %d out of range", p.MovingWindow)
 	}
 	if !finite(p.PMin) || !finite(p.DoC) || !finite(p.RangeFrac) ||
@@ -146,8 +148,8 @@ func (st *AccelState) Validate() error {
 	if p.Strategy < BestMatch || p.Strategy > Statistical {
 		return bad("unknown strategy %d", p.Strategy)
 	}
-	if len(st.Learners) > maxSnapshotLearners {
-		return bad("%d learners exceeds limit %d", len(st.Learners), maxSnapshotLearners)
+	if len(st.Learners) > MaxSnapshotLearners {
+		return bad("%d learners exceeds limit %d", len(st.Learners), MaxSnapshotLearners)
 	}
 	seen := make(map[isa.ServiceID]bool, len(st.Learners))
 	for i := range st.Learners {
@@ -191,7 +193,7 @@ func (ls *LearnerState) validate(p Params) error {
 	if ls.NextOutID < 1 || ls.NextOutID > maxOutlierID+1 {
 		return bad("next outlier id %d out of range", ls.NextOutID)
 	}
-	if len(ls.WDRing) > maxSnapshotRing {
+	if len(ls.WDRing) > MaxSnapshotRing {
 		return bad("watchdog ring length %d exceeds limit", len(ls.WDRing))
 	}
 	if len(ls.WDRing) == 0 {
@@ -218,8 +220,8 @@ func (ls *LearnerState) validate(p Params) error {
 	if ls.HoldLeft < 0 || ls.RearmSeen < 0 || ls.RearmMatched < 0 || ls.RearmMatched > ls.RearmSeen {
 		return bad("invalid re-arm bookkeeping")
 	}
-	if len(ls.Outliers) > maxSnapshotOutliers {
-		return bad("%d outlier entries exceeds limit %d", len(ls.Outliers), maxSnapshotOutliers)
+	if len(ls.Outliers) > MaxSnapshotOutliers {
+		return bad("%d outlier entries exceeds limit %d", len(ls.Outliers), MaxSnapshotOutliers)
 	}
 	for j, o := range ls.Outliers {
 		if o.ID < 1 || o.ID > maxOutlierID {
@@ -231,7 +233,7 @@ func (ls *LearnerState) validate(p Params) error {
 		if o.N < 1 {
 			return bad("outlier %d: member count %d < 1", j, o.N)
 		}
-		if len(o.EPOs) > maxSnapshotEPOs {
+		if len(o.EPOs) > MaxSnapshotEPOs {
 			return bad("outlier %d: %d probability estimates exceeds limit", j, len(o.EPOs))
 		}
 		for _, e := range o.EPOs {
@@ -240,8 +242,8 @@ func (ls *LearnerState) validate(p Params) error {
 			}
 		}
 	}
-	if len(ls.Table.Clusters) > maxSnapshotClusters {
-		return bad("%d clusters exceeds limit %d", len(ls.Table.Clusters), maxSnapshotClusters)
+	if len(ls.Table.Clusters) > MaxSnapshotClusters {
+		return bad("%d clusters exceeds limit %d", len(ls.Table.Clusters), MaxSnapshotClusters)
 	}
 	for j, c := range ls.Table.Clusters {
 		if !finite(c.Centroid) || c.Centroid < 0 {
@@ -255,7 +257,7 @@ func (ls *LearnerState) validate(p Params) error {
 		if c.N < 1 {
 			return bad("cluster %d: member count %d < 1", j, c.N)
 		}
-		for k, m := range c.Perf.moments() {
+		for k, m := range c.Perf.Moments() {
 			if m.N < 0 || m.N > c.N {
 				return bad("cluster %d: moment %d count %d outside [0,%d]", j, k, m.N, c.N)
 			}

@@ -138,7 +138,7 @@ func TestImportValidation(t *testing.T) {
 		"negative M2":          func(st *AccelState) { st.Learners[0].Table.Clusters[0].Perf.Cycles.M2 = -1 },
 		"moment count over N":  func(st *AccelState) { st.Learners[0].Table.Clusters[0].Perf.IPC.N = 1 << 40 },
 		"cluster count over limit": func(st *AccelState) {
-			st.Learners[0].Table.Clusters = make([]*Cluster, maxSnapshotClusters+1)
+			st.Learners[0].Table.Clusters = make([]*Cluster, MaxSnapshotClusters+1)
 			for i := range st.Learners[0].Table.Clusters {
 				st.Learners[0].Table.Clusters[i] = &Cluster{Centroid: 1, N: 1}
 			}

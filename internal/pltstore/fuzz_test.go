@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"fssim/internal/cache"
 	"fssim/internal/core"
 	"fssim/internal/isa"
 	"fssim/internal/machine"
@@ -22,28 +23,32 @@ import (
 //     deterministic PRNG, including NaN/Inf floats and extreme counters the
 //     semantic validator would reject — survive Encode -> Decode -> Encode
 //     byte-identically. The codec is bit-exact below the validation layer.
+//
+// Property 1 also runs on the input sealed as a snapshot body (a valid
+// header and checksum around it): raw bytes almost never pass the checksum,
+// so only sealed bodies reach the decoder's structural checks.
 func FuzzPLTSnapshotRoundTrip(f *testing.F) {
+	valid := Encode(richSnapshot())
 	f.Add([]byte{})
 	f.Add([]byte("FSSIMPLT garbage that is not a real snapshot"))
-	f.Add(Encode(richSnapshot()))
-	trunc := Encode(richSnapshot())
-	f.Add(trunc[:len(trunc)/2])
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[12 : len(valid)-8]) // the body alone
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Property 1: decoding arbitrary bytes is total and typed.
-		snap, err := Decode(data)
-		if err != nil {
-			var fe *FormatError
-			if !errors.As(err, &fe) {
-				t.Fatalf("decode error %v is not a *FormatError", err)
-			}
-			if snap != nil {
-				t.Fatal("decode returned a snapshot alongside an error")
-			}
-		} else {
-			again := Encode(snap)
-			if !bytes.Equal(again, data) {
-				t.Fatalf("decoded input re-encodes to different bytes (%d vs %d)", len(again), len(data))
+		for _, in := range [][]byte{data, seal(data)} {
+			snap, err := Decode(in)
+			if err != nil {
+				var fe *FormatError
+				if !errors.As(err, &fe) {
+					t.Fatalf("decode error %v is not a *FormatError", err)
+				}
+				if snap != nil {
+					t.Fatal("decode returned a snapshot alongside an error")
+				}
+			} else if again := Encode(snap); !bytes.Equal(again, in) {
+				t.Fatalf("decoded input re-encodes to different bytes (%d vs %d)", len(again), len(in))
 			}
 		}
 
@@ -79,8 +84,9 @@ func (r *fuzzRand) intn(n int) int { return int(r.next() % uint64(n)) }
 func (r *fuzzRand) f64() float64 { return math.Float64frombits(r.next()) }
 
 // fuzzSnapshot builds a structurally encodable (not necessarily semantically
-// valid) snapshot from the input bytes. Integer fields that the decoder
-// range-checks stay within int32; everything else is unconstrained.
+// valid) snapshot from the input bytes. It sets every field the codec
+// carries. Integer fields that the decoder range-checks stay within int32
+// (sweep coordinates within [0, MaxInt32]); everything else is unconstrained.
 func fuzzSnapshot(data []byte) *Snapshot {
 	r := &fuzzRand{s: 0x5eed}
 	for _, b := range data {
@@ -96,11 +102,16 @@ func fuzzSnapshot(data []byte) *Snapshot {
 	}
 	i32 := func() int { return int(int32(r.next())) }
 	snap := &Snapshot{
-		LearnHash:  r.next(),
-		ReplayHash: r.next(),
-		Benchmark:  str(24),
-		Key:        str(48),
-		State:      &core.AccelState{},
+		LearnHash:    r.next(),
+		ReplayHash:   r.next(),
+		Family:       r.next(),
+		TransferHash: r.next(),
+		Benchmark:    str(24),
+		Key:          str(48),
+		State:        &core.AccelState{},
+	}
+	for _, c := range coordFields(&snap.Coords) {
+		*c = r.intn(math.MaxInt32 + 1)
 	}
 	snap.Stats = machine.Stats{
 		Cycles: r.next(), Insts: r.next(), UserInsts: r.next(), OSInsts: r.next(),
@@ -111,9 +122,12 @@ func fuzzSnapshot(data []byte) *Snapshot {
 		},
 		DRAM: r.next(), BrLookups: r.next(), BrMispreds: r.next(),
 	}
-	snap.Stats.Mem.L1I.Accesses = r.next()
-	snap.Stats.Mem.L1D.Misses = r.next()
-	snap.Stats.Mem.L2.Writebacks = r.next()
+	for _, c := range []*cache.Stats{&snap.Stats.Mem.L1I, &snap.Stats.Mem.L1D, &snap.Stats.Mem.L2} {
+		*c = cache.Stats{
+			Accesses: r.next(), Misses: r.next(), OSAccesses: r.next(), OSMisses: r.next(),
+			Writebacks: r.next(), Evictions: r.next(), PollutionEv: r.next(),
+		}
+	}
 	st := snap.State
 	st.Params = core.Params{
 		Strategy: core.Strategy(i32()), PMin: r.f64(), DoC: r.f64(), RangeFrac: r.f64(),
@@ -162,9 +176,10 @@ func fuzzSnapshot(data []byte) *Snapshot {
 				MixCentroid: [3]float64{r.f64(), r.f64(), r.f64()},
 				N:           int64(r.next()),
 			}
-			c.Perf.Cycles = stats.Moments{N: int64(r.next()), Mean: r.f64(), M2: r.f64()}
-			c.Perf.IPC = stats.Moments{N: int64(r.next()), Mean: r.f64(), M2: r.f64()}
-			c.Perf.L2WB = stats.Moments{N: int64(r.next()), Mean: r.f64(), M2: r.f64()}
+			for _, m := range []*stats.Moments{&c.Perf.Cycles, &c.Perf.L1IM, &c.Perf.L1DM,
+				&c.Perf.L2M, &c.Perf.L1IA, &c.Perf.L1DA, &c.Perf.L2A, &c.Perf.L2WB, &c.Perf.IPC} {
+				*m = stats.Moments{N: int64(r.next()), Mean: r.f64(), M2: r.f64()}
+			}
 			l.Table.Clusters = append(l.Table.Clusters, c)
 		}
 		st.Learners = append(st.Learners, l)

@@ -130,14 +130,9 @@ func (s *Snapshot) Validate() error {
 	if s.Stats.Insts == 0 || s.Stats.Cycles == 0 {
 		return fmt.Errorf("%w: degenerate run statistics", core.ErrBadState)
 	}
-	c := s.Coords
-	for _, v := range []int{
-		c.L1ISize, c.L1IAssoc, c.L1DSize, c.L1DAssoc, c.L2Size, c.L2Assoc,
-		c.FetchWidth, c.IssueWidth, c.RetireWidth, c.ROBSize,
-		c.MemLatency, c.BusOccupancy,
-	} {
-		if v < 0 {
-			return fmt.Errorf("%w: negative sweep coordinate %d", core.ErrBadState, v)
+	for _, v := range coordFields(&s.Coords) {
+		if *v < 0 {
+			return fmt.Errorf("%w: negative sweep coordinate %d", core.ErrBadState, *v)
 		}
 	}
 	return nil

@@ -78,6 +78,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if again := Encode(got); !bytes.Equal(data, again) {
 		t.Errorf("re-encode is not byte-identical: %d vs %d bytes", len(again), len(data))
 	}
+	// Encode leaves its input as it was, an empty non-nil list included.
+	in, want := richSnapshot(), richSnapshot()
+	in.State.Learners[0].Outliers = []core.OutlierState{}
+	want.State.Learners[0].Outliers = []core.OutlierState{}
+	Encode(in)
+	if !reflect.DeepEqual(in, want) {
+		t.Error("Encode modified the snapshot it encoded")
+	}
 }
 
 // TestStoreRoundTrip covers the full save/load path through the filesystem,

@@ -286,9 +286,17 @@ func Assemble(opts Options) *Sim {
 // Run simulates the populated system until every thread exits and returns
 // its result (Wall is left to the caller). The error is the kernel's: a
 // guest-thread panic or a cancellation; the statistics then cover the
-// simulated prefix.
+// simulated prefix. However Run returns, it freezes the recorder's clock at
+// the final cycle: the recorder outlives the run (memoized traced runs keep
+// it) and must not keep the machine alive through the clock.
 func (s *Sim) Run() (Result, error) {
 	m, k, opts := s.Machine, s.Kernel, s.opts
+	if opts.Trace != nil {
+		defer func() {
+			end := m.Now()
+			opts.Trace.SetClock(func() uint64 { return end })
+		}()
+	}
 	// Workloads with a declared warm-up (the web benchmarks skip their first
 	// requests, iperf its first writes, as in the paper's §5.2) defer the
 	// acceleration engine and reset the statistics baseline at the warm

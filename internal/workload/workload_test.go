@@ -1,10 +1,14 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"fssim/internal/core"
 	"fssim/internal/machine"
+	"fssim/internal/memsys"
+	"fssim/internal/trace"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -161,5 +165,48 @@ func TestWarmupArming(t *testing.T) {
 	}
 	if res.Stats.Coverage() == 0 {
 		t.Fatal("no coverage in the measured period")
+	}
+}
+
+// tracedDu runs a traced du and returns only its recorder, the run's final
+// cycle and a channel closed once the machine's memory hierarchy is
+// finalized. The machine is unreachable from the caller. The finalizer sits
+// on the hierarchy because the machine and its kernel reference each other,
+// and a finalizer on one object of a cycle never runs.
+func tracedDu(t *testing.T) (*trace.Recorder, uint64, chan struct{}) {
+	opts := DefaultOptions()
+	opts.Scale = 0.1
+	opts.Trace = trace.NewRecorder(trace.DefaultConfig())
+	res, err := Run("du", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(res.Machine.Mem(), func(*memsys.Hierarchy) { close(freed) })
+	return res.Trace, res.Machine.Now(), freed
+}
+
+// TestTracedRunReleasesMachine checks that a finished run's recorder does not
+// keep its machine alive (a memoized traced run keeps its recorder), and that
+// the recorder's clock still reads the run's final cycle.
+func TestTracedRunReleasesMachine(t *testing.T) {
+	rec, end, freed := tracedDu(t)
+	if end == 0 {
+		t.Fatal("traced run ended at cycle 0")
+	}
+	released := false
+	for i := 0; i < 20 && !released; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			released = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !released {
+		t.Error("the recorder of a finished traced run keeps its machine alive")
+	}
+	if got := rec.Now(); got != end {
+		t.Errorf("recorder clock after the run = %d, want the final cycle %d", got, end)
 	}
 }
