@@ -61,7 +61,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-simulation wall-clock limit (0 = unlimited)")
 	faultPlan := flag.String("faults", "", "fault plan injected into every simulation ("+strings.Join(faults.Names(), ", ")+"; empty = none)")
 	sampleSpec := flag.String("sample", "", "stratified app-interval sampling spec applied to every simulation ("+strings.Join(sample.PresetNames(), ", ")+" or key=value list; empty = none)")
-	retries := flag.Int("retries", 0, "extra attempts for a failed simulation, each with a fresh derived seed")
 	traceOut := flag.String("trace", "", "record every simulation and export a trace file (.jsonl = JSON lines, anything else = Chrome trace-event JSON for Perfetto)")
 	metricsOut := flag.String("metrics", "", "write per-run metrics registries plus harness counters to this file (- = stdout)")
 	warmDir := flag.String("warm-dir", "", "persist learned PLT snapshots here and replay identical accelerated runs across invocations (empty = off)")
@@ -110,7 +109,7 @@ func main() {
 
 	cfg := experiments.Config{
 		Scale: *scale, Seed: *seed, Parallelism: parallel,
-		Timeout: *timeout, Retries: *retries,
+		Timeout:  *timeout,
 		Trace:    *traceOut != "" || *metricsOut != "",
 		WarmDir:  *warmDir,
 		Transfer: *transferOn,
@@ -164,8 +163,8 @@ func main() {
 		fmt.Printf("trace: wrote %s\n", *traceOut)
 	}
 	st := sched.Stats()
-	fmt.Printf("suite: %d/%d experiments, %d distinct simulations (%d requests, %d served from cache, %d failed, %d retried), sim %.1fs in %.1fs wall at -j %d\n",
-		ok, len(results), st.Distinct, st.Hits+st.Misses, st.Hits, st.Failures, st.Retries,
+	fmt.Printf("suite: %d/%d experiments, %d distinct simulations (%d requests, %d served from cache, %d failed), sim %.1fs in %.1fs wall at -j %d\n",
+		ok, len(results), st.Distinct, st.Hits+st.Misses, st.Hits, st.Failures,
 		st.SimWall.Seconds(), time.Since(start).Seconds(), sched.Parallelism())
 	if *warmDir != "" {
 		fmt.Printf("plt: %d replayed warm, %d cold, %d invalidated, %d snapshots saved, %d instances learned\n",

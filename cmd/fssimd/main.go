@@ -56,7 +56,6 @@ func main() {
 	deadline := flag.Duration("deadline", 2*time.Minute, "default and maximum per-request result deadline")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget before in-flight runs are canceled (second signal forces exit)")
 	timeout := flag.Duration("timeout", 0, "per-simulation wall-clock limit (0 = the request deadline)")
-	retries := flag.Int("retries", 0, "extra attempts for a failed simulation")
 	scale := flag.Float64("scale", 1.0, "default workload size multiplier for requests that leave scale unset")
 	seed := flag.Int64("seed", 1, "default simulation seed for requests that leave seed unset")
 	traceOut := flag.String("trace", "", "record every simulation; flush a trace file on drain (.jsonl = JSON lines, else Chrome trace-event JSON)")
@@ -73,7 +72,6 @@ func main() {
 		Deadline:     *deadline,
 		DrainTimeout: *drain,
 		RunTimeout:   *timeout,
-		Retries:      *retries,
 		Scale:        *scale,
 		Seed:         *seed,
 		Trace:        *doTrace,

@@ -46,9 +46,6 @@ type Config struct {
 	// A run that exceeds it is aborted cooperatively and reported as a
 	// per-run *RunError with Timeout set.
 	Timeout time.Duration
-	// Retries is how many extra attempts a failed run gets, each with a
-	// fresh derived seed (RunKey.AttemptSeed). 0 means fail on first error.
-	Retries int
 	// Faults is the faults.Named perturbation plan injected into every
 	// simulation (the zero Spec = none). Enabling it changes every RunKey,
 	// so faulted and unfaulted runs never share cache entries.
@@ -131,9 +128,6 @@ func (c Config) normalized() Config {
 func (c Config) validate() error {
 	if c.Seed < 0 {
 		return fmt.Errorf("experiments: seed must be non-negative, got %d", c.Seed)
-	}
-	if c.Retries < 0 {
-		return fmt.Errorf("experiments: retries must be non-negative, got %d", c.Retries)
 	}
 	// Zero means "no per-run deadline"; a negative duration is always a
 	// configuration mistake and is rejected up front rather than silently

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,7 +74,7 @@ func TestPanicIsolation(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("want *RunError, got %T: %v", err, err)
 	}
-	if re.Attempts != 1 || re.Timeout {
+	if re.Queued || re.Timeout {
 		t.Errorf("unexpected RunError shape: %+v", re)
 	}
 	if !strings.Contains(err.Error(), "deliberate test panic") {
@@ -112,54 +113,50 @@ func TestEvictOnFailure(t *testing.T) {
 	}
 }
 
-// TestRetriesUseFreshSeeds: each retry attempt re-runs the workload with a
-// distinct derived machine seed, and the attempts are accounted.
-func TestRetriesUseFreshSeeds(t *testing.T) {
+// TestEverySimulationUsesDeriveSeed: a key has one machine seed. Every
+// simulation of it — a scheduler's Get, a re-run after a failure, a serving
+// Lookup and RunOnce — builds its machine with key.DeriveSeed().
+func TestEverySimulationUsesDeriveSeed(t *testing.T) {
+	var mu sync.Mutex
 	var seeds []int64
+	var fail atomic.Bool
 	workload.Register(workload.Benchmark{
-		Name: "retry-test", Hidden: true,
+		Name: "seed-spy-test", Hidden: true,
 	}, func(k *kernel.Kernel, scale float64) {
+		mu.Lock()
 		seeds = append(seeds, k.Machine().Config().Seed)
-		panic("always fails")
+		mu.Unlock()
+		if fail.Load() {
+			panic("deliberate seed-spy failure")
+		}
+		k.Spawn("spy", func(p *kernel.Proc) { p.U.Mix(5_000) })
 	})
-	s := NewScheduler(Config{Scale: 1, Seed: 1, Parallelism: 1, Retries: 2})
-	key := s.cfg.benchKey("retry-test", machine.FullSystem, 0)
-	_, err := s.Get(key)
-	var re *RunError
-	if !errors.As(err, &re) || re.Attempts != 3 {
-		t.Fatalf("want 3 attempts, got %v", err)
-	}
-	if len(seeds) != 3 {
-		t.Fatalf("workload built %d times, want 3", len(seeds))
-	}
-	if seeds[0] != key.AttemptSeed(0) || seeds[1] != key.AttemptSeed(1) || seeds[2] != key.AttemptSeed(2) {
-		t.Errorf("attempt seeds not derived: %v", seeds)
-	}
-	if seeds[0] == seeds[1] || seeds[1] == seeds[2] || seeds[0] == seeds[2] {
-		t.Errorf("retry seeds not fresh: %v", seeds)
-	}
-	if st := s.Stats(); st.Retries != 2 {
-		t.Errorf("Retries = %d, want 2", st.Retries)
-	}
-}
-
-func TestAttemptSeedDerivation(t *testing.T) {
-	key := Config{Scale: 1, Seed: 1}.benchKey("du", machine.FullSystem, 0)
-	if key.AttemptSeed(0) != key.DeriveSeed() {
-		t.Error("attempt 0 must reuse the canonical derived seed")
-	}
-	if key.AttemptSeed(1) == key.AttemptSeed(0) || key.AttemptSeed(2) == key.AttemptSeed(1) {
-		t.Error("retry seeds collide")
-	}
-	if key.AttemptSeed(1) != key.AttemptSeed(1) {
-		t.Error("retry seed not deterministic")
-	}
-	// Faulted keys derive different seeds; unfaulted derivation is unchanged
-	// by the existence of the Faults field (byte-identity guarantee).
-	faulted := key
-	faulted.Faults = mustFaults(t, "mild")
-	if faulted.DeriveSeed() == key.DeriveSeed() {
-		t.Error("fault plan does not separate derived seeds")
+	for _, mode := range []machine.SimMode{machine.FullSystem, machine.Accelerated} {
+		seeds = nil
+		s := NewScheduler(Config{Scale: 1, Seed: 1, Parallelism: 1})
+		key := s.cfg.benchKey("seed-spy-test", mode, 0)
+		fail.Store(true)
+		if _, err := s.Get(key); err == nil {
+			t.Fatalf("%v: failing run succeeded", mode)
+		}
+		fail.Store(false)
+		if _, err := s.Get(key); err != nil {
+			t.Fatalf("%v: re-run after the failure: %v", mode, err)
+		}
+		if _, _, err := NewScheduler(Config{Scale: 1, Seed: 1}).Lookup(context.Background(), key); err != nil {
+			t.Fatalf("%v: Lookup: %v", mode, err)
+		}
+		if _, err := RunOnce(key, "", Hooks{}); err != nil {
+			t.Fatalf("%v: RunOnce: %v", mode, err)
+		}
+		if len(seeds) != 4 {
+			t.Fatalf("%v: %d simulations, want 4 (Get, re-run, Lookup, RunOnce)", mode, len(seeds))
+		}
+		for i, seed := range seeds {
+			if seed != key.DeriveSeed() {
+				t.Errorf("%v: simulation %d used seed %d, want DeriveSeed %d", mode, i, seed, key.DeriveSeed())
+			}
+		}
 	}
 }
 
@@ -181,10 +178,10 @@ func TestPerRunTimeout(t *testing.T) {
 }
 
 // TestContextCancellation: canceling the suite context aborts in-flight runs
-// and fails fast without burning retries.
+// and fails fast.
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cfg := Config{Scale: 1, Seed: 1, Parallelism: 1, Retries: 5}.WithContext(ctx)
+	cfg := Config{Scale: 1, Seed: 1, Parallelism: 1}.WithContext(ctx)
 	s := NewScheduler(cfg)
 	done := make(chan error, 1)
 	go func() {
@@ -197,9 +194,6 @@ func TestContextCancellation(t *testing.T) {
 	case err := <-done:
 		if err == nil {
 			t.Fatal("canceled run reported success")
-		}
-		if st := s.Stats(); st.Retries != 0 {
-			t.Errorf("cancellation burned %d retries", st.Retries)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancellation did not end the run")
@@ -267,8 +261,9 @@ func TestNegativeTimeoutIsConfigError(t *testing.T) {
 // TestQueuedCancellation covers the cancellation edge the serving front-end
 // leans on: a run whose context is canceled while it is still queued (waiting
 // for a worker slot, not yet running) must resolve promptly with a *RunError
-// wrapping context.Canceled and Attempts == 0, and the cancellation must not
-// evict unrelated completed entries from the memo cache.
+// wrapping context.Canceled and marked Queued — unlike the run the same
+// cancellation aborts mid-execution — and the cancellation must not evict
+// unrelated completed entries from the memo cache.
 func TestQueuedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -282,10 +277,10 @@ func TestQueuedCancellation(t *testing.T) {
 	}
 
 	// Occupy the single worker slot with a run that only ends on cancel.
-	hangDone := make(chan struct{})
+	hangErr := make(chan error, 1)
 	go func() {
-		defer close(hangDone)
-		_, _ = s.Get(s.cfg.benchKey("hang-test", machine.FullSystem, 0))
+		_, err := s.Get(s.cfg.benchKey("hang-test", machine.FullSystem, 0))
+		hangErr <- err
 	}()
 
 	// Wait until the hanging run actually holds the worker slot, so the next
@@ -312,8 +307,8 @@ func TestQueuedCancellation(t *testing.T) {
 		if !errors.As(err, &re) {
 			t.Fatalf("queued cancellation returned %T, want *RunError: %v", err, err)
 		}
-		if re.Attempts != 0 {
-			t.Errorf("queued run reports %d attempts, want 0 (it never started)", re.Attempts)
+		if !re.Queued {
+			t.Errorf("queued run not marked Queued (it never started): %v", err)
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("queued RunError does not wrap context.Canceled: %v", err)
@@ -321,7 +316,10 @@ func TestQueuedCancellation(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("queued run did not resolve promptly on cancellation")
 	}
-	<-hangDone
+	var re *RunError
+	if err := <-hangErr; !errors.As(err, &re) || re.Queued {
+		t.Errorf("canceled running run = %v, want a *RunError not marked Queued", err)
+	}
 
 	// Only the completed entry remains memoized: the queued and the hanging
 	// runs were evicted, the unrelated completed one was not.
@@ -345,7 +343,7 @@ func TestLookupDetachedExecution(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // waiter gives up immediately
-	_, status, err := s.Lookup(ctx, key, nil)
+	_, status, err := s.Lookup(ctx, key)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned waiter error = %v, want context.Canceled", err)
 	}
@@ -354,7 +352,7 @@ func TestLookupDetachedExecution(t *testing.T) {
 	}
 
 	// The detached run completes; a fresh waiter collects it.
-	out, status, err := s.Lookup(context.Background(), key, nil)
+	out, status, err := s.Lookup(context.Background(), key)
 	if err != nil {
 		t.Fatalf("second Lookup failed: %v", err)
 	}
@@ -369,16 +367,17 @@ func TestLookupDetachedExecution(t *testing.T) {
 	}
 }
 
-// TestLookupNotifyOnceForCoalescedFailure pins the exactly-once completion
-// contract a serving front-end settles its run records on: three coalesced
-// Lookup calls with an onDone hook on one failing key share a single
-// execution, every waiter sees the failure, and onDone fires exactly once in
-// total.
+// TestLookupNotifyOnceForCoalescedFailure pins the one-record contract a
+// serving front-end reads run ids from: three coalesced Lookup calls on one
+// failing key share a single execution, every waiter sees the failure, and
+// the read by id reports it — after the failed entry left the memo.
 func TestLookupNotifyOnceForCoalescedFailure(t *testing.T) {
 	gate := make(chan struct{})
+	var builds atomic.Int32
 	workload.Register(workload.Benchmark{
 		Name: "gate-fail-test", Hidden: true,
 	}, func(k *kernel.Kernel, scale float64) {
+		builds.Add(1)
 		k.Spawn("gatefail", func(p *kernel.Proc) {
 			<-gate
 			panic("deliberate post-gate failure")
@@ -387,17 +386,10 @@ func TestLookupNotifyOnceForCoalescedFailure(t *testing.T) {
 	s := NewScheduler(Config{Scale: 1, Seed: 1, Parallelism: 2})
 	key := s.cfg.benchKey("gate-fail-test", machine.FullSystem, 0)
 
-	var notified atomic.Int32
-	onDone := func(_ Outcome, err error) {
-		if err == nil {
-			t.Error("onDone reported success for a panicking run")
-		}
-		notified.Add(1)
-	}
 	errs := make(chan error, 3)
 	for i := 0; i < 3; i++ {
 		go func() {
-			_, _, err := s.Lookup(context.Background(), key, onDone)
+			_, _, err := s.Lookup(context.Background(), key)
 			errs <- err
 		}()
 	}
@@ -412,6 +404,9 @@ func TestLookupNotifyOnceForCoalescedFailure(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	if _, status, _, _ := s.ByID(key.ID()); status != RunRunning {
+		t.Errorf("ByID while gated = %v, want running", status)
+	}
 	close(gate)
 	for i := 0; i < 3; i++ {
 		var re *RunError
@@ -419,14 +414,18 @@ func TestLookupNotifyOnceForCoalescedFailure(t *testing.T) {
 			t.Fatalf("coalesced waiter %d got %v, want *RunError", i, err)
 		}
 	}
-	// onDone runs after the entry resolves; give it a moment, then make sure
-	// no second notification follows.
-	for i := 0; notified.Load() == 0 && i < 5000; i++ {
-		time.Sleep(time.Millisecond)
+	if n := builds.Load(); n != 1 {
+		t.Errorf("%d executions for three coalesced waiters, want 1", n)
 	}
-	time.Sleep(20 * time.Millisecond)
-	if n := notified.Load(); n != 1 {
-		t.Errorf("onDone fired %d times for one shared execution, want 1", n)
+	got, status, _, err := s.ByID(key.ID())
+	if status != RunFailed || got != key || err == nil || !strings.Contains(err.Error(), "deliberate post-gate failure") {
+		t.Errorf("ByID after the failure = (%v, %v, %v), want failed with the panic", got, status, err)
+	}
+	if st := s.Stats(); st.Distinct != 0 || st.Failures != 1 {
+		t.Errorf("Distinct %d Failures %d, want 0 and 1 (failed entry evicted)", st.Distinct, st.Failures)
+	}
+	if _, status, _, _ := s.ByID("r0000000000000000"); status != RunUnknown {
+		t.Errorf("ByID of an id no Lookup claimed = %v, want unknown", status)
 	}
 }
 

@@ -125,7 +125,7 @@ func (k RunKey) variants() string {
 	return strings.Join(v, ",")
 }
 
-// --- seed: DeriveSeed, AttemptSeed ------------------------------------------
+// --- seed: DeriveSeed -------------------------------------------------------
 // Fed by every field but Sample and Transfer.
 
 // DeriveSeed maps the base seed and the key's coordinates to the seed the
@@ -148,20 +148,6 @@ func (k RunKey) DeriveSeed() int64 {
 	if v := k.variants(); v != "" {
 		fmt.Fprintf(h, "|machine=%s", v)
 	}
-	return positive(h.Sum64())
-}
-
-// AttemptSeed is the machine seed for the given retry attempt: attempt 0 is
-// DeriveSeed itself (preserving established results); each retry derives a
-// fresh seed so a failure tied to one random trajectory is not replayed
-// verbatim. Still a pure function of (key, attempt) — retries are as
-// deterministic as first attempts.
-func (k RunKey) AttemptSeed(attempt int) int64 {
-	if attempt <= 0 {
-		return k.DeriveSeed()
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|retry=%d", k.DeriveSeed(), attempt)
 	return positive(h.Sum64())
 }
 
@@ -247,8 +233,8 @@ func familyHash(key RunKey) uint64 {
 
 // faultPlanFor is the fault schedule a run of key injects (nil without
 // Faults). It is derived from the config's base Seed, not the per-run
-// machine seed, so every mode, strategy and retry attempt of one config
-// experiences the identical schedule and stays comparable.
+// machine seed, so every mode and strategy of one config experiences the
+// identical schedule and stays comparable.
 func faultPlanFor(key RunKey) *faults.Plan {
 	if key.Faults.Name == "" {
 		return nil
@@ -256,9 +242,9 @@ func faultPlanFor(key RunKey) *faults.Plan {
 	return faults.NewPlan(key.Seed, key.Faults.Scaled(key.Scale))
 }
 
-// machineConfigFor is the machine configuration a run of key uses (with the
-// first attempt's derived seed), shared by the run itself and by every
-// address, so an address always reflects the configuration simulated.
+// machineConfigFor is the machine configuration a run of key uses (with its
+// derived seed), shared by the run itself and by every address, so an
+// address always reflects the configuration simulated.
 func machineConfigFor(key RunKey) machine.Config {
 	mcfg := workload.DefaultOptions().Machine
 	mcfg.Mode = key.Mode

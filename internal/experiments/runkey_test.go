@@ -74,76 +74,76 @@ func TestRunKeyKnownAnswers(t *testing.T) {
 	for _, c := range []struct {
 		name                              string
 		key                               RunKey
-		seed, retry                       int64
+		seed                              int64
 		str, id                           string
 		learn, replay, xferReplay, family string // Accelerated keys only
 	}{
 		{"full", RunKey{Bench: "ab-rand", Mode: machine.FullSystem, Scale: 1, Seed: 1},
-			4304370668613885802, 5946213497907695375, "ab-rand/App+OS/L2=0/scale=1", "r225d8c18617903c5", "", "", "", ""},
+			4304370668613885802, "ab-rand/App+OS/L2=0/scale=1", "r225d8c18617903c5", "", "", "", ""},
 		{"app-only", RunKey{Bench: "ab-rand", Mode: machine.AppOnly, Scale: 1, Seed: 1},
-			5573128244890965947, 5107090690729649873, "ab-rand/App Only/L2=0/scale=1", "r9f405677c0a94ea0", "", "", "", ""},
+			5573128244890965947, "ab-rand/App Only/L2=0/scale=1", "r9f405677c0a94ea0", "", "", "", ""},
 		{"accel-bestmatch", accel(core.BestMatch, nil),
-			1430783566193454055, 7366921768736323082, "ab-rand/App+OS Pred/L2=0/scale=1/opts=1", "r6771c5b40b148ec9",
+			1430783566193454055, "ab-rand/App+OS Pred/L2=0/scale=1/opts=1", "r6771c5b40b148ec9",
 			"c6956275396cb50a", "d6bb3bede9d19347", "d676789c0d744475", "81661623c8e2bc87"},
 		{"accel-eager", accel(core.Eager, nil),
-			1430784665705082266, 5516501291089725047, "ab-rand/App+OS Pred/L2=0/scale=1/opts=2", "re25fafd385f86f2a",
+			1430784665705082266, "ab-rand/App+OS Pred/L2=0/scale=1/opts=2", "re25fafd385f86f2a",
 			"f62c0cd870bada50", "f8b19a4142b7c615", "eaac44edd24ce99b", "01be832c6c0cdb0b"},
 		{"accel-delayed", accel(core.Delayed, nil),
-			1430785765216710477, 7169292794034500492, "ab-rand/App+OS Pred/L2=0/scale=1/opts=3", "r4982276919a6ab7b",
+			1430785765216710477, "ab-rand/App+OS Pred/L2=0/scale=1/opts=3", "r4982276919a6ab7b",
 			"b70ec60f0cbcbc2e", "a9e7be385288cc44", "84a610b91a44b942", "283c01ba1ecb2ffd"},
 		{"accel-statistical", stat(nil),
-			1430778068635313000, 1409716899654540484, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4", "r753c86e04e48bd44",
+			1430778068635313000, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4", "r753c86e04e48bd44",
 			"f846b41eb2edd889", "4ff09e0b3d2527a0", "3ccda08e46877386", "976fd7d1a66932e6"},
 		{"watchdog", stat(func(k *RunKey) { k.Watchdog = true }),
-			4478673180723930652, 9147027881472526576, "ab-rand/App+OS Pred/L2=0/scale=1/opts=260", "rbb13e464b8c048fc",
+			4478673180723930652, "ab-rand/App+OS Pred/L2=0/scale=1/opts=260", "rbb13e464b8c048fc",
 			"1b2b078c405fefab", "3ef20ee5c1152fc2", "4447c67c5201d3b0", "5c974ec8ba348038"},
 		{"faults-mild", stat(func(k *RunKey) { k.Faults = mild }),
-			7423940730223700110, 1430908055718283150, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/faults=mild", "rdb4f35a01a6dab7f",
+			7423940730223700110, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/faults=mild", "rdb4f35a01a6dab7f",
 			"a1a72ca35d856617", "8681056555def896", "bfdafcccad96b23c", "e9f0c8c566ae27f0"},
 		{"faults-storm", stat(func(k *RunKey) { k.Faults = storm }),
-			1458536165161501933, 8109312867376865392, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/faults=storm", "r03dc1c782850d3c2",
+			1458536165161501933, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/faults=storm", "r03dc1c782850d3c2",
 			"9becd7ab151d0178", "fc8a95a85665f632", "9260ca4a9724e6e0", "1f364911844fb0ff"},
 		{"full-faults-mild", RunKey{Bench: "du", Mode: machine.FullSystem, Scale: 1, Seed: 1, Faults: mild},
-			8711661962494965972, 8110673950047437829, "du/App+OS/L2=0/scale=1/faults=mild", "r6840d52c84f9d35a", "", "", "", ""},
+			8711661962494965972, "du/App+OS/L2=0/scale=1/faults=mild", "r6840d52c84f9d35a", "", "", "", ""},
 		{"sample-default", stat(func(k *RunKey) { k.Sample = smp }),
-			1430778068635313000, 1409716899654540484,
+			1430778068635313000,
 			"ab-rand/App+OS Pred/L2=0/scale=1/opts=4/sample=budget=8,min=2,pilot=64,range=0.05,refresh=64", "r6690008fb8b09cb3",
 			"f846b41eb2edd889", "a63a20ad5812217f", "288c5e138da1589d", "976fd7d1a66932e6"},
 		{"full-sample-default", RunKey{Bench: "gzip", Mode: machine.FullSystem, Scale: 1, Seed: 1, Sample: smp},
-			7902029563080955783, 6432952084326646307,
+			7902029563080955783,
 			"gzip/App+OS/L2=0/scale=1/sample=budget=8,min=2,pilot=64,range=0.05,refresh=64", "r42b6751642fdcc8f", "", "", "", ""},
 		{"transfer-l2", stat(func(k *RunKey) { k.Transfer = l2Donor }),
-			1430778068635313000, 1409716899654540484, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/transfer=l2=524288", "r34e32d2dca346637",
+			1430778068635313000, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/transfer=l2=524288", "r34e32d2dca346637",
 			"23b584fde28b9812", "903583a2b448c482", "149eacbf512ca1f0", "976fd7d1a66932e6"},
 		{"transfer-store", stat(func(k *RunKey) { k.Transfer = store }),
-			1430778068635313000, 1409716899654540484, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/transfer=store", "r35884ffdbbaf9768",
+			1430778068635313000, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/transfer=store", "r35884ffdbbaf9768",
 			"55e0819a91e577d7", "11bef62404c24e87", "99da273b710b7b35", "976fd7d1a66932e6"},
 		{"l2-2mb", stat(func(k *RunKey) { k.L2 = 2 << 20 }),
-			1984498098004477098, 4423630085709149336, "ab-rand/App+OS Pred/L2=2097152/scale=1/opts=4", "r46bd5dd90c48aea6",
+			1984498098004477098, "ab-rand/App+OS Pred/L2=2097152/scale=1/opts=4", "r46bd5dd90c48aea6",
 			"bcc349ea6382d3ae", "617947540efd9fbe", "63db3405e2b8e454", "976fd7d1a66932e6"},
 		{"full-l2-512k", RunKey{Bench: "iperf", Mode: machine.FullSystem, L2: 512 << 10, Scale: 1, Seed: 1},
-			2854828147794151856, 5284983028241170734, "iperf/App+OS/L2=524288/scale=1", "r3892e73f3a7638fd", "", "", "", ""},
+			2854828147794151856, "iperf/App+OS/L2=524288/scale=1", "r3892e73f3a7638fd", "", "", "", ""},
 		{"scale-0.25", stat(func(k *RunKey) { k.Scale = 0.25 }),
-			2571132278958195518, 4466269060602685802, "ab-rand/App+OS Pred/L2=0/scale=0.25/opts=4", "r0da8c15baba12e2c",
+			2571132278958195518, "ab-rand/App+OS Pred/L2=0/scale=0.25/opts=4", "r0da8c15baba12e2c",
 			"052f9a271e044537", "0aa841f4eb212c75", "8de44c8f424f977b", "2e3a8d249f9633d0"},
 		{"seed-7", stat(func(k *RunKey) { k.Seed = 7 }),
-			5328760094881150434, 7877311100882151799, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4", "r753c84e04e48b9de",
+			5328760094881150434, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4", "r753c84e04e48b9de",
 			"f846b41eb2edd889", "2ad859e166bc1967", "eeec50f51a4ab115", "976fd7d1a66932e6"},
 		{"server-accel", RunKey{Bench: "du", Mode: machine.Accelerated, Scale: 0.5, Seed: 3,
 			Strategy: core.Eager, Watchdog: true, Faults: storm, Transfer: store},
-			5730964935218643843, 4069103997022745185, "du/App+OS Pred/L2=0/scale=0.5/opts=258/faults=storm/transfer=store", "rdddd4bc85498d057",
+			5730964935218643843, "du/App+OS Pred/L2=0/scale=0.5/opts=258/faults=storm/transfer=store", "rdddd4bc85498d057",
 			"5ad0bc4b0183df91", "148351f8dc7df2bb", "6c03fde362859111", "7059680dc8338381"},
 		{"inorder", stat(func(k *RunKey) { k.InOrder = true }),
-			7909127825977035101, 8470548670747346656, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/machine=inorder", "refc07b96052f190a",
+			7909127825977035101, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/machine=inorder", "refc07b96052f190a",
 			"f1b8a240cb10e9f8", "5260a498360a9924", "8203529e6b819822", "b94a346e76671e39"},
 		{"nocaches", stat(func(k *RunKey) { k.NoCaches = true }),
-			7567583633969731564, 5542877739441946124, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/machine=nocaches", "rabcefbc53167b17d",
+			7567583633969731564, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/machine=nocaches", "rabcefbc53167b17d",
 			"e4720e3ac9a8b0ee", "26b51e4ff4689c21", "525164dcf03ba96f", "0355793cfcde03c5"},
 		{"tlb", stat(func(k *RunKey) { k.TLB = true }),
-			2125052324072395586, 6564897364920517652, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/machine=tlb", "rb37f396e3884bf87",
+			2125052324072395586, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/machine=tlb", "rb37f396e3884bf87",
 			"efe480e47a071c38", "bb9dc5ceff58df72", "442d56ecf67c4ea0", "5365d2edf9fb93ff"},
 		{"prefetch", stat(func(k *RunKey) { k.Prefetch = true }),
-			2375986139560108507, 1033720864726995548, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/machine=prefetch", "rffa6cdf1d86391c0",
+			2375986139560108507, "ab-rand/App+OS Pred/L2=0/scale=1/opts=4/machine=prefetch", "rffa6cdf1d86391c0",
 			"b0c5f7fdf9b7cbae", "3c9acd1e07562a88", "62492641fb8bdabe", "012775efb2eb0b53"},
 	} {
 		k := c.key.Normalized()
@@ -156,7 +156,6 @@ func TestRunKeyKnownAnswers(t *testing.T) {
 			}
 		}
 		check("DeriveSeed", k.DeriveSeed(), c.seed)
-		check("AttemptSeed(1)", k.AttemptSeed(1), c.retry)
 		check("String", k.String(), c.str)
 		check("ID", k.ID(), c.id)
 		check("plan", planOf(k), plans[c.name])
@@ -178,7 +177,7 @@ var projections = []struct {
 	of   func(RunKey) string
 }{
 	{"key", func(k RunKey) string { return fmt.Sprintf("%#v", k) }},
-	{"seed", func(k RunKey) string { return fmt.Sprint(k.DeriveSeed(), k.AttemptSeed(1)) }},
+	{"seed", func(k RunKey) string { return fmt.Sprint(k.DeriveSeed()) }},
 	{"String", RunKey.String},
 	{"ID", RunKey.ID},
 	{"learn", func(k RunKey) string { return fmt.Sprint(warmLearnHash(k)) }},

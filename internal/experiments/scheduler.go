@@ -46,10 +46,13 @@ func (o runOutput) outcome() Outcome {
 	return oc
 }
 
-// runEntry is one cache slot; done is closed when out/err/wall are final.
-// creator records which experiment's request created the entry, so a runner
-// re-reading a run its own prefetch started is not miscounted as a cache hit.
+// runEntry is one run's record: the memo slot of its key and, once a Lookup
+// claims it, what its run id reads. done is closed when out/err/wall are
+// final. creator records which experiment's request created the entry, so a
+// runner re-reading a run its own prefetch started is not miscounted as a
+// cache hit.
 type runEntry struct {
+	key     RunKey
 	done    chan struct{}
 	creator *expStats
 	out     runOutput
@@ -62,8 +65,7 @@ type SchedStats struct {
 	Distinct int           // distinct simulations currently memoized
 	Hits     int64         // Get calls served from cache (or coalesced in-flight)
 	Misses   int64         // Get calls that executed a new simulation
-	Failures int64         // runs that exhausted their attempts and failed
-	Retries  int64         // extra attempts after a failed first try
+	Failures int64         // runs that failed
 	SimWall  time.Duration // summed wall-clock of executed simulations
 
 	// Warm-start counters (all zero unless Config.WarmDir is set).
@@ -93,28 +95,25 @@ type SchedStats struct {
 	//   (ineligible or missing donor, failed donor run, or invalid rescale)
 }
 
-// RunError describes one simulation's final failure: which run, how many
-// attempts it was given, whether the last attempt hit the per-run timeout,
-// and the underlying cause (a workload panic converted to an error, a
-// machine abort, or a context cancellation).
+// RunError describes one simulation's failure: which run, whether it was
+// canceled while still queued for a worker (it never started), whether it
+// hit the per-run timeout, and the underlying cause (a workload panic
+// converted to an error, a machine abort, or a context cancellation).
 type RunError struct {
-	Key      RunKey
-	Attempts int
-	Timeout  bool
-	Cause    error
+	Key     RunKey
+	Queued  bool
+	Timeout bool
+	Cause   error
 }
 
 func (e *RunError) Error() string {
-	if e.Attempts == 0 {
-		// The run never started: its suite (or serving) context was canceled
-		// while it waited for a worker slot.
+	switch {
+	case e.Queued:
 		return fmt.Sprintf("run %s canceled while queued: %v", e.Key, e.Cause)
+	case e.Timeout:
+		return fmt.Sprintf("run %s timed out: %v", e.Key, e.Cause)
 	}
-	what := "failed"
-	if e.Timeout {
-		what = "timed out"
-	}
-	return fmt.Sprintf("run %s %s after %d attempt(s): %v", e.Key, what, e.Attempts, e.Cause)
+	return fmt.Sprintf("run %s failed: %v", e.Key, e.Cause)
 }
 
 func (e *RunError) Unwrap() error { return e.Cause }
@@ -122,7 +121,8 @@ func (e *RunError) Unwrap() error { return e.Cause }
 // Scheduler memoizes simulation runs keyed by RunKey and executes distinct
 // runs on a bounded worker pool. Concurrent requests for the same key are
 // coalesced singleflight-style: the first caller simulates, later callers
-// block on the same entry. A Scheduler is safe for concurrent use.
+// block on the same entry. Each key runs once, under its DeriveSeed. A
+// Scheduler is safe for concurrent use.
 type Scheduler struct {
 	cfg   Config
 	slots chan struct{} // worker-pool semaphore; cap = parallelism
@@ -130,7 +130,8 @@ type Scheduler struct {
 
 	mu      sync.Mutex
 	runs    map[RunKey]*runEntry
-	aborted []TracedRun // recorders salvaged from failed/canceled traced runs
+	ids     map[string]*runEntry // run id (RunKey.ID) -> the entry a Lookup claimed
+	aborted []TracedRun          // recorders salvaged from failed/canceled traced runs
 
 	costsOnce sync.Once
 	costs     ModeCosts
@@ -138,7 +139,6 @@ type Scheduler struct {
 	hits     atomic.Int64
 	misses   atomic.Int64
 	failures atomic.Int64
-	retries  atomic.Int64
 	simWall  atomic.Int64 // nanoseconds
 
 	warmHits    atomic.Int64
@@ -165,6 +165,7 @@ func NewScheduler(cfg Config) *Scheduler {
 		cfg:   cfg,
 		slots: make(chan struct{}, cfg.Parallelism),
 		runs:  make(map[RunKey]*runEntry),
+		ids:   make(map[string]*runEntry),
 	}
 	if cfg.WarmDir != "" {
 		var rep pltstore.RecoveryReport
@@ -188,7 +189,6 @@ func (s *Scheduler) Stats() SchedStats {
 		Hits:        s.hits.Load(),
 		Misses:      s.misses.Load(),
 		Failures:    s.failures.Load(),
-		Retries:     s.retries.Load(),
 		SimWall:     time.Duration(s.simWall.Load()),
 		WarmHits:    s.warmHits.Load(),
 		WarmMisses:  s.warmMisses.Load(),
@@ -233,13 +233,13 @@ func (s *Scheduler) prefetch(st *expStats, keys ...RunKey) {
 
 // get is the memoizing core. st, when non-nil, receives per-experiment
 // hit/miss attribution for the requesting runner's notes. Failed runs are
-// evicted from the cache once their waiters are released, so one poisoned
+// evicted from the cache as their waiters are released, so one poisoned
 // entry does not pin its error for the scheduler's remaining lifetime — a
-// later Get retries from scratch.
+// later Get runs the key again.
 func (s *Scheduler) get(ctx context.Context, key RunKey, st *expStats) (runOutput, error) {
-	e, created := s.claim(key, st)
+	e, created := s.claim(key, st, "")
 	if created {
-		s.run(ctx, key, e, st)
+		s.run(ctx, e, st)
 	} else if err := wait(ctx, e); err != nil {
 		return runOutput{}, err
 	}
@@ -248,13 +248,17 @@ func (s *Scheduler) get(ctx context.Context, key RunKey, st *expStats) (runOutpu
 
 // claim returns key's memo entry, creating it (created true) when there is
 // none, and counts the request as a miss or a hit — for st too, unless st
-// created the entry itself.
-func (s *Scheduler) claim(key RunKey, st *expStats) (e *runEntry, created bool) {
+// created the entry itself. A non-empty id is indexed to the entry in the
+// same critical section, so the id reads the run from the moment it exists.
+func (s *Scheduler) claim(key RunKey, st *expStats, id string) (e *runEntry, created bool) {
 	s.mu.Lock()
 	e, ok := s.runs[key]
 	if !ok {
-		e = &runEntry{done: make(chan struct{}), creator: st}
+		e = &runEntry{key: key, done: make(chan struct{}), creator: st}
 		s.runs[key] = e
+	}
+	if id != "" {
+		s.ids[id] = e
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -324,7 +328,8 @@ func (s *Scheduler) settled(ctx context.Context, want func(RunKey) bool, visit f
 // worker slot (a cancellation while queued resolves the entry with a
 // *RunError wrapping the context error, without ever starting the run),
 // executes, and publishes the result via finish.
-func (s *Scheduler) run(ctx context.Context, key RunKey, e *runEntry, st *expStats) {
+func (s *Scheduler) run(ctx context.Context, e *runEntry, st *expStats) {
+	key := e.key
 	// Donor resolution happens BEFORE this run occupies a worker slot: the
 	// sibling-donor path runs (or joins) the donor simulation through the
 	// ordinary memo cache, which itself needs a slot — resolving first both
@@ -343,8 +348,8 @@ func (s *Scheduler) run(ctx context.Context, key RunKey, e *runEntry, st *expSta
 	select {
 	case s.slots <- struct{}{}:
 	case <-ctx.Done():
-		e.err = &RunError{Key: key, Attempts: 0, Cause: ctx.Err()}
-		s.finish(key, e, st)
+		e.err = &RunError{Key: key, Queued: true, Cause: ctx.Err()}
+		s.finish(e, st)
 		return
 	}
 	start := time.Now()
@@ -359,7 +364,7 @@ func (s *Scheduler) run(ctx context.Context, key RunKey, e *runEntry, st *expSta
 	if st != nil {
 		st.simWall.Add(int64(e.wall))
 	}
-	s.finish(key, e, st)
+	s.finish(e, st)
 }
 
 // LookupStatus classifies how a Lookup request was satisfied — the value a
@@ -409,27 +414,15 @@ type Outcome struct {
 // fresh simulation runs under the scheduler's own lifetime context (bounded
 // by the per-run Timeout), while ctx bounds only this caller's wait — a
 // waiter that gives up (request deadline, client disconnect) leaves the
-// shared simulation running for other coalesced clients to collect. The
+// shared simulation running for other coalesced clients to collect, and
+// ByID reads it under key.ID() from the moment Lookup claims it. The
 // reported status tells the caller whether it started the run, joined an
 // in-flight one, or was served from the cache.
-//
-// When this call starts a fresh run (status LookupMiss), a non-nil onDone is
-// invoked exactly once with the run's final outcome, after the entry
-// resolves — regardless of whether this caller's ctx expires first. Joined
-// (coalesced or hit) lookups never invoke onDone: each distinct execution
-// notifies only its creator, so a front-end settling run records from the
-// hook sees every run exactly once, even when all of its waiters abandoned
-// it.
-func (s *Scheduler) Lookup(ctx context.Context, key RunKey, onDone func(Outcome, error)) (Outcome, LookupStatus, error) {
-	e, created := s.claim(key, nil)
+func (s *Scheduler) Lookup(ctx context.Context, key RunKey) (Outcome, LookupStatus, error) {
+	e, created := s.claim(key, nil, key.ID())
 	status := LookupMiss
 	if created {
-		go func() {
-			s.run(s.cfg.context(), key, e, nil)
-			if onDone != nil {
-				onDone(e.out.outcome(), e.err)
-			}
-		}()
+		go s.run(s.cfg.context(), e, nil)
 	} else {
 		status = LookupCoalesced
 		select {
@@ -444,24 +437,41 @@ func (s *Scheduler) Lookup(ctx context.Context, key RunKey, onDone func(Outcome,
 	return e.out.outcome(), status, e.err
 }
 
-// TraceOf returns the recorder of the completed memoized run for key, if the
-// run was traced and succeeded.
-func (s *Scheduler) TraceOf(key RunKey) (*trace.Recorder, bool) {
+// RunStatus is what ByID knows of a run id.
+type RunStatus int
+
+const (
+	// RunUnknown: no Lookup has claimed the id.
+	RunUnknown RunStatus = iota
+	// RunRunning: the run is queued or executing.
+	RunRunning
+	// RunDone: the run succeeded; its Outcome is the memoized result.
+	RunDone
+	// RunFailed: the run's last execution failed; only its error is kept.
+	RunFailed
+)
+
+// ByID reads the run a Lookup claimed under id (RunKey.ID): its key and
+// status, with the Outcome of a done run or the error of a failed one. The
+// memo entry is the record, so a done id reads as long as the memo holds
+// it. A failed run is evicted from the memo (the next request runs it
+// again) but its id keeps the key and error until that happens.
+func (s *Scheduler) ByID(id string) (RunKey, RunStatus, Outcome, error) {
 	s.mu.Lock()
-	e, ok := s.runs[key]
+	e, ok := s.ids[id]
 	s.mu.Unlock()
 	if !ok {
-		return nil, false
+		return RunKey{}, RunUnknown, Outcome{}, nil
 	}
 	select {
 	case <-e.done:
 	default:
-		return nil, false
+		return e.key, RunRunning, Outcome{}, nil
 	}
-	if e.err != nil || e.out.rec == nil {
-		return nil, false
+	if e.err != nil {
+		return e.key, RunFailed, Outcome{}, e.err
 	}
-	return e.out.rec, true
+	return e.key, RunDone, e.out.outcome(), nil
 }
 
 // maxAbortedTraces bounds the salvaged-recorder list: under a long failure
@@ -470,13 +480,15 @@ func (s *Scheduler) TraceOf(key RunKey) (*trace.Recorder, bool) {
 // diagnostically useful ones, so older salvaged traces are dropped first.
 const maxAbortedTraces = 32
 
-// finish publishes an entry's result and evicts it on failure. A failed (or
-// canceled) traced run's recorder is salvaged into the aborted list (capped
-// at maxAbortedTraces, oldest dropped) before the entry is dropped, so an
+// finish evicts a failed entry and then publishes the entry's result. A
+// failed run's id, if a Lookup claimed it, then reads a stub holding only the
+// key and error. A failed (or canceled) traced run's recorder is salvaged
+// into the aborted list (capped at maxAbortedTraces, oldest dropped), so an
 // interrupted suite still flushes usable partial traces on drain (see
-// AbortedTracedRuns).
-func (s *Scheduler) finish(key RunKey, e *runEntry, st *expStats) {
-	close(e.done)
+// AbortedTracedRuns). All of it happens before the waiters are released, so
+// a drain that has seen every waiter return also sees every salvaged trace.
+func (s *Scheduler) finish(e *runEntry, st *expStats) {
+	defer close(e.done)
 	if e.err == nil {
 		return
 	}
@@ -484,9 +496,14 @@ func (s *Scheduler) finish(key RunKey, e *runEntry, st *expStats) {
 	if st != nil {
 		st.failures.Add(1)
 	}
+	key, id := e.key, e.key.ID()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.runs[key] == e {
 		delete(s.runs, key)
+	}
+	if s.ids[id] == e {
+		s.ids[id] = &runEntry{key: key, done: e.done, err: e.err}
 	}
 	if e.out.rec != nil {
 		if len(s.aborted) >= maxAbortedTraces {
@@ -495,12 +512,9 @@ func (s *Scheduler) finish(key RunKey, e *runEntry, st *expStats) {
 		}
 		s.aborted = append(s.aborted, TracedRun{Key: key, Rec: e.out.rec, Err: e.err})
 	}
-	s.mu.Unlock()
 }
 
-// execute runs the simulation a key describes, retrying failed attempts (up
-// to cfg.Retries extra tries) with fresh derived seeds. Context cancellation
-// is terminal: a canceled suite does not burn retries.
+// execute runs the simulation a key describes, once, under its DeriveSeed.
 //
 // When a warm store is configured, an eligible run first consults it: an
 // exact-identity snapshot (same ReplayHash) replays the recorded result
@@ -521,59 +535,41 @@ func (s *Scheduler) execute(ctx context.Context, key RunKey, prior *core.AccelSt
 			s.warmInvalid.Add(1)
 		}
 	}
-	var lastErr error
-	var lastOut runOutput
-	for attempt := 0; attempt <= s.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			s.retries.Add(1)
-		}
-		// Each attempt is traced when Config.Trace is set, and full-system
-		// runs record the §3 profile as they go.
-		var h Hooks
-		if s.cfg.Trace {
-			h.Trace = trace.NewRecorder(trace.DefaultConfig())
-		}
-		var prof *core.Profiler
-		if key.Mode == machine.FullSystem {
-			prof = core.NewProfiler()
-			h.Observer = prof.Observer()
-		}
-		out, err := simulate(ctx, s.cfg.Timeout, key, attempt, prior, prov, h)
-		out.prof = prof
-		if prior != nil && out.acc != nil && out.transfer == nil {
-			// The accelerator refused the donor prior: the attempt ran cold.
-			s.transferHits.Add(-1)
-			s.transferRejected.Add(1)
-		}
-		if err == nil {
-			if out.acc != nil {
-				s.pltLearned.Add(out.acc.Summary().Learned)
-			}
-			if out.smp != nil {
-				rep := out.smp.Report()
-				s.sampledRuns.Add(1)
-				s.sampleDet.Add(rep.Detailed)
-				s.sampleExtrap.Add(rep.Extrapolated)
-			}
-			if s.warm.eligible(key) && s.warm.Save(warmSnapshot(key, out)) == nil {
-				s.warmSaves.Add(1)
-			}
-			return out, nil
-		}
-		// Keep the failed attempt's partial output: its recorder holds the
-		// trace up to the abort point, which the drain path salvages.
-		lastOut = out
-		lastErr = &RunError{
-			Key:      key,
-			Attempts: attempt + 1,
-			Timeout:  isTimeout(ctx, err),
-			Cause:    err,
-		}
-		if ctx.Err() != nil {
-			break
-		}
+	// Full-system runs record the §3 profile as they go.
+	var h Hooks
+	if s.cfg.Trace {
+		h.Trace = trace.NewRecorder(trace.DefaultConfig())
 	}
-	return lastOut, lastErr
+	var prof *core.Profiler
+	if key.Mode == machine.FullSystem {
+		prof = core.NewProfiler()
+		h.Observer = prof.Observer()
+	}
+	out, err := simulate(ctx, s.cfg.Timeout, key, prior, prov, h)
+	out.prof = prof
+	if prior != nil && out.acc != nil && out.transfer == nil {
+		// The accelerator refused the donor prior: the run was cold.
+		s.transferHits.Add(-1)
+		s.transferRejected.Add(1)
+	}
+	if err != nil {
+		// Keep the failed run's partial output: its recorder holds the trace
+		// up to the abort point, which the drain path salvages.
+		return out, &RunError{Key: key, Timeout: isTimeout(ctx, err), Cause: err}
+	}
+	if out.acc != nil {
+		s.pltLearned.Add(out.acc.Summary().Learned)
+	}
+	if out.smp != nil {
+		rep := out.smp.Report()
+		s.sampledRuns.Add(1)
+		s.sampleDet.Add(rep.Detailed)
+		s.sampleExtrap.Add(rep.Extrapolated)
+	}
+	if s.warm.eligible(key) && s.warm.Save(warmSnapshot(key, out)) == nil {
+		s.warmSaves.Add(1)
+	}
+	return out, nil
 }
 
 // isTimeout reports whether err is a per-run deadline rather than a suite
@@ -585,7 +581,7 @@ func isTimeout(ctx context.Context, err error) bool {
 
 // --- the single-run steps ---------------------------------------------------
 // Shared by the scheduler and RunOnce; the scheduler adds the memo cache,
-// retries, the sibling-donor form and counters.
+// the sibling-donor form and counters.
 
 // Hooks are the inputs of a run outside its key. They observe without
 // changing the simulation, so no identity encodes them; a run with either
@@ -609,7 +605,7 @@ type Single struct {
 // against the same warm store. With warmDir set (Accelerated keys only) it
 // opens the store with the recovery sweep, resolves a "store" directive to
 // its donor, replays an exact-identity snapshot, and otherwise simulates and
-// saves when eligible. There is no memoisation, retry or timeout; an "l2="
+// saves when eligible. There is no memoisation or timeout; an "l2="
 // directive, whose donor is a sibling run, is rejected, and a rejected
 // directive leaves the run cold with a nil Transfer.
 func RunOnce(key RunKey, warmDir string, h Hooks) (Single, error) {
@@ -624,7 +620,7 @@ func RunOnce(key RunKey, warmDir string, h Hooks) (Single, error) {
 			return Single{Outcome: out.outcome(), Replayed: true}, nil
 		}
 	}
-	out, err := simulate(context.Background(), 0, key, 0, prior, prov, h)
+	out, err := simulate(context.Background(), 0, key, prior, prov, h)
 	if err != nil {
 		return Single{}, err
 	}
@@ -638,14 +634,14 @@ func RunOnce(key RunKey, warmDir string, h Hooks) (Single, error) {
 // Assemble builds key's machine and kernel, with the accelerator and sampler
 // a run of key attaches, for custom guest programs: no benchmark is set up.
 func Assemble(key RunKey, h Hooks) (*workload.Sim, *core.Accelerator, *sample.Sampler) {
-	opts, out := build(key.Normalized(), 0, nil, nil, nil, h)
+	opts, out := build(key.Normalized(), nil, nil, nil, h)
 	return workload.Assemble(opts), out.acc, out.smp
 }
 
-// simulate runs one attempt of key, bounded by timeout (0 = none). A panic
-// escaping the workload's own recovery (e.g. out of a Prepare hook) becomes
-// an error, so a broken run never takes down a worker or the suite.
-func simulate(ctx context.Context, timeout time.Duration, key RunKey, attempt int, prior *core.AccelState, prov *transfer.Provenance, h Hooks) (out runOutput, err error) {
+// simulate runs key, bounded by timeout (0 = none). A panic escaping the
+// workload's own recovery (e.g. out of a Prepare hook) becomes an error, so
+// a broken run never takes down a worker or the suite.
+func simulate(ctx context.Context, timeout time.Duration, key RunKey, prior *core.AccelState, prov *transfer.Provenance, h Hooks) (out runOutput, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("run %s: panic: %v\n%s", key, r, debug.Stack())
@@ -656,17 +652,17 @@ func simulate(ctx context.Context, timeout time.Duration, key RunKey, attempt in
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	opts, out := build(key, attempt, ctx.Done(), prior, prov, h)
+	opts, out := build(key, ctx.Done(), prior, prov, h)
 	out.res, err = workload.Run(key.Bench, opts)
 	return out, err
 }
 
-// build is one attempt's workload configuration with hooks, accelerator and
-// sampler attached. A non-nil prior warm-starts the learners; if Import
-// refuses it the accelerator stays empty and out.transfer nil, so the run is
-// cold — never a silent half-import.
-func build(key RunKey, attempt int, done <-chan struct{}, prior *core.AccelState, prov *transfer.Provenance, h Hooks) (workload.Options, runOutput) {
-	opts := runOptions(key, attempt, done)
+// build is key's workload configuration with hooks, accelerator and sampler
+// attached. A non-nil prior warm-starts the learners; if Import refuses it
+// the accelerator stays empty and out.transfer nil, so the run is cold —
+// never a silent half-import.
+func build(key RunKey, done <-chan struct{}, prior *core.AccelState, prov *transfer.Provenance, h Hooks) (workload.Options, runOutput) {
+	opts := runOptions(key, done)
 	opts.Observer, opts.Trace = h.Observer, h.Trace
 	out := runOutput{rec: h.Trace}
 	if key.Mode == machine.Accelerated {
@@ -677,24 +673,23 @@ func build(key RunKey, attempt int, done <-chan struct{}, prior *core.AccelState
 		opts.Sink = out.acc
 	}
 	if key.Sample != (sample.Spec{}) {
-		// Seeded by the attempt's machine seed: sampling decisions are a pure
-		// function of (key, attempt), like everything else about the run.
+		// Seeded by the run's machine seed: sampling decisions are a pure
+		// function of the key, like everything else about the run.
 		out.smp = sample.New(key.Sample, opts.Machine.Seed)
 		opts.Sample = out.smp
 	}
 	return opts, out
 }
 
-// runOptions is the workload configuration of one attempt of key: the
-// key's machine with the attempt's derived seed, its workload scale, its
-// fault plan, and cancellation when done closes. Every simulation of a key —
-// the scheduler's attempts, RunOnce and the warmstart experiment's reruns —
-// is built here, so they are the same deterministic run.
-func runOptions(key RunKey, attempt int, done <-chan struct{}) workload.Options {
+// runOptions is the workload configuration of key: the key's machine with
+// its derived seed, its workload scale, its fault plan, and cancellation when
+// done closes. Every simulation of a key — the scheduler's runs, RunOnce and
+// the warmstart experiment's reruns — is built here, so they are the same
+// deterministic run.
+func runOptions(key RunKey, done <-chan struct{}) workload.Options {
 	opts := workload.DefaultOptions()
 	opts.Scale = key.Scale
 	opts.Machine = machineConfigFor(key)
-	opts.Machine.Seed = key.AttemptSeed(attempt)
 	opts.Cancel = done
 	if plan := faultPlanFor(key); plan != nil {
 		opts.Prepare = plan.Install
@@ -891,22 +886,22 @@ func (s *Scheduler) WarmDir() string {
 	return s.warm.Dir()
 }
 
-// WarmSnapshotPath returns the newest on-disk snapshot for bench, for
-// serving front-ends that export learned state (GET /v1/plt/{benchmark}).
-// ok is false when no store is configured or no snapshot exists.
-func (s *Scheduler) WarmSnapshotPath(bench string) (string, bool) {
+// WarmSnapshot returns the newest snapshot the warm store holds for bench,
+// as the verified file bytes and their decoded form, for serving front-ends
+// that export learned state (GET /v1/plt/{benchmark}). The error is
+// pltstore.ErrNotFound when no store is configured or bench has no snapshot,
+// and the store's load error when the newest file fails verification.
+func (s *Scheduler) WarmSnapshot(bench string) ([]byte, *pltstore.Snapshot, error) {
 	if s.warm == nil {
-		return "", false
+		return nil, nil, pltstore.ErrNotFound
 	}
-	paths, err := s.warm.List(bench)
-	if err != nil || len(paths) == 0 {
-		return "", false
-	}
-	// List sorts by name; pick the newest by modification time so the most
-	// recently refreshed configuration wins when several coexist. Equal
-	// timestamps (same-second saves on coarse filesystems) break to the
-	// lexicographically smallest path, so the choice is deterministic rather
-	// than an artifact of directory iteration order.
+	// An unreadable directory holds no snapshot. List sorts by name; pick the
+	// newest by modification time so the most recently refreshed
+	// configuration wins when several coexist. Equal timestamps (same-second
+	// saves on coarse filesystems) break to the lexicographically smallest
+	// path, so the choice is deterministic rather than an artifact of
+	// directory iteration order.
+	paths, _ := s.warm.List(bench)
 	best, bestAt := "", time.Time{}
 	for _, p := range paths {
 		fi, err := os.Stat(p)
@@ -918,7 +913,10 @@ func (s *Scheduler) WarmSnapshotPath(bench string) (string, bool) {
 			best, bestAt = p, fi.ModTime()
 		}
 	}
-	return best, best != ""
+	if best == "" {
+		return nil, nil, pltstore.ErrNotFound
+	}
+	return s.warm.ReadPath(best)
 }
 
 // modeCosts returns the Table 1 host-cost measurement, pinned from the

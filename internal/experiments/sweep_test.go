@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"os"
 	"strconv"
 	"strings"
@@ -96,7 +98,7 @@ func TestStoreTransferWarmStartsFromDonor(t *testing.T) {
 	if !key.Transfer.Store {
 		t.Fatalf("accelKey under Transfer config carries directive %q, want \"store\"", key.Transfer)
 	}
-	out, _, err := s.Lookup(context.Background(), key, nil)
+	out, _, err := s.Lookup(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestStoreTransferWarmStartsFromDonor(t *testing.T) {
 	// Replay pass: the transferred run's own snapshot replays under the same
 	// resolved donor, with no new simulation.
 	s2 := NewScheduler(tcfg)
-	out2, _, err := s2.Lookup(context.Background(), key, nil)
+	out2, _, err := s2.Lookup(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestStoreTransferRejectsIneligibleDonor(t *testing.T) {
 	tcfg := cfg
 	tcfg.Transfer = true
 	s := NewScheduler(tcfg)
-	out, _, err := s.Lookup(context.Background(), tcfg.accelKey("ab-rand", core.Statistical, 0), nil)
+	out, _, err := s.Lookup(context.Background(), tcfg.accelKey("ab-rand", core.Statistical, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,8 @@ func TestStoreTransferRejectsIneligibleDonor(t *testing.T) {
 
 // TestWarmSnapshotPathTieBreak pins the newest-snapshot selection when
 // modification times collide (coarse filesystem timestamps): the
-// lexicographically smallest path must win, deterministically.
+// lexicographically smallest path must win, deterministically, and its bytes
+// are what WarmSnapshot returns.
 func TestWarmSnapshotPathTieBreak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long: simulates accelerated runs")
@@ -201,10 +204,20 @@ func TestWarmSnapshotPathTieBreak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, ok := s.WarmSnapshotPath("ab-rand")
-	if !ok || got != paths[0] {
-		t.Errorf("WarmSnapshotPath with tied mtimes = (%q, %v), want the lexicographically smallest %q",
-			got, ok, paths[0])
+	want, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, snap, err := s.WarmSnapshot("ab-rand")
+	if err != nil || !bytes.Equal(got, want) || snap.Key != cfg.accelKey("ab-rand", core.Statistical, 0).String() {
+		t.Errorf("WarmSnapshot with tied mtimes = (%d bytes, %v), want the lexicographically smallest %s",
+			len(got), err, paths[0])
+	}
+	if _, _, err := s.WarmSnapshot("du"); !errors.Is(err, pltstore.ErrNotFound) {
+		t.Errorf("WarmSnapshot of a benchmark with no snapshot = %v, want ErrNotFound", err)
+	}
+	if _, _, err := NewScheduler(Config{Scale: 1, Seed: 1}).WarmSnapshot("ab-rand"); !errors.Is(err, pltstore.ErrNotFound) {
+		t.Errorf("WarmSnapshot without a warm store = %v, want ErrNotFound", err)
 	}
 }
 

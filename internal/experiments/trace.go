@@ -128,9 +128,9 @@ func (s *Scheduler) WriteHarnessMetrics(w io.Writer) error {
 	_, err := fmt.Fprintf(w,
 		"# harness (host-dependent, excluded from deterministic comparisons)\n"+
 			"sched.distinct %d\nsched.hits %d\nsched.misses %d\n"+
-			"sched.hit_rate %.3f\nsched.failures %d\nsched.retries %d\n"+
+			"sched.hit_rate %.3f\nsched.failures %d\n"+
 			"sched.sim_wall_seconds %.3f\nsched.parallelism %d\n",
-		st.Distinct, st.Hits, st.Misses, hitRate, st.Failures, st.Retries,
+		st.Distinct, st.Hits, st.Misses, hitRate, st.Failures,
 		st.SimWall.Seconds(), s.Parallelism())
 	if err != nil || s.warm == nil {
 		return err

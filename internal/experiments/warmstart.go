@@ -96,7 +96,7 @@ func WarmstartExp(cfg Config) (*Result, error) {
 		if err := warmAcc.Import(restored.State); err != nil {
 			return nil, fmt.Errorf("warmstart: %s: import of decoded state: %w", name, err)
 		}
-		opts := runOptions(key, 0, cfg.context().Done())
+		opts := runOptions(key, cfg.context().Done())
 		contOpts, warmOpts := opts, opts
 		contOpts.Sink = contAcc
 		warmOpts.Sink = warmAcc

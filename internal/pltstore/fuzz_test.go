@@ -65,6 +65,37 @@ func FuzzPLTSnapshotRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzPLTSnapshotFieldEdit is the structure-aware form of property 1: it
+// sets one byte of a valid snapshot body and reseals the checksum, so every
+// input reaches the decoder's per-field checks (booleans, varints, counts,
+// int32 ranges) instead of stopping at the checksum. If Decode accepts the
+// edited bytes, Encode of the result must reproduce them: a decoder that
+// accepts a value its encoder never writes fails here.
+func FuzzPLTSnapshotFieldEdit(f *testing.F) {
+	valid := Encode(richSnapshot())
+	body := valid[12 : len(valid)-8]
+	f.Add(uint32(0), byte(0))
+	f.Add(uint32(len(body)/2), byte(0xff))
+	f.Add(uint32(len(body)-1), byte(1))
+
+	f.Fuzz(func(t *testing.T, offset uint32, b byte) {
+		edited := append([]byte(nil), body...)
+		edited[int(offset%uint32(len(edited)))] = b
+		in := seal(edited)
+		snap, err := Decode(in)
+		if err != nil {
+			var fe *FormatError
+			if !errors.As(err, &fe) || snap != nil {
+				t.Fatalf("decode = %v, %v; want a *FormatError and no snapshot", snap, err)
+			}
+			return
+		}
+		if again := Encode(snap); !bytes.Equal(again, in) {
+			t.Fatalf("edit %#x at %d decodes but re-encodes to different bytes", b, offset%uint32(len(edited)))
+		}
+	})
+}
+
 // fuzzRand is a tiny deterministic PRNG (splitmix64) seeded from fuzz input,
 // so generated states are reproducible from the corpus entry alone.
 type fuzzRand struct{ s uint64 }

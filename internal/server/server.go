@@ -65,8 +65,6 @@ type Config struct {
 	// Deadline (a run no client can wait for should not pin a worker);
 	// negative disables the per-run timeout entirely.
 	RunTimeout time.Duration
-	// Retries is how many extra attempts a failed run gets.
-	Retries int
 	// Scale and Seed are the defaults applied to requests that leave them
 	// unset. Defaults 1.0 and 1.
 	Scale float64
@@ -79,11 +77,6 @@ type Config struct {
 	// metrics dump, the PR 3 exporter formats).
 	TracePath   string
 	MetricsPath string
-	// MaxRecords bounds how many distinct run records GET /v1/runs/{id} can
-	// address: beyond it the oldest resolved records are evicted, so a
-	// long-lived server's memory stays bounded under arbitrarily many
-	// distinct requests. Default 4096.
-	MaxRecords int
 	// WarmDir roots a PLT snapshot store (internal/pltstore): accelerated
 	// runs' learned tables are persisted there, identical repeat requests are
 	// replayed from disk across server restarts, and GET /v1/plt/{benchmark}
@@ -128,31 +121,7 @@ func (c Config) normalized() Config {
 	if c.TracePath != "" || c.MetricsPath != "" {
 		c.Trace = true
 	}
-	if c.MaxRecords <= 0 {
-		c.MaxRecords = 4096
-	}
 	return c
-}
-
-// runRecord is the server's view of one distinct run id, shared by every
-// request that maps to it.
-type runRecord struct {
-	id  string
-	key experiments.RunKey
-
-	mu     sync.Mutex
-	status string // "running", "done" or "failed"
-	body   []byte // the deterministic 200 body, once done
-	errMsg string
-}
-
-// settle records a run's resolution. Settling twice is harmless: the body is
-// deterministic, and a record re-run after a failure eviction may legally
-// move from "failed" to "done".
-func (r *runRecord) settle(status string, body []byte, errMsg string) {
-	r.mu.Lock()
-	r.status, r.body, r.errMsg = status, body, errMsg
-	r.mu.Unlock()
 }
 
 // Server is the serving front-end. Build with New, mount Handler on any
@@ -172,10 +141,6 @@ type Server struct {
 	// Add/Wait race.
 	drainMu  sync.Mutex
 	inflight sync.WaitGroup
-
-	mu       sync.Mutex
-	records  map[string]*runRecord
-	recOrder []string // record ids in creation order, for bounded eviction
 
 	latencyEWMA atomic.Int64 // microseconds; feeds Retry-After estimates
 	latMu       sync.Mutex   // trace.Histogram is single-writer; handlers are not
@@ -204,7 +169,6 @@ func New(cfg Config) *Server {
 		Seed:        cfg.Seed,
 		Parallelism: cfg.Workers,
 		Timeout:     cfg.RunTimeout,
-		Retries:     cfg.Retries,
 		Trace:       cfg.Trace,
 		WarmDir:     cfg.WarmDir,
 		Transfer:    cfg.Transfer,
@@ -216,7 +180,6 @@ func New(cfg Config) *Server {
 		baseCtx:    baseCtx,
 		cancelRuns: cancel,
 		queueSlots: make(chan struct{}, cfg.Queue),
-		records:    make(map[string]*runRecord),
 		started:    make(chan struct{}),
 		reg:        reg,
 		mQueue:     reg.Gauge("server.queue.depth"),
@@ -295,55 +258,6 @@ func (s *Server) observeLatency(d time.Duration) {
 	}
 }
 
-// record returns the shared record for id, creating it in "running" state.
-// Creation may evict the oldest resolved records to keep the map bounded.
-func (s *Server) record(id string, key experiments.RunKey) *runRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.records[id]
-	if !ok {
-		rec = &runRecord{id: id, key: key, status: "running"}
-		s.records[id] = rec
-		s.recOrder = append(s.recOrder, id)
-		s.evictRecordsLocked()
-	}
-	return rec
-}
-
-// evictRecordsLocked drops the oldest resolved records until the map is back
-// under MaxRecords. Records still "running" are kept — their detached run
-// will resolve them, and their count is bounded by the runs in flight — so
-// the map can transiently exceed the cap by at most that amount.
-func (s *Server) evictRecordsLocked() {
-	if len(s.records) <= s.cfg.MaxRecords {
-		return
-	}
-	kept := s.recOrder[:0]
-	for i, id := range s.recOrder {
-		if len(s.records) <= s.cfg.MaxRecords {
-			kept = append(kept, s.recOrder[i:]...)
-			break
-		}
-		rec := s.records[id]
-		rec.mu.Lock()
-		running := rec.status == "running"
-		rec.mu.Unlock()
-		if running {
-			kept = append(kept, id)
-			continue
-		}
-		delete(s.records, id)
-	}
-	s.recOrder = kept
-}
-
-func (s *Server) lookupRecord(id string) (*runRecord, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.records[id]
-	return rec, ok
-}
-
 // handleSubmit is POST /v1/runs: admission, deadline, run, respond.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
@@ -394,22 +308,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}()
 	s.mAdmitted.Add(1)
 
-	id := key.ID()
-	rec := s.record(id, key)
-
 	// The request waits at most its deadline; the simulation itself runs
 	// detached under the server lifetime + per-run timeout, so an abandoned
-	// wait leaves the shared run for coalesced clients and the memo cache.
+	// wait leaves the shared run for coalesced clients, the memo cache and
+	// GET /v1/runs/{id}.
+	id := key.ID()
 	ctx, cancel := context.WithTimeout(r.Context(), req.deadline(s.cfg.Deadline))
 	defer cancel()
-
-	// The run record is resolved from the detached run's actual outcome,
-	// exactly once per distinct execution — not from this waiter — so an
-	// abandoned run's record still flips to done/failed for later GETs.
 	start := time.Now()
-	out, status, err := s.sched.Lookup(ctx, key, func(out experiments.Outcome, err error) {
-		s.completeRun(rec, out, err)
-	})
+	out, status, err := s.sched.Lookup(ctx, key)
 	s.observeLatency(time.Since(start))
 	if status != experiments.LookupMiss {
 		s.mDedup.Add(1)
@@ -420,8 +327,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 			// This waiter gave up (deadline or disconnect); the run itself
-			// may still complete for others and settles the record via the
-			// completion hook.
+			// may still complete for others and for GET by id.
 			s.mFailed.Add(1)
 			if errors.Is(err, context.DeadlineExceeded) {
 				writeJSON(w, http.StatusGatewayTimeout, errBody{"deadline exceeded waiting for run " + id})
@@ -448,11 +354,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errBody{merr.Error()})
 		return
 	}
-	// Also settle the record here (not only in the completion hook) so a GET
-	// issued right after this response never observes a stale "running". The
-	// body is a pure function of (id, key, out), so the double write is
-	// byte-identical.
-	rec.settle("done", body, "")
 	if degraded {
 		w.Header().Set("X-Fssim-Degraded", "true")
 	}
@@ -468,8 +369,8 @@ func (s *Server) degraded(out experiments.Outcome) bool {
 }
 
 // responseBody builds the deterministic 200 body for a completed run: a pure
-// function of (id, key, outcome), so every path that renders it — the waiter,
-// the detached completion hook, GET /v1/runs/{id} — produces identical bytes.
+// function of (id, key, outcome), so both paths that render it — the POST
+// waiter and GET /v1/runs/{id} — produce identical bytes.
 func (s *Server) responseBody(id string, key experiments.RunKey, out experiments.Outcome) (body []byte, degraded bool, err error) {
 	degraded = s.degraded(out)
 	resp := RunResponse{
@@ -508,44 +409,28 @@ func (s *Server) responseBody(id string, key experiments.RunKey, out experiments
 	return append(body, '\n'), degraded, nil
 }
 
-// completeRun is the detached-execution completion hook: invoked exactly once
-// per distinct run (even if every waiter abandoned it), it settles the shared
-// record with the run's final outcome.
-func (s *Server) completeRun(rec *runRecord, out experiments.Outcome, err error) {
-	if err != nil {
-		rec.settle("failed", nil, err.Error())
-		return
-	}
-	body, _, merr := s.responseBody(rec.id, rec.key, out)
-	if merr != nil {
-		rec.settle("failed", nil, merr.Error())
-		return
-	}
-	rec.settle("done", body, "")
-}
-
-// handleGet is GET /v1/runs/{id}: the stored (byte-identical) result body of
-// a completed run, or its current status.
+// handleGet is GET /v1/runs/{id}: the run's current status from the
+// scheduler's memo, with the (byte-identical) result body once it is done.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rec, ok := s.lookupRecord(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errBody{"unknown run id"})
-		return
-	}
-	rec.mu.Lock()
-	status, body, errMsg := rec.status, rec.body, rec.errMsg
-	rec.mu.Unlock()
+	key, status, out, err := s.sched.ByID(id)
 	switch status {
-	case "done":
+	case experiments.RunUnknown:
+		writeJSON(w, http.StatusNotFound, errBody{"unknown run id"})
+	case experiments.RunRunning:
+		writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": "running"})
+	case experiments.RunFailed:
+		writeJSON(w, http.StatusInternalServerError, errBody{err.Error()})
+	default:
+		body, _, merr := s.responseBody(id, key, out)
+		if merr != nil {
+			writeJSON(w, http.StatusInternalServerError, errBody{merr.Error()})
+			return
+		}
 		w.Header().Set("X-Fssim-Cache", "hit")
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(body)
-	case "failed":
-		writeJSON(w, http.StatusInternalServerError, errBody{errMsg})
-	default:
-		writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": "running"})
 	}
 }
 
@@ -557,18 +442,17 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	rec, ok := s.lookupRecord(id)
-	if !ok {
+	key, status, out, _ := s.sched.ByID(id)
+	if status == experiments.RunUnknown {
 		writeJSON(w, http.StatusNotFound, errBody{"unknown run id"})
 		return
 	}
-	tr, ok := s.sched.TraceOf(rec.key)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errBody{"no trace for run (not finished, or evicted)"})
+	if status != experiments.RunDone || out.Trace == nil {
+		writeJSON(w, http.StatusNotFound, errBody{"no trace for run (not finished, or failed)"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := trace.WriteChrome(w, rec.key.String(), tr); err != nil {
+	if err := trace.WriteChrome(w, key.String(), out.Trace); err != nil {
 		// Headers are gone; all we can do is abort the body.
 		return
 	}
@@ -586,12 +470,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	bench := r.PathValue("benchmark")
-	path, ok := s.sched.WarmSnapshotPath(bench)
-	if !ok {
+	data, snap, err := s.sched.WarmSnapshot(bench)
+	if errors.Is(err, pltstore.ErrNotFound) {
 		writeJSON(w, http.StatusNotFound, errBody{"no PLT snapshot for benchmark " + bench})
 		return
 	}
-	data, snap, err := pltstore.Open(s.sched.WarmDir()).ReadPath(path)
 	if err != nil {
 		writeJSON(w, http.StatusNotFound, errBody{"snapshot invalid: " + err.Error()})
 		return

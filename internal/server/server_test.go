@@ -90,6 +90,15 @@ func init() {
 			p.U.Mix(1_000)
 		})
 	})
+	workload.Register(workload.Benchmark{
+		Name: "srv-gate-fail", Hidden: true,
+		Description: "blocks until the test releases the gate, then panics",
+	}, func(k *kernel.Kernel, scale float64) {
+		k.Spawn("gatefail", func(p *kernel.Proc) {
+			<-currentGate()
+			panic("deliberate gated failure")
+		})
+	})
 }
 
 // newTestServer builds a Server plus an httptest front and a Client, and
@@ -263,9 +272,9 @@ func TestFailedRunReachesCaller(t *testing.T) {
 }
 
 // TestAbandonedRunStillResolvesRecord: when every waiter gives up before the
-// run completes, the detached completion still settles the run record, so
-// GET /v1/runs/{id} serves the documented "result may become available later
-// under the same id" contract instead of reporting 202 forever.
+// run completes, the detached run still completes in the scheduler's memo,
+// so GET /v1/runs/{id} serves the documented "result may become available
+// later under the same id" contract instead of reporting 202 forever.
 func TestAbandonedRunStillResolvesRecord(t *testing.T) {
 	resetGate()
 	_, c := newTestServer(t, Config{Workers: 2, Deadline: 30 * time.Second})
@@ -290,8 +299,7 @@ func TestAbandonedRunStillResolvesRecord(t *testing.T) {
 		t.Fatalf("Get before completion = (%v, %v), want 202 (nil, nil)", res, err)
 	}
 
-	// Release the run with no waiter attached; the detached completion must
-	// settle the record.
+	// Release the run with no waiter attached; GET must see it complete.
 	closeGate()
 	var got *RunResult
 	waitFor(t, func() bool {
@@ -314,40 +322,131 @@ func TestAbandonedRunStillResolvesRecord(t *testing.T) {
 	}
 }
 
-// TestRunRecordsBounded: the per-id record map must not grow without bound —
-// past MaxRecords the oldest resolved records are evicted (404), while the
-// newest stay addressable.
-func TestRunRecordsBounded(t *testing.T) {
-	s, c := newTestServer(t, Config{MaxRecords: 2})
+// TestGetByIDStates walks GET /v1/runs/{id} through the answers other tests
+// leave out: 404 for an id no POST claimed, and 500 naming the cause of a
+// failed run — also when every waiter gave up before the failure, after a
+// 202 while it ran. (The 200 body is TestSubmitRepeatByteIdentical's.)
+func TestGetByIDStates(t *testing.T) {
+	resetGate()
+	flakyFail.Store(true)
+	defer flakyFail.Store(false)
+	_, c := newTestServer(t, Config{Workers: 2, Deadline: 30 * time.Second})
 	ctx := context.Background()
-	var first, last *RunResult
-	for i := int64(1); i <= 5; i++ {
-		res, err := c.Run(ctx, okRequest(i))
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if first == nil {
-			first = res
-		}
-		last = res
-	}
-	s.mu.Lock()
-	n := len(s.records)
-	s.mu.Unlock()
-	if n > 2 {
-		t.Errorf("records map holds %d entries, want <= MaxRecords=2", n)
-	}
-	if res, err := c.Get(ctx, last.Response.ID); err != nil || res == nil {
-		t.Errorf("newest record unavailable: (%v, %v)", res, err)
-	}
-	_, err := c.Get(ctx, first.Response.ID)
-	if err == nil {
-		t.Error("oldest record still addressable past the bound")
-	} else {
+	status := func(id string) int {
+		t.Helper()
+		_, err := c.Get(ctx, id)
 		var ae *APIError
-		if !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
-			t.Errorf("evicted record error = %v, want 404", err)
+		switch {
+		case err == nil:
+			return http.StatusOK // 200, or 202 as (nil, nil)
+		case errors.As(err, &ae):
+			return ae.StatusCode
 		}
+		t.Fatalf("GET %s: %v", id, err)
+		return 0
+	}
+	if code := status("r0000000000000000"); code != http.StatusNotFound {
+		t.Errorf("unknown id: status %d, want 404", code)
+	}
+
+	// A failed run with a waiter: the POST and the GET both name the cause.
+	if _, err := c.Run(ctx, RunRequest{Benchmark: "srv-flaky", Scale: 0.1}); err == nil {
+		t.Fatal("flaky run succeeded")
+	}
+	flaky, _ := RunRequest{Benchmark: "srv-flaky", Scale: 0.1}.key(1, 1)
+	_, err := c.Get(ctx, flaky.ID())
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusInternalServerError ||
+		!strings.Contains(ae.Message, "deliberate flaky failure") {
+		t.Errorf("GET of a failed run = %v, want a 500 naming the panic", err)
+	}
+
+	// A failed run whose only waiter gave up while it was still running.
+	req := RunRequest{Benchmark: "srv-gate-fail", Scale: 0.1, DeadlineMS: 50}
+	if _, err := c.Run(ctx, req); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("gated run with 50ms deadline returned %v, want ErrDeadline", err)
+	}
+	gated, _ := req.key(1, 1)
+	if res, err := c.Get(ctx, gated.ID()); err != nil || res != nil {
+		t.Fatalf("GET while gated = (%v, %v), want 202 (nil, nil)", res, err)
+	}
+	closeGate()
+	waitFor(t, func() bool { return status(gated.ID()) != http.StatusOK })
+	_, err = c.Get(ctx, gated.ID())
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusInternalServerError ||
+		!strings.Contains(ae.Message, "deliberate gated failure") {
+		t.Errorf("GET of an abandoned failed run = %v, want a 500 naming the panic", err)
+	}
+}
+
+// TestGetByIDNever404OnceClaimed: once the scheduler holds a POST's run, a
+// concurrent GET of its id never answers 404 — not while it runs, not as it
+// completes or fails and leaves the memo, not after. Run under -race.
+func TestGetByIDNever404OnceClaimed(t *testing.T) {
+	resetGate()
+	s, c := newTestServer(t, Config{Workers: 2, Deadline: 30 * time.Second})
+	ctx := context.Background()
+	var ids []string
+	posted := make(chan error, 2)
+	for _, bench := range []string{"srv-gate", "srv-gate-fail"} {
+		req := RunRequest{Benchmark: bench, Scale: 0.1, Seed: 21}
+		key, err := req.key(1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, key.ID())
+		go func() {
+			_, err := c.Run(ctx, req)
+			posted <- err
+		}()
+	}
+	waitFor(t, func() bool { return s.sched.Stats().Misses == 2 })
+
+	const readers = 4
+	var notFound, rounds atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, id := range ids {
+					var ae *APIError
+					if _, err := c.Get(ctx, id); errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound {
+						notFound.Add(1)
+					}
+				}
+				rounds.Add(1)
+			}
+		}()
+	}
+	// Every reader reads the running runs, then the gate releases them while
+	// the readers go on, and every reader reads the settled runs too.
+	waitFor(t, func() bool { return rounds.Load() >= readers })
+	closeGate()
+	okErr, failErr := <-posted, <-posted
+	if (okErr == nil) == (failErr == nil) {
+		t.Errorf("POST results %v and %v, want one success and one failure", okErr, failErr)
+	}
+	settled := rounds.Load()
+	waitFor(t, func() bool { return rounds.Load() >= settled+2*readers })
+	close(stop)
+	wg.Wait()
+	if n := notFound.Load(); n != 0 {
+		t.Errorf("%d GETs of claimed run ids answered 404", n)
+	}
+	if res, err := c.Get(ctx, ids[0]); err != nil || res == nil {
+		t.Errorf("GET of the done run = (%v, %v), want 200", res, err)
+	}
+	var ae *APIError
+	if _, err := c.Get(ctx, ids[1]); !errors.As(err, &ae) || ae.StatusCode != http.StatusInternalServerError {
+		t.Errorf("GET of the failed run = %v, want 500", err)
 	}
 }
 
