@@ -50,14 +50,6 @@ func (b *BranchPredictor) Predict(pc uint64, taken bool) bool {
 // Stats returns (lookups, mispredictions).
 func (b *BranchPredictor) Stats() (lookups, misses uint64) { return b.lookups, b.misses }
 
-// MispredictRate returns misses/lookups.
-func (b *BranchPredictor) MispredictRate() float64 {
-	if b.lookups == 0 {
-		return 0
-	}
-	return float64(b.misses) / float64(b.lookups)
-}
-
 func bit(v bool) uint32 {
 	if v {
 		return 1

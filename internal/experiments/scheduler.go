@@ -47,7 +47,7 @@ func (o runOutput) outcome() Outcome {
 }
 
 // runEntry is one run's record: the memo slot of its key and, once a Lookup
-// claims it, what its run id reads. done is closed when out/err/wall are
+// claims it, what its run id reads. done is closed when out and err are
 // final. creator records which experiment's request created the entry, so a
 // runner re-reading a run its own prefetch started is not miscounted as a
 // cache hit.
@@ -57,10 +57,11 @@ type runEntry struct {
 	creator *expStats
 	out     runOutput
 	err     error
-	wall    time.Duration
 }
 
-// SchedStats is the scheduler's aggregate view of work performed and saved.
+// SchedStats is the scheduler's aggregate view of work performed and saved,
+// read from its metrics registry (the instrument each field reads is named
+// in Stats).
 type SchedStats struct {
 	Distinct int           // distinct simulations currently memoized
 	Hits     int64         // Get calls served from cache (or coalesced in-flight)
@@ -121,12 +122,14 @@ func (e *RunError) Unwrap() error { return e.Cause }
 // Scheduler memoizes simulation runs keyed by RunKey and executes distinct
 // runs on a bounded worker pool. Concurrent requests for the same key are
 // coalesced singleflight-style: the first caller simulates, later callers
-// block on the same entry. Each key runs once, under its DeriveSeed. A
+// block on the same entry. Each key runs once, under its DeriveSeed. Every
+// harness counter is an instrument in one registry (see Metrics). A
 // Scheduler is safe for concurrent use.
 type Scheduler struct {
 	cfg   Config
-	slots chan struct{} // worker-pool semaphore; cap = parallelism
-	warm  *warmStore    // nil unless Config.WarmDir is set
+	slots chan struct{}   // worker-pool semaphore; cap = parallelism
+	warm  *warmStore      // nil unless Config.WarmDir is set
+	reg   *trace.Registry // the harness counters; see Metrics
 
 	mu      sync.Mutex
 	runs    map[RunKey]*runEntry
@@ -135,26 +138,6 @@ type Scheduler struct {
 
 	costsOnce sync.Once
 	costs     ModeCosts
-
-	hits     atomic.Int64
-	misses   atomic.Int64
-	failures atomic.Int64
-	simWall  atomic.Int64 // nanoseconds
-
-	warmHits    atomic.Int64
-	warmMisses  atomic.Int64
-	warmInvalid atomic.Int64
-	warmSaves   atomic.Int64
-	pltLearned  atomic.Int64
-	recOrphans  atomic.Int64
-	recQuar     atomic.Int64
-
-	sampledRuns  atomic.Int64
-	sampleDet    atomic.Int64
-	sampleExtrap atomic.Int64
-
-	transferHits     atomic.Int64
-	transferRejected atomic.Int64
 }
 
 // NewScheduler builds a scheduler for cfg; cfg is normalized first, so a
@@ -164,14 +147,19 @@ func NewScheduler(cfg Config) *Scheduler {
 	s := &Scheduler{
 		cfg:   cfg,
 		slots: make(chan struct{}, cfg.Parallelism),
+		reg:   trace.NewRegistry(),
 		runs:  make(map[RunKey]*runEntry),
 		ids:   make(map[string]*runEntry),
 	}
+	// Reading Stats creates every instrument it reads, so the dump lists the
+	// same names whichever features a run used (zeros when unused).
+	s.Stats()
+	s.reg.Gauge("sched.parallelism").Set(int64(cfg.Parallelism))
 	if cfg.WarmDir != "" {
 		var rep pltstore.RecoveryReport
 		s.warm, rep = openWarm(cfg.WarmDir, cfg.warmFS, cfg.Transfer)
-		s.recOrphans.Store(int64(rep.Orphans))
-		s.recQuar.Store(int64(rep.Quarantined))
+		s.reg.Counter("plt.recovered.orphans").Add(int64(rep.Orphans))
+		s.reg.Counter("plt.recovered.quarantined").Add(int64(rep.Quarantined))
 	}
 	return s
 }
@@ -179,32 +167,35 @@ func NewScheduler(cfg Config) *Scheduler {
 // Parallelism returns the worker-pool width.
 func (s *Scheduler) Parallelism() int { return cap(s.slots) }
 
+// Metrics returns the harness registry: the scheduler's cache, warm-store,
+// sampling and transfer counters, plus whatever a serving front-end
+// registers beside them. WriteHarnessMetrics renders it.
+func (s *Scheduler) Metrics() *trace.Registry { return s.reg }
+
 // Stats returns a snapshot of cache and timing counters.
 func (s *Scheduler) Stats() SchedStats {
-	s.mu.Lock()
-	n := len(s.runs)
-	s.mu.Unlock()
+	c := func(name string) int64 { return s.reg.Counter(name).Value() }
 	return SchedStats{
-		Distinct:    n,
-		Hits:        s.hits.Load(),
-		Misses:      s.misses.Load(),
-		Failures:    s.failures.Load(),
-		SimWall:     time.Duration(s.simWall.Load()),
-		WarmHits:    s.warmHits.Load(),
-		WarmMisses:  s.warmMisses.Load(),
-		WarmInvalid: s.warmInvalid.Load(),
-		WarmSaves:   s.warmSaves.Load(),
-		PLTLearned:  s.pltLearned.Load(),
+		Distinct:    int(s.reg.Gauge("sched.distinct").Value()),
+		Hits:        c("sched.hits"),
+		Misses:      c("sched.misses"),
+		Failures:    c("sched.failures"),
+		SimWall:     time.Duration(c("sched.sim_wall_ns")),
+		WarmHits:    c("plt.warm_hits"),
+		WarmMisses:  c("plt.warm_misses"),
+		WarmInvalid: c("plt.warm_invalid"),
+		WarmSaves:   c("plt.warm_saves"),
+		PLTLearned:  c("plt.learned"),
 
-		WarmRecoveredOrphans:     s.recOrphans.Load(),
-		WarmRecoveredQuarantined: s.recQuar.Load(),
+		WarmRecoveredOrphans:     c("plt.recovered.orphans"),
+		WarmRecoveredQuarantined: c("plt.recovered.quarantined"),
 
-		SampledRuns:        s.sampledRuns.Load(),
-		SampleDetailed:     s.sampleDet.Load(),
-		SampleExtrapolated: s.sampleExtrap.Load(),
+		SampledRuns:        c("sample.runs"),
+		SampleDetailed:     c("sample.detailed"),
+		SampleExtrapolated: c("sample.extrapolated"),
 
-		TransferHits:     s.transferHits.Load(),
-		TransferRejected: s.transferRejected.Load(),
+		TransferHits:     c("transfer.hits"),
+		TransferRejected: c("transfer.rejected"),
 	}
 }
 
@@ -256,19 +247,20 @@ func (s *Scheduler) claim(key RunKey, st *expStats, id string) (e *runEntry, cre
 	if !ok {
 		e = &runEntry{key: key, done: make(chan struct{}), creator: st}
 		s.runs[key] = e
+		s.reg.Gauge("sched.distinct").Set(int64(len(s.runs)))
 	}
 	if id != "" {
 		s.ids[id] = e
 	}
 	s.mu.Unlock()
 	if !ok {
-		s.misses.Add(1)
+		s.reg.Counter("sched.misses").Inc()
 		if st != nil {
 			st.misses.Add(1)
 		}
 		return e, true
 	}
-	s.hits.Add(1)
+	s.reg.Counter("sched.hits").Inc()
 	if st != nil && e.creator != st {
 		st.hits.Add(1)
 	}
@@ -334,16 +326,15 @@ func (s *Scheduler) run(ctx context.Context, e *runEntry, st *expStats) {
 	// sibling-donor path runs (or joins) the donor simulation through the
 	// ordinary memo cache, which itself needs a slot — resolving first both
 	// orders every sweep so donors complete before their recipients and
-	// keeps -j 1 deadlock-free. A rejected directive is counted and the run
-	// proceeds cold: a directive is never silently ignored and a bad donor
-	// never imported.
+	// keeps -j 1 deadlock-free. A directive that fails to resolve is counted
+	// rejected here and the run proceeds cold: a directive is never silently
+	// ignored and a bad donor never imported. A resolved one is counted once
+	// the run's outcome is known, below.
 	prior, prov, err := s.warm.transferPrior(key, func(donor RunKey) (runOutput, error) {
 		return s.get(ctx, donor, st)
 	})
 	if err != nil {
-		s.transferRejected.Add(1)
-	} else if prior != nil {
-		s.transferHits.Add(1)
+		s.reg.Counter("transfer.rejected").Inc()
 	}
 	select {
 	case s.slots <- struct{}{}:
@@ -354,15 +345,26 @@ func (s *Scheduler) run(ctx context.Context, e *runEntry, st *expStats) {
 	}
 	start := time.Now()
 	e.out, e.err = s.execute(ctx, key, prior, prov)
-	e.wall = time.Since(start)
+	wall := time.Since(start)
 	<-s.slots
+	// A hit when the output carries the donor's provenance (replayed or
+	// simulated), a rejection when the accelerator refused the prior and the
+	// run went cold; a run that failed before its accelerator existed
+	// refused nothing.
+	if prior != nil && e.out.acc != nil {
+		if e.out.transfer != nil {
+			s.reg.Counter("transfer.hits").Inc()
+		} else {
+			s.reg.Counter("transfer.rejected").Inc()
+		}
+	}
 	// No memo reader needs the finished machine or kernel, and keeping them
 	// would pin every run's simulated hardware for the scheduler's lifetime.
 	e.out.res.Machine, e.out.res.Kernel = nil, nil
 
-	s.simWall.Add(int64(e.wall))
+	s.reg.Counter("sched.sim_wall_ns").Add(int64(wall))
 	if st != nil {
-		st.simWall.Add(int64(e.wall))
+		st.simWall.Add(int64(wall))
 	}
 	s.finish(e, st)
 }
@@ -492,7 +494,7 @@ func (s *Scheduler) finish(e *runEntry, st *expStats) {
 	if e.err == nil {
 		return
 	}
-	s.failures.Add(1)
+	s.reg.Counter("sched.failures").Inc()
 	if st != nil {
 		st.failures.Add(1)
 	}
@@ -501,6 +503,7 @@ func (s *Scheduler) finish(e *runEntry, st *expStats) {
 	defer s.mu.Unlock()
 	if s.runs[key] == e {
 		delete(s.runs, key)
+		s.reg.Gauge("sched.distinct").Set(int64(len(s.runs)))
 	}
 	if s.ids[id] == e {
 		s.ids[id] = &runEntry{key: key, done: e.done, err: e.err}
@@ -527,12 +530,12 @@ func (s *Scheduler) execute(ctx context.Context, key RunKey, prior *core.AccelSt
 		out, err := s.warm.replay(key, prov)
 		switch {
 		case err == nil:
-			s.warmHits.Add(1)
+			s.reg.Counter("plt.warm_hits").Inc()
 			return out, nil
 		case errors.Is(err, pltstore.ErrNotFound):
-			s.warmMisses.Add(1)
+			s.reg.Counter("plt.warm_misses").Inc()
 		default:
-			s.warmInvalid.Add(1)
+			s.reg.Counter("plt.warm_invalid").Inc()
 		}
 	}
 	// Full-system runs record the §3 profile as they go.
@@ -547,27 +550,22 @@ func (s *Scheduler) execute(ctx context.Context, key RunKey, prior *core.AccelSt
 	}
 	out, err := simulate(ctx, s.cfg.Timeout, key, prior, prov, h)
 	out.prof = prof
-	if prior != nil && out.acc != nil && out.transfer == nil {
-		// The accelerator refused the donor prior: the run was cold.
-		s.transferHits.Add(-1)
-		s.transferRejected.Add(1)
-	}
 	if err != nil {
 		// Keep the failed run's partial output: its recorder holds the trace
 		// up to the abort point, which the drain path salvages.
 		return out, &RunError{Key: key, Timeout: isTimeout(ctx, err), Cause: err}
 	}
 	if out.acc != nil {
-		s.pltLearned.Add(out.acc.Summary().Learned)
+		s.reg.Counter("plt.learned").Add(out.acc.Summary().Learned)
 	}
 	if out.smp != nil {
 		rep := out.smp.Report()
-		s.sampledRuns.Add(1)
-		s.sampleDet.Add(rep.Detailed)
-		s.sampleExtrap.Add(rep.Extrapolated)
+		s.reg.Counter("sample.runs").Inc()
+		s.reg.Counter("sample.detailed").Add(rep.Detailed)
+		s.reg.Counter("sample.extrapolated").Add(rep.Extrapolated)
 	}
 	if s.warm.eligible(key) && s.warm.Save(warmSnapshot(key, out)) == nil {
-		s.warmSaves.Add(1)
+		s.reg.Counter("plt.warm_saves").Inc()
 	}
 	return out, nil
 }
@@ -868,7 +866,7 @@ func (s *Scheduler) FlushWarm(ctx context.Context) (int, error) {
 			errs = append(errs, err)
 			return
 		}
-		s.warmSaves.Add(1)
+		s.reg.Counter("plt.warm_saves").Inc()
 		saved++
 	})
 	if skipped > 0 {

@@ -115,37 +115,15 @@ func (s *Scheduler) WriteRunMetrics(ctx context.Context, w io.Writer) error {
 	return nil
 }
 
-// WriteHarnessMetrics writes the scheduler's own cache and worker-pool
-// counters. These are host- and parallelism-dependent (like the "harness:"
-// notes StableRender excludes), so they are kept out of WriteRunMetrics and
-// the deterministic trace comparisons.
+// WriteHarnessMetrics writes the harness registry (see Metrics) under one
+// "# harness" header, name-sorted. Its counters are host- and
+// parallelism-dependent (like the "harness:" notes StableRender excludes),
+// so they are kept out of WriteRunMetrics and the deterministic trace
+// comparisons. plt.learned is the learning performed by runs this process
+// simulated: a fully warm-started process reports 0.
 func (s *Scheduler) WriteHarnessMetrics(w io.Writer) error {
-	st := s.Stats()
-	hitRate := 0.0
-	if st.Hits+st.Misses > 0 {
-		hitRate = float64(st.Hits) / float64(st.Hits+st.Misses)
-	}
-	_, err := fmt.Fprintf(w,
-		"# harness (host-dependent, excluded from deterministic comparisons)\n"+
-			"sched.distinct %d\nsched.hits %d\nsched.misses %d\n"+
-			"sched.hit_rate %.3f\nsched.failures %d\n"+
-			"sched.sim_wall_seconds %.3f\nsched.parallelism %d\n",
-		st.Distinct, st.Hits, st.Misses, hitRate, st.Failures,
-		st.SimWall.Seconds(), s.Parallelism())
-	if err != nil || s.warm == nil {
+	if _, err := io.WriteString(w, "# harness (host-dependent, excluded from deterministic comparisons)\n"); err != nil {
 		return err
 	}
-	// Warm-start counters appear only when a store is configured, so existing
-	// metrics consumers see an unchanged document otherwise. plt.learned is
-	// the learning performed by runs this process simulated: a fully
-	// warm-started process reports 0.
-	_, err = fmt.Fprintf(w,
-		"plt.warm_hits %d\nplt.warm_misses %d\nplt.warm_invalid %d\n"+
-			"plt.warm_saves %d\nplt.learned %d\n"+
-			"plt.recovered.orphans %d\nplt.recovered.quarantined %d\n"+
-			"transfer.hits %d\ntransfer.rejected %d\n",
-		st.WarmHits, st.WarmMisses, st.WarmInvalid, st.WarmSaves, st.PLTLearned,
-		st.WarmRecoveredOrphans, st.WarmRecoveredQuarantined,
-		st.TransferHits, st.TransferRejected)
-	return err
+	return s.reg.WriteText(w)
 }

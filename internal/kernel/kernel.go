@@ -183,8 +183,6 @@ func New(m *machine.Machine, tun Tunables) *Kernel {
 	k.disk.op = m.RegisterOp(k.disk.complete)
 	k.net.opDeliver = m.RegisterOp(k.net.deliver)
 	k.net.opClose = m.RegisterOp(k.net.peerClosed)
-
-	m.SetIRQHandler(k.handleIRQ)
 	return k
 }
 
@@ -263,8 +261,9 @@ func (k *Kernel) sleepWake(a, _ uint64) {
 	k.sleepFree = append(k.sleepFree, int32(a))
 }
 
-// handleIRQ is the machine's interrupt entry: it opens (or nests into) an OS
-// service interval, runs the vector's handler body, performs the
+// handleIRQ is the kernel's interrupt entry, called directly by the device
+// and timer event-op handlers: it opens (or nests into) an OS service
+// interval, runs the vector's handler body, performs the
 // return-from-interrupt preemption check, and closes the interval.
 func (k *Kernel) handleIRQ(vector uint16) {
 	e := k.e

@@ -410,9 +410,6 @@ func (k *Kernel) NewWaitQueue() *WaitQueue {
 	return &WaitQueue{k: k, addr: k.heap.Alloc(32)}
 }
 
-// Empty reports whether no thread is blocked on the queue.
-func (wq *WaitQueue) Empty() bool { return len(wq.waiters) == 0 }
-
 // WaitFor blocks the current thread on wq until cond holds, following the
 // kernel's prepare_to_wait discipline: the thread enqueues itself and marks
 // itself blocked BEFORE emitting the wait-path instructions and re-checking
@@ -546,12 +543,4 @@ func (k *Kernel) SleepCycles(cycles uint64) {
 	wq.addr = k.heap.Alloc(32)
 	k.m.ScheduleOpAfter(cycles, k.opSleep, uint64(slot), 0)
 	wq.Sleep()
-}
-
-// Yield lets the current thread give up the CPU (sys_sched_yield body).
-func (k *Kernel) Yield() {
-	if k.sched.current == nil {
-		return
-	}
-	k.sched.reschedule(false)
 }

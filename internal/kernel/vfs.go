@@ -87,12 +87,6 @@ type File struct {
 	dirIdx int
 }
 
-// IsSocket reports whether the file is a socket.
-func (f *File) IsSocket() bool { return f.sock != nil }
-
-// Sock returns the socket behind the file (nil for filesystem files).
-func (f *File) Sock() *Socket { return f.sock }
-
 func newFS(k *Kernel) *FS {
 	fs := &FS{k: k, nextIno: 1}
 	fs.root = &Dentry{name: "/", addr: k.heap.AllocAligned(192, 64), cached: true}

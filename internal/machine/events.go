@@ -194,15 +194,6 @@ func (m *Machine) pollEvents() {
 	m.delivering = false
 }
 
-// DeliverIRQ invokes the kernel's registered interrupt entry for vector.
-// Device event callbacks use this; the kernel entry performs KEnter/KExit
-// and emits the handler's instructions.
-func (m *Machine) DeliverIRQ(vector uint16) {
-	if m.irq != nil {
-		m.irq(vector)
-	}
-}
-
 // PendingEvents reports the number of scheduled events.
 func (m *Machine) PendingEvents() int { return len(m.events) }
 

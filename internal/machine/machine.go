@@ -13,7 +13,6 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 
@@ -227,7 +226,6 @@ type Machine struct {
 	cfg  Config
 	core cpu.Core
 	mem  *memsys.Hierarchy // nil when WithCaches is false
-	rng  *rand.Rand
 	Lay  *memsim.Layout
 
 	events   eventQueue
@@ -265,8 +263,7 @@ type Machine struct {
 	sink     IntervalSink
 	appSink  AppSink
 	observer func(IntervalRecord)
-	rec      *trace.Recorder     // nil unless tracing is enabled for the run
-	irq      func(vector uint16) // kernel's interrupt entry
+	rec      *trace.Recorder // nil unless tracing is enabled for the run
 
 	// The two interval kinds, and the one that is open (nil between
 	// intervals). os is the OS service interval; app is the application
@@ -319,7 +316,6 @@ type Machine struct {
 func New(cfg Config) *Machine {
 	m := &Machine{
 		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
 		Lay: memsim.NewLayout(),
 	}
 	if cfg.WithCaches {
@@ -341,9 +337,6 @@ func (m *Machine) Config() Config { return m.cfg }
 // Mode returns the simulation mode.
 func (m *Machine) Mode() SimMode { return m.cfg.Mode }
 
-// RNG returns the machine's deterministic random source.
-func (m *Machine) RNG() *rand.Rand { return m.rng }
-
 // Mem returns the memory hierarchy (nil in nocache configurations).
 func (m *Machine) Mem() *memsys.Hierarchy { return m.mem }
 
@@ -362,9 +355,6 @@ func (m *Machine) SetAppSink(s AppSink) { m.appSink = s }
 // OS service interval.
 func (m *Machine) SetObserver(f func(IntervalRecord)) { m.observer = f }
 
-// SetIRQHandler registers the kernel's interrupt entry point.
-func (m *Machine) SetIRQHandler(f func(vector uint16)) { m.irq = f }
-
 // SetTrace attaches an interval recorder (nil disables tracing; every
 // instrumentation site is a guarded no-op in that case). The machine installs
 // itself as the recorder's clock so instants carry simulated cycles.
@@ -380,9 +370,6 @@ func (m *Machine) Trace() *trace.Recorder { return m.rec }
 // Now returns the global cycle counter (committed time plus predicted
 // fast-forward time already applied).
 func (m *Machine) Now() uint64 { return m.core.Now() }
-
-// InKernel reports whether the machine is in privileged mode.
-func (m *Machine) InKernel() bool { return m.depth > 0 }
 
 // Depth returns the current kernel nesting depth.
 func (m *Machine) Depth() int { return m.depth }

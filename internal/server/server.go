@@ -143,14 +143,13 @@ type Server struct {
 	inflight sync.WaitGroup
 
 	latencyEWMA atomic.Int64 // microseconds; feeds Retry-After estimates
-	latMu       sync.Mutex   // trace.Histogram is single-writer; handlers are not
 
 	addr    atomic.Value // string; set once Serve has a listener
 	started chan struct{}
 
-	// Serving-path instruments, exported via GET /metrics and the drain-time
-	// metrics artifact.
-	reg        *trace.Registry
+	// Serving-path instruments, registered in the scheduler's harness
+	// registry: GET /metrics and the drain-time metrics artifact render them
+	// with the scheduler's counters.
 	mQueue     *trace.Gauge
 	mAdmitted  *trace.Counter
 	mShed      *trace.Counter
@@ -173,7 +172,7 @@ func New(cfg Config) *Server {
 		WarmDir:     cfg.WarmDir,
 		Transfer:    cfg.Transfer,
 	}.WithContext(baseCtx))
-	reg := trace.NewRegistry()
+	reg := sched.Metrics()
 	s := &Server{
 		cfg:        cfg,
 		sched:      sched,
@@ -181,7 +180,6 @@ func New(cfg Config) *Server {
 		cancelRuns: cancel,
 		queueSlots: make(chan struct{}, cfg.Queue),
 		started:    make(chan struct{}),
-		reg:        reg,
 		mQueue:     reg.Gauge("server.queue.depth"),
 		mAdmitted:  reg.Counter("server.requests.admitted"),
 		mShed:      reg.Counter("server.requests.shed"),
@@ -243,9 +241,7 @@ func (s *Server) retryAfterSeconds() int {
 // (alpha 1/4) and the latency histogram.
 func (s *Server) observeLatency(d time.Duration) {
 	us := d.Microseconds()
-	s.latMu.Lock()
 	s.mLatency.Observe(float64(us))
-	s.latMu.Unlock()
 	for {
 		old := s.latencyEWMA.Load()
 		next := old + (us-old)/4
@@ -509,16 +505,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, body)
 }
 
-// handleMetrics dumps the serving-path instruments followed by the
-// scheduler's cache/worker counters, in the PR 3 plaintext format.
+// handleMetrics dumps the harness registry — the serving-path instruments
+// and the scheduler's counters — in the plaintext format the drain-time
+// metrics artifact ends with.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.latMu.Lock()
-	err := s.reg.WriteText(w)
-	s.latMu.Unlock()
-	if err != nil {
-		return
-	}
 	_ = s.sched.WriteHarnessMetrics(w)
 }
 

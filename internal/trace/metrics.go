@@ -12,10 +12,10 @@ import (
 )
 
 // Registry is a typed metrics registry: named counters, gauges, and
-// histograms. Lookup is get-or-create and safe for concurrent use; the
-// instruments themselves are atomic (counters, gauges) or single-writer
-// (histograms, like the recorder that owns them). Every method is a no-op on
-// a nil receiver, and the nil instruments it then returns are no-ops too, so
+// histograms. Lookup is get-or-create, and the registry and every instrument
+// in it are safe for concurrent use: counters and gauges are atomic, and a
+// histogram takes its own lock. Every method is a no-op on a nil receiver,
+// and the nil instruments it then returns are no-ops too, so
 // `reg.Counter("x").Inc()` is safe — and nearly free — with tracing off.
 type Registry struct {
 	mu       sync.Mutex
@@ -128,24 +128,30 @@ func (g *Gauge) Value() int64 {
 }
 
 // Histogram is a log2-bucketed distribution (stats.LogHist) behind the
-// registry's nil-safe surface. Unlike counters and gauges it is not atomic:
-// observe only from the single simulation goroutine that owns the recorder.
-type Histogram struct{ h stats.LogHist }
+// registry's nil-safe surface, guarded by its own lock.
+type Histogram struct {
+	mu sync.Mutex
+	h  stats.LogHist
+}
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
+	h.mu.Lock()
 	h.h.Add(v)
+	h.mu.Unlock()
 }
 
-// Hist exposes the underlying stats.LogHist (nil-safe: returns a zero-value
-// histogram view for a nil receiver).
+// Hist returns a copy of the underlying stats.LogHist (a zero-value
+// histogram for a nil receiver).
 func (h *Histogram) Hist() stats.LogHist {
 	if h == nil {
 		return stats.LogHist{}
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return h.h
 }
 

@@ -63,3 +63,27 @@ func TestSnapshotDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestHistogramConcurrent observes into a histogram while another goroutine
+// snapshots the registry: under the race detector this checks that every
+// instrument is safe for concurrent use, as the serving front-end's request
+// handlers and its /metrics reader require.
+func TestHistogramConcurrent(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("latency")
+	const n = 1000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			h.Observe(float64(i))
+		}
+	}()
+	for i := 0; i < n/10; i++ {
+		_ = reg.Snapshot()
+	}
+	<-done
+	if snap := reg.Snapshot(); snap[0].Count != n || snap[0].Max != n-1 {
+		t.Errorf("snapshot = %+v, want %d observations up to %d", snap[0], n, n-1)
+	}
+}
