@@ -67,6 +67,22 @@ func (s Stats) Add(o Stats) Stats {
 	}
 }
 
+// FlagDirty and FlagOS are the way-word flags an access sets on its line:
+// FlagDirty for a write, FlagOS for an OwnerOS access (clear = OwnerApp).
+// AccessFlags takes them, and the victim word it returns carries them.
+const (
+	FlagDirty = 1 << 62
+	FlagOS    = 1 << 61
+)
+
+// Flag returns o's owner flag: FlagOS for OwnerOS, 0 for OwnerApp.
+func (o Owner) Flag() uint64 {
+	if o == OwnerOS {
+		return FlagOS
+	}
+	return 0
+}
+
 // Line state is one word per way slot (set*assoc + way): the block number
 // in the low bits and the valid, dirty and owner flags in the top three, so
 // the tag scan — the hottest loop in a detailed run — reads one dense uint64
@@ -76,8 +92,6 @@ func (s Stats) Add(o Stats) Stats {
 // word operations instead of a scan over per-way timestamps.
 const (
 	flagValid = 1 << 63
-	flagDirty = 1 << 62
-	flagOS    = 1 << 61 // owner: set = OwnerOS, clear = OwnerApp
 
 	lanes01 = 0x0101010101010101
 	lanes80 = 0x8080808080808080
@@ -110,13 +124,6 @@ type Cache struct {
 	// valid counts valid way slots; once every slot is valid, victim skips
 	// its scan for an invalid way.
 	valid int
-}
-
-func ownerFlag(o Owner) uint64 {
-	if o == OwnerOS {
-		return flagOS
-	}
-	return 0
 }
 
 // New builds a cache from cfg. Size, Assoc and BlockSize must describe a
@@ -212,60 +219,68 @@ type AccessResult struct {
 // streaming touch is 8 word accesses but at most one miss), keeping miss
 // *rates* comparable to per-reference statistics.
 func (c *Cache) Access(addr uint64, words int, isWrite bool, owner Owner) AccessResult {
-	if words < 1 {
-		words = 1
-	}
-	c.stats.Accesses += uint64(words)
-	if owner == OwnerOS {
-		c.stats.OSAccesses += uint64(words)
-	}
-	flags := ownerFlag(owner)
+	flags := owner.Flag()
 	if isWrite {
-		flags |= flagDirty
+		flags |= FlagDirty
+	}
+	hit, w := c.AccessFlags(addr, uint64(max(words, 1)), flags)
+	return AccessResult{Hit: hit, Evicted: w != 0, EvictedDirty: w&FlagDirty != 0, EvictedAddr: c.WordAddr(w)}
+}
+
+// AccessFlags is Access on raw flags — FlagDirty for a write, FlagOS for
+// the OS — with words at least 1. It reports whether addr hit and returns
+// the way word its fill displaced: 0 when no valid line was displaced, else
+// a word whose FlagDirty tells whether the victim needs a write-back and
+// whose line address WordAddr decodes.
+func (c *Cache) AccessFlags(addr, words, flags uint64) (hit bool, victim uint64) {
+	c.stats.Accesses += words
+	if flags&FlagOS != 0 {
+		c.stats.OSAccesses += words
 	}
 	if addr>>c.blkShift|flagValid == c.memo {
 		w := &c.ways[c.memoSlot]
-		*w = *w&^flagOS | flags
-		return AccessResult{Hit: true}
+		*w = *w&^FlagOS | flags
+		return true, 0
 	}
 	set, ways, key := c.lookup(addr)
 	rank := &c.rank[set]
 	x := *rank // loaded ahead of the scan, off the hit's critical path
 	for i, w := range ways {
-		if w&^(flagDirty|flagOS) == key {
-			ways[i] = w&^flagOS | flags
+		if w&^(FlagDirty|FlagOS) == key {
+			ways[i] = w&^FlagOS | flags
 			*rank = promote(x, i)
 			c.memo, c.memoSlot = key, set<<c.assocLog+i
-			return AccessResult{Hit: true}
+			return true, 0
 		}
 	}
 	c.stats.Misses++
-	if owner == OwnerOS {
+	if flags&FlagOS != 0 {
 		c.stats.OSMisses++
 	}
-	var res AccessResult
 	v := c.victim(set, ways)
-	if w := ways[v]; w&flagValid != 0 {
-		res.Evicted = true
-		res.EvictedDirty = w&flagDirty != 0
-		res.EvictedAddr = w &^ (flagValid | flagDirty | flagOS) << c.blkShift
+	// An invalid slot is all zero, so victim is 0 exactly when the fill
+	// took an invalid way.
+	if victim = ways[v]; victim != 0 {
 		c.stats.Evictions++
-		if res.EvictedDirty {
+		if victim&FlagDirty != 0 {
 			c.stats.Writebacks++
 		}
 	}
 	ways[v] = key | flags
 	*rank = promote(x, v)
 	c.memo, c.memoSlot = key, set<<c.assocLog+v
-	return res
+	return false, victim
 }
+
+// WordAddr returns the line address of the way word w (0 for 0).
+func (c *Cache) WordAddr(w uint64) uint64 { return w &^ (flagValid | FlagDirty | FlagOS) << c.blkShift }
 
 // Probe reports whether addr is present without disturbing LRU state or
 // counters. Used by tests and by the warmup checker.
 func (c *Cache) Probe(addr uint64) bool {
 	_, ways, key := c.lookup(addr)
 	for _, w := range ways {
-		if w&^(flagDirty|flagOS) == key {
+		if w&^(FlagDirty|FlagOS) == key {
 			return true
 		}
 	}
@@ -282,11 +297,11 @@ func (c *Cache) InvalidateAll() {
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	_, ways, key := c.lookup(addr)
 	for i, w := range ways {
-		if w&^(flagDirty|flagOS) == key {
+		if w&^(FlagDirty|FlagOS) == key {
 			ways[i] = 0
 			c.valid--
 			c.memo = 0
-			return true, w&flagDirty != 0
+			return true, w&FlagDirty != 0
 		}
 	}
 	return false, false
@@ -299,18 +314,18 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // lines compete for capacity like the real lines would have, but the
 // predicted miss counts — which are accounted separately — are not
 // double-counted. A displaced valid line counts as a pollution eviction.
-func (c *Cache) Touch(addr uint64) { c.fill(addr, flagOS, true) }
+func (c *Cache) Touch(addr uint64) { c.fill(addr, FlagOS, true) }
 
 // Fill is Touch for a hardware prefetch: the line is tagged with the
 // requester's owner and a displaced line is not counted as pollution.
-func (c *Cache) Fill(addr uint64, owner Owner) { c.fill(addr, ownerFlag(owner), false) }
+func (c *Cache) Fill(addr uint64, owner Owner) { c.fill(addr, owner.Flag(), false) }
 
 func (c *Cache) fill(addr, flags uint64, polluting bool) {
 	c.memo = 0
 	set, ways, key := c.lookup(addr)
 	for i, w := range ways {
-		if w&^(flagDirty|flagOS) == key {
-			ways[i] = w&^flagOS | flags
+		if w&^(FlagDirty|FlagOS) == key {
+			ways[i] = w&^FlagOS | flags
 			c.rank[set] = promote(c.rank[set], i)
 			return
 		}
@@ -352,7 +367,7 @@ func (c *Cache) TouchLines(base uint64, n int) {
 		k := (m - assoc) / assoc * assoc
 		_, ways, _ := c.lookup(blk << c.blkShift)
 		for w := range ways {
-			ways[w] = ways[w]&^flagDirty + k*sets
+			ways[w] = ways[w]&^FlagDirty + k*sets
 		}
 		c.stats.PollutionEv += k
 		for j := assoc + k; j < m; j++ {
@@ -366,7 +381,7 @@ func (c *Cache) OwnedLines() (app, os int) {
 	for _, w := range c.ways {
 		switch {
 		case w&flagValid == 0:
-		case w&flagOS == 0:
+		case w&FlagOS == 0:
 			app++
 		default:
 			os++

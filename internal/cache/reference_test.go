@@ -170,10 +170,10 @@ func sameState(c *Cache, r *refCache) error {
 		if m := r.meta[i]; m&refValid != 0 {
 			want = r.tags[i] | flagValid
 			if m&refDirty != 0 {
-				want |= flagDirty
+				want |= FlagDirty
 			}
 			if m&refOS != 0 {
-				want |= flagOS
+				want |= FlagOS
 			}
 		}
 		if w != want {

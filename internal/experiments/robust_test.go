@@ -367,6 +367,29 @@ func TestLookupDetachedExecution(t *testing.T) {
 	}
 }
 
+// TestMemoHitUnderEndedContext: a completed memo entry is served even when
+// the caller's context has already ended — an ended context stops waiting
+// for a run, not reading one that is final.
+func TestMemoHitUnderEndedContext(t *testing.T) {
+	s := NewScheduler(Config{Scale: 1, Seed: 1, Parallelism: 1})
+	key := s.cfg.benchKey("ok-test", machine.FullSystem, 0)
+	want, err := s.get(context.Background(), key, nil)
+	if err != nil {
+		t.Fatalf("memoizing run failed: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 200; i++ {
+		got, err := s.get(ctx, key, nil)
+		if err != nil {
+			t.Fatalf("memo hit %d under a canceled context: %v", i, err)
+		}
+		if got.res.Stats != want.res.Stats {
+			t.Fatalf("memo hit %d returned different stats", i)
+		}
+	}
+}
+
 // TestLookupNotifyOnceForCoalescedFailure pins the one-record contract a
 // serving front-end reads run ids from: three coalesced Lookup calls on one
 // failing key share a single execution, every waiter sees the failure, and

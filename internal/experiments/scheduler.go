@@ -267,8 +267,15 @@ func (s *Scheduler) claim(key RunKey, st *expStats, id string) (e *runEntry, cre
 	return e, false
 }
 
-// wait blocks until e is final or ctx ends, returning ctx's error then.
+// wait blocks until e is final or ctx ends, returning ctx's error then. An
+// entry already final is returned even under an ended context: a select
+// over both ready channels would pick one at random.
 func wait(ctx context.Context, e *runEntry) error {
+	select {
+	case <-e.done:
+		return nil
+	default:
+	}
 	select {
 	case <-e.done:
 		return nil

@@ -5,7 +5,11 @@
 // mirrors the configuration of the paper's evaluation platform (§5.1).
 package memsys
 
-import "fssim/internal/cache"
+import (
+	"math/bits"
+
+	"fssim/internal/cache"
+)
 
 // Config describes the hierarchy. The defaults (see DefaultConfig) match the
 // paper: 16KB 2-way L1I, 16KB 4-way L1D (2-cycle), 1MB 8-way L2 (8-cycle),
@@ -76,6 +80,11 @@ type Hierarchy struct {
 	itlb *cache.Cache // nil unless TLB modeling is enabled
 	dtlb *cache.Cache
 
+	// cfg's latencies and L1D line shift, read on every access.
+	l1iHit, l1dHit, l2Hit uint64
+	memLat, busOcc, walk  uint64
+	l1dShift              uint
+
 	busFree    uint64 // cycle at which the memory bus is next idle
 	inflight   []miss // outstanding line fills (MSHR + coalescing)
 	dram       uint64 // DRAM accesses (fills + writebacks)
@@ -94,6 +103,15 @@ func New(cfg Config) *Hierarchy {
 		l1i: cache.New(cfg.L1I),
 		l1d: cache.New(cfg.L1D),
 		l2:  cache.New(cfg.L2),
+
+		l1iHit: uint64(cfg.L1I.HitLatency),
+		l1dHit: uint64(cfg.L1D.HitLatency),
+		l2Hit:  uint64(cfg.L2.HitLatency),
+		memLat: uint64(cfg.MemLatency),
+		busOcc: uint64(cfg.BusOccupancy),
+		walk:   uint64(cfg.WalkLatency),
+		// cache.New's block shift: BlockSize rounded up to a power of two.
+		l1dShift: uint(bits.Len(uint(cfg.L1D.BlockSize - 1))),
 	}
 	if cfg.TLBEntries > 0 {
 		tlbCfg := func(name string) cache.Config {
@@ -127,18 +145,6 @@ func (h *Hierarchy) FlushAll() {
 	h.l1d.InvalidateAll()
 	h.l2.InvalidateAll()
 	h.FlushTLB()
-}
-
-// tlbLookup charges a page-walk latency on a TLB miss and returns the
-// translated access start time.
-func (h *Hierarchy) tlbLookup(tlb *cache.Cache, addr, now uint64, owner cache.Owner) uint64 {
-	if tlb == nil {
-		return now
-	}
-	if res := tlb.Access(addr, 1, false, owner); !res.Hit {
-		return now + uint64(h.cfg.WalkLatency)
-	}
-	return now
 }
 
 // TLBStats returns (ITLB, DTLB) statistics; zero values when disabled.
@@ -192,8 +198,8 @@ func (h *Hierarchy) memFill(lineAddr, now uint64) uint64 {
 	if h.busFree > start {
 		start = h.busFree
 	}
-	h.busFree = start + uint64(h.cfg.BusOccupancy)
-	ready := start + uint64(h.cfg.MemLatency)
+	h.busFree = start + h.busOcc
+	ready := start + h.memLat
 	h.dram++
 	h.inflight = append(h.inflight, miss{line: lineAddr, ready: ready})
 	return ready
@@ -217,32 +223,47 @@ func (h *Hierarchy) writebackToMem(now uint64) {
 	if h.busFree > start {
 		start = h.busFree
 	}
-	h.busFree = start + uint64(h.cfg.BusOccupancy)
+	h.busFree = start + h.busOcc
 	h.dram++
 }
 
-// accessL2 performs an L2 lookup for one line, filling from memory on a miss,
-// and returns the cycle at which the line is available to the L1.
-func (h *Hierarchy) accessL2(lineAddr, now uint64, isWrite bool, owner cache.Owner) uint64 {
-	res := h.l2.Access(lineAddr, 1, isWrite, owner)
-	avail := now + uint64(h.cfg.L2.HitLatency)
-	if !res.Hit {
-		avail = h.memFill(lineAddr, now+uint64(h.cfg.L2.HitLatency))
-		if res.Evicted && res.EvictedDirty {
+// l1Miss resolves an L1 miss of lineAddr whose L1 lookup ended at cycle now,
+// for an access with owner flag owner, and returns the cycle the line is
+// available to the L1: the L2 lookup; on an L2 miss the DRAM fill, the L2's
+// dirty victim posted to the bus and a next-line prefetch; then the L1's
+// displaced way word l1Victim, when dirty, written back into the L2 (posted;
+// state change only). l1Victim is an L1D word, or 0.
+func (h *Hierarchy) l1Miss(lineAddr, now, l1Victim, owner uint64) uint64 {
+	hit, l2Victim := h.l2.AccessFlags(lineAddr, 1, owner)
+	avail := now + h.l2Hit
+	if !hit {
+		avail = h.memFill(lineAddr, avail)
+		if l2Victim&cache.FlagDirty != 0 {
 			h.writebackToMem(now)
 		}
 		if h.cfg.Prefetch {
-			// Next-line prefetch: bring in the following line if absent,
-			// consuming a bus slot but delaying no one.
-			next := lineAddr + uint64(h.cfg.L2.BlockSize)
-			if !h.l2.Probe(next) {
-				h.l2.Fill(next, owner)
-				h.memFill(next, now+uint64(h.cfg.L2.HitLatency))
-				h.prefetches++
-			}
+			h.prefetch(lineAddr+uint64(h.cfg.L2.BlockSize), now+h.l2Hit, owner)
 		}
 	}
+	if l1Victim&cache.FlagDirty != 0 {
+		h.l2.AccessFlags(h.l1d.WordAddr(l1Victim), 1, owner|cache.FlagDirty)
+	}
 	return avail
+}
+
+// prefetch brings next into the L2 if absent, consuming a bus slot from
+// cycle at but delaying no one.
+func (h *Hierarchy) prefetch(next, at, owner uint64) {
+	if h.l2.Probe(next) {
+		return
+	}
+	o := cache.OwnerApp
+	if owner != 0 {
+		o = cache.OwnerOS
+	}
+	h.l2.Fill(next, o)
+	h.memFill(next, at)
+	h.prefetches++
 }
 
 // Data performs a data access of any size at cycle now and returns the cycle
@@ -253,14 +274,23 @@ func (h *Hierarchy) Data(addr uint64, size int, now uint64, isWrite bool, owner 
 	if size <= 0 {
 		size = 1
 	}
-	now = h.tlbLookup(h.dtlb, addr, now, owner)
-	bs := uint64(h.cfg.L1D.BlockSize)
-	first := h.l1d.LineAddr(addr)
+	of := owner.Flag()
+	if h.dtlb != nil {
+		if hit, _ := h.dtlb.AccessFlags(addr, 1, of); !hit {
+			now += h.walk
+		}
+	}
+	flags := of
+	if isWrite {
+		flags |= cache.FlagDirty
+	}
+	first := addr >> h.l1dShift << h.l1dShift
+	bs := uint64(1) << h.l1dShift
 	if addr-first+uint64(size) <= bs {
 		// One line, the common case; dataLine never returns before now.
-		return h.dataLine(first, (size+7)/8, now, isWrite, owner)
+		return h.dataLine(first, uint64(size+7)/8, now, flags, of)
 	}
-	last := h.l1d.LineAddr(addr + uint64(size) - 1)
+	last := (addr + uint64(size) - 1) >> h.l1dShift << h.l1dShift
 	avail := now
 	remaining := size
 	off := int(addr - first)
@@ -269,8 +299,7 @@ func (h *Hierarchy) Data(addr uint64, size int, now uint64, isWrite bool, owner 
 		if span > remaining {
 			span = remaining
 		}
-		words := (span + 7) / 8
-		a := h.dataLine(line, words, now, isWrite, owner)
+		a := h.dataLine(line, uint64(span+7)/8, now, flags, of)
 		if a > avail {
 			avail = a
 		}
@@ -283,30 +312,32 @@ func (h *Hierarchy) Data(addr uint64, size int, now uint64, isWrite bool, owner 
 	return avail
 }
 
-func (h *Hierarchy) dataLine(lineAddr uint64, words int, now uint64, isWrite bool, owner cache.Owner) uint64 {
-	res := h.l1d.Access(lineAddr, words, isWrite, owner)
-	avail := now + uint64(h.cfg.L1D.HitLatency)
-	if !res.Hit {
-		avail = h.accessL2(lineAddr, now+uint64(h.cfg.L1D.HitLatency), false, owner)
-		if res.Evicted && res.EvictedDirty {
-			// L1 dirty victim written back into L2 (posted; state change only).
-			h.l2.Access(res.EvictedAddr, 1, true, owner)
-		}
+// dataLine accesses one L1D line with the access's flags; owner is the
+// owner flag alone, for the L2.
+func (h *Hierarchy) dataLine(lineAddr, words, now, flags, owner uint64) uint64 {
+	hit, victim := h.l1d.AccessFlags(lineAddr, words, flags)
+	if hit {
+		return now + h.l1dHit
 	}
-	return avail
+	return h.l1Miss(lineAddr, now+h.l1dHit, victim, owner)
 }
 
 // Fetch performs an instruction-fetch access for the line containing pc and
 // returns the cycle the fetch group is available.
 func (h *Hierarchy) Fetch(pc, now uint64, owner cache.Owner) uint64 {
-	now = h.tlbLookup(h.itlb, pc, now, owner)
-	line := h.l1i.LineAddr(pc)
-	// One access per fetch group; a 64B line holds four 4-wide groups.
-	res := h.l1i.Access(line, 4, false, owner)
-	if res.Hit {
-		return now + uint64(h.cfg.L1I.HitLatency)
+	of := owner.Flag()
+	if h.itlb != nil {
+		if hit, _ := h.itlb.AccessFlags(pc, 1, of); !hit {
+			now += h.walk
+		}
 	}
-	return h.accessL2(line, now+uint64(h.cfg.L1I.HitLatency), false, owner)
+	line := h.l1i.LineAddr(pc)
+	// One access per fetch group; a 64B line holds four 4-wide groups. An
+	// L1I line is never dirty, so its victim needs no write-back.
+	if hit, _ := h.l1i.AccessFlags(line, 4, of); hit {
+		return now + h.l1iHit
+	}
+	return h.l1Miss(line, now+h.l1iHit, 0, of)
 }
 
 // InjectBusTraffic models the memory-bus occupancy of a fast-forwarded OS
@@ -320,7 +351,7 @@ func (h *Hierarchy) InjectBusTraffic(n int, from uint64) {
 	if h.busFree < from {
 		h.busFree = from
 	}
-	h.busFree += uint64(n) * uint64(h.cfg.BusOccupancy)
+	h.busFree += uint64(n) * h.busOcc
 	h.dram += uint64(n)
 }
 

@@ -197,3 +197,28 @@ func TestPrefetchNextLine(t *testing.T) {
 		t.Errorf("prefetched line still missed: %+v", d)
 	}
 }
+
+// BenchmarkDataCopyStream times the hierarchy alone on Emitter.CopyLines'
+// access pattern — per 64 B line, one 64 B load from src and one 64 B store
+// to dst — cycling over copies larger than the default 16 KB L1D, so nearly
+// every access misses it: 64 KB each way stays in the L2 after the first
+// pass, 1 MB each way (2 MB in all) misses the 1 MB L2 too. One op is one
+// line copied.
+func BenchmarkDataCopyStream(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		lines uint64
+	}{{"l2", 64 << 10 / 64}, {"dram", 1 << 20 / 64}} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := New(DefaultConfig())
+			const src, dst = 0x1000_0000, 0x2000_0000
+			var now uint64
+			for i := 0; i < b.N; i++ {
+				off := uint64(i) % bc.lines * 64
+				now += 4
+				h.Data(src+off, 64, now, false, cache.OwnerOS)
+				h.Data(dst+off, 64, now+1, true, cache.OwnerOS)
+			}
+		})
+	}
+}

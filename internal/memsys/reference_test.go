@@ -2,18 +2,23 @@ package memsys
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fssim/internal/cache"
 )
 
 // refHierarchy is the hierarchy's timing path as it was before inflight was
-// kept in ready order: reap filters every entry, MSHR admission scans for
-// the earliest ready, and Data always walks its lines in a loop. Prefetch
-// fills use Cache.Fill like the real hierarchy, so both caches evolve alike.
+// kept in ready order and the miss path was flattened: reap filters every
+// entry, MSHR admission scans for the earliest ready, Data always walks its
+// lines in a loop, every level — TLBs included — is reached through
+// Cache.Access and its AccessResult, and latencies are read from cfg at
+// each use. Prefetch fills use Cache.Fill like the real hierarchy, so both
+// caches evolve alike.
 type refHierarchy struct {
 	cfg          Config
 	l1i, l1d, l2 *cache.Cache
+	itlb, dtlb   *cache.Cache // nil unless cfg.TLBEntries > 0
 	busFree      uint64
 	inflight     []miss
 	dram         uint64
@@ -21,7 +26,20 @@ type refHierarchy struct {
 }
 
 func newRefHierarchy(cfg Config) *refHierarchy {
-	return &refHierarchy{cfg: cfg, l1i: cache.New(cfg.L1I), l1d: cache.New(cfg.L1D), l2: cache.New(cfg.L2)}
+	h := &refHierarchy{cfg: cfg, l1i: cache.New(cfg.L1I), l1d: cache.New(cfg.L1D), l2: cache.New(cfg.L2)}
+	if cfg.TLBEntries > 0 {
+		tlb := cache.Config{Size: cfg.TLBEntries * 4096, Assoc: 4, BlockSize: 4096}
+		h.itlb, h.dtlb = cache.New(tlb), cache.New(tlb)
+	}
+	return h
+}
+
+// translate charges a page walk on a TLB miss.
+func (h *refHierarchy) translate(tlb *cache.Cache, addr, now uint64, owner cache.Owner) uint64 {
+	if tlb != nil && !tlb.Access(addr, 1, false, owner).Hit {
+		return now + uint64(h.cfg.WalkLatency)
+	}
+	return now
 }
 
 func (h *refHierarchy) memFill(lineAddr, now uint64) uint64 {
@@ -97,6 +115,7 @@ func (h *refHierarchy) Data(addr uint64, size int, now uint64, isWrite bool, own
 	if size <= 0 {
 		size = 1
 	}
+	now = h.translate(h.dtlb, addr, now, owner)
 	bs := uint64(h.cfg.L1D.BlockSize)
 	first := h.l1d.LineAddr(addr)
 	last := h.l1d.LineAddr(addr + uint64(size) - 1)
@@ -129,6 +148,7 @@ func (h *refHierarchy) Data(addr uint64, size int, now uint64, isWrite bool, own
 }
 
 func (h *refHierarchy) Fetch(pc, now uint64, owner cache.Owner) uint64 {
+	now = h.translate(h.itlb, pc, now, owner)
 	line := h.l1i.LineAddr(pc)
 	if h.l1i.Access(line, 4, false, owner).Hit {
 		return now + uint64(h.cfg.L1I.HitLatency)
@@ -147,8 +167,41 @@ func (h *refHierarchy) InjectBusTraffic(n int, from uint64) {
 	h.dram += uint64(n)
 }
 
+func (h *refHierarchy) FlushTLB() {
+	if h.itlb != nil {
+		h.itlb.InvalidateAll()
+		h.dtlb.InvalidateAll()
+	}
+}
+
+func (h *refHierarchy) FlushAll() {
+	h.l1i.InvalidateAll()
+	h.l1d.InvalidateAll()
+	h.l2.InvalidateAll()
+	h.FlushTLB()
+}
+
+// TouchPhantoms replays each level's phantoms one Touch per line.
+func (h *refHierarchy) TouchPhantoms(base uint64, l1i, l1d, l2 int) {
+	for _, lv := range []struct {
+		c *cache.Cache
+		n int
+	}{{h.l1i, l1i}, {h.l1d, l1d}, {h.l2, l2}} {
+		for i := 0; i < lv.n; i++ {
+			lv.c.Touch(base + uint64(i)*uint64(lv.c.Config().BlockSize))
+		}
+	}
+}
+
+func (h *refHierarchy) TLBStats() (itlb, dtlb cache.Stats) {
+	if h.itlb == nil {
+		return
+	}
+	return h.itlb.Stats(), h.dtlb.Stats()
+}
+
 // mshrConfigs are small hierarchies that miss often, with prefetch off and
-// on and with few MSHRs so admission stalls happen.
+// on, with few MSHRs so admission stalls happen, and with TLBs.
 func mshrConfigs() map[string]Config {
 	small := DefaultConfig()
 	small.L2.Size = 64 << 10
@@ -160,6 +213,8 @@ func mshrConfigs() map[string]Config {
 		"small-l2":       small,
 		"small-prefetch": small.WithPrefetch(),
 		"two-mshrs":      few,
+		"tlb":            small.WithTLB(),
+		"tlb-prefetch":   few.WithTLB(),
 	}
 }
 
@@ -186,6 +241,101 @@ func randomOp(rng *rand.Rand, now *uint64, h *Hierarchy, ref *refHierarchy) (got
 		ref.InjectBusTraffic(n, at)
 		return 0, 0, "InjectBusTraffic"
 	}
+}
+
+// FuzzHierarchyReference checks the flattened hierarchy against the
+// reference on fuzzed operation streams. The first byte picks a config from
+// mshrConfigs; each following 6-byte record is one Data (single-line,
+// straddling, or stepping from the previous address so lines repeat),
+// Fetch, InjectBusTraffic, FlushTLB, TouchPhantoms or FlushAll, at a time
+// that mostly advances but may step back the way an out-of-order core
+// issues. Every returned cycle, the per-level and TLB Stats, busFree, the
+// DRAM and prefetch counts and the in-flight fills must match after every
+// operation.
+func FuzzHierarchyReference(f *testing.F) {
+	names := make([]string, 0, len(mshrConfigs()))
+	for name := range mshrConfigs() {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	rng := rand.New(rand.NewSource(17))
+	for i := range names {
+		b := make([]byte, 1+6*400)
+		rng.Read(b)
+		b[0] = byte(i)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		name := names[int(data[0])%len(names)]
+		cfg := mshrConfigs()[name]
+		h, ref := New(cfg), newRefHierarchy(cfg)
+		var now, last uint64
+		for data = data[1:]; len(data) >= 6; data = data[6:] {
+			op, a0, a1, a2, a3, a4 := data[0], data[1], data[2], data[3], data[4], data[5]
+			now += uint64(a0 & 63)
+			at := now - min(now, uint64(a1)*2)
+			owner := cache.Owner(op >> 7)
+			// Mostly 256 lines in each of 16 sets of every level, so the
+			// L2 evicts within a few hundred operations; a3's bit 4
+			// spreads the address over 4 MB instead.
+			addr := uint64(a2)<<13 | uint64(a3&15)<<6 | uint64(a4&63)
+			if a3&16 != 0 {
+				addr = uint64(a2)<<14 | uint64(a3)<<6 | uint64(a4&63)
+			}
+			var got, want uint64
+			switch k := op & 15; {
+			case k < 9: // Data: a3's top bits pick the size, op's bit 4 a step from the last address
+				if op&16 != 0 {
+					addr = last + uint64(int64(int8(a2))*8)
+				}
+				last = addr
+				size := []int{1, 4, 8, 8, 16, 64, 100, 200}[a3>>5]
+				w := a1&1 != 0
+				got, want = h.Data(addr, size, at, w, owner), ref.Data(addr, size, at, w, owner)
+			case k < 12:
+				got, want = h.Fetch(addr, at, owner), ref.Fetch(addr, at, owner)
+			case k == 12:
+				n := int(a2&15) - 2 // n <= 0 is a no-op
+				h.InjectBusTraffic(n, at)
+				ref.InjectBusTraffic(n, at)
+			case k == 13:
+				h.FlushTLB()
+				ref.FlushTLB()
+			// Phantoms and flushes drop dirty lines unwritten, so they are
+			// kept rare enough for dirty lines to reach the L2 and leave it.
+			case k == 14 && a1 < 64: // up to 4x an L1's lines and about 4x the small L2's
+				base := 0xF000_0000_0000_0000 + uint64(a1&7)<<12
+				l1i, l1d, l2 := int(a2)*4, int(a3)*4, int(a4)*16
+				h.TouchPhantoms(base, l1i, l1d, l2)
+				ref.TouchPhantoms(base, l1i, l1d, l2)
+			case k == 15 && a1 < 16:
+				h.FlushAll()
+				ref.FlushAll()
+			}
+			if got != want {
+				t.Fatalf("%s: op %#x at %d: available at %d, reference %d", name, op, at, got, want)
+			}
+			if h.Stats() != (Snapshot{L1I: ref.l1i.Stats(), L1D: ref.l1d.Stats(), L2: ref.l2.Stats()}) {
+				t.Fatalf("%s: op %#x: stats %+v, reference L1I %+v L1D %+v L2 %+v", name, op,
+					h.Stats(), ref.l1i.Stats(), ref.l1d.Stats(), ref.l2.Stats())
+			}
+			gi, gd := h.TLBStats()
+			wi, wd := ref.TLBStats()
+			if gi != wi || gd != wd {
+				t.Fatalf("%s: op %#x: TLB stats %+v %+v, reference %+v %+v", name, op, gi, gd, wi, wd)
+			}
+			if h.busFree != ref.busFree || h.dram != ref.dram || h.prefetches != ref.prefetches {
+				t.Fatalf("%s: op %#x: bus %d dram %d prefetches %d, reference %d %d %d", name, op,
+					h.busFree, h.dram, h.prefetches, ref.busFree, ref.dram, ref.prefetches)
+			}
+			if !slices.Equal(h.inflight, ref.inflight) {
+				t.Fatalf("%s: op %#x: in flight %v, reference %v", name, op, h.inflight, ref.inflight)
+			}
+		}
+	})
 }
 
 // TestMSHRInflightOrdered checks the premise of the prefix reap: inflight
