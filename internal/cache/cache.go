@@ -115,7 +115,7 @@ type Cache struct {
 	stats    Stats
 
 	// memo is the key (block number | flagValid) of the line the last
-	// Access left MRU, and memoSlot its way slot; 0 when no such line is
+	// access left MRU, and memoSlot its way slot; 0 when no such line is
 	// known. A repeat access to it is a hit that changes only its flags.
 	// Every other state change clears it: fill (so Touch, Fill and
 	// TouchLines), Invalidate and InvalidateAll.
